@@ -1,0 +1,139 @@
+"""Byte-level goldens for every CLI artifact kind.
+
+Each case runs ``signalgame.cli.main`` with ``--out`` and pins the exit
+status, the sha256 and the byte length of what it wrote.  A refactor
+that keeps the outputs identical leaves this file untouched; a change
+that alters an artifact on purpose must bump the artifact's format
+version and re-pin the case.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from signalgame.cli import main
+
+# A 3-state, 3-action game with one terminating action: small enough to
+# solve in well under a second, large enough to exercise pulled-back
+# continuation pieces on a 2-d simplex.
+GAME_3 = {
+    "horizon": 4,
+    "states": ["a", "b", "c"],
+    "actions": ["stay", "probe", "stop"],
+    "terminating": ["stop"],
+    "kernel": [
+        [[0.7, 0.2, 0.1], [0.5, 0.25, 0.25], [0.7, 0.2, 0.1]],
+        [[0.1, 0.8, 0.1], [0.2, 0.6, 0.2], [0.1, 0.8, 0.1]],
+        [[0.0, 0.3, 0.7], [0.25, 0.25, 0.5], [0.0, 0.3, 0.7]],
+    ],
+    "rewards_A": [[1.0, 0.5, 0.0], [1.0, 0.25, 0.0], [0.5, 0.0, 0.2]],
+    "rewards_B": [[0.3, -0.2, 0.6], [-0.1, 0.2, 0.0], [-0.4, 0.1, 0.5]],
+    "prior": [0.5, 0.3, 0.2],
+}
+
+OBJECTIVE_2 = {
+    "states": 2,
+    "pieces": [
+        {"weights": [0.3, 1.0], "offset": 0.0},
+        {"min_of": [
+            {"weights": [2.0, -0.5], "offset": 0.1},
+            {"weights": [-1.0, 1.5], "offset": 0.4},
+        ]},
+        {"weights": [0.9, 0.2], "offset": -0.05},
+    ],
+}
+
+OBJECTIVE_3 = {
+    "states": 3,
+    "pieces": [
+        {"weights": [0.6, 0.3, 0.4], "offset": 0.0},
+        {"min_of": [
+            {"weights": [2.0, 0.0, 0.0], "offset": 0.2},
+            {"weights": [0.0, 2.0, 0.0], "offset": 0.1},
+            {"weights": [0.0, 0.0, 2.0], "offset": 0.15},
+        ]},
+        {"min_of": [
+            {"weights": [1.5, -0.5, 0.2], "offset": 0.3},
+            {"weights": [-0.7, 0.9, 0.4], "offset": 0.45},
+        ]},
+    ],
+}
+
+INPUTS = {"game3": GAME_3, "objective2": OBJECTIVE_2, "objective3": OBJECTIVE_3}
+
+
+def _cases():
+    cases = {}
+    for game in ("quickest_detection", "detector"):
+        base = ["--builtin", game, "--horizon", "14"]
+        cases[f"{game}-solve"] = ["solve", *base]
+        cases[f"{game}-sweep"] = ["sweep", *base]
+        cases[f"{game}-evaluate"] = ["evaluate", *base]
+        cases[f"{game}-simulate"] = ["simulate", *base, "--trajectories", "1000"]
+    cases["game3-solve"] = ["solve", "--input", "{game3}"]
+    cases["game3-evaluate"] = ["evaluate", "--input", "{game3}"]
+    cases["objective2-envelope"] = ["envelope", "--input", "{objective2}"]
+    cases["objective3-envelope"] = ["envelope", "--input", "{objective3}"]
+    return cases
+
+
+CASES = _cases()
+
+# case -> (exit status, sha256 of the artifact, artifact length in bytes)
+GOLDENS = {
+    "detector-evaluate": (
+        0, "62b867b6700d72e701fa53361baa4c68450a41dad091940529443df14654f4af", 334,
+    ),
+    "detector-simulate": (
+        0, "25625d4a284f3a3bb4c532e6ca5d91c592cec5c49a122b08a3a991c4d9cac1b6", 215,
+    ),
+    "detector-solve": (
+        0, "7747a4ff87bb1195b18a995a31c2e78dc7fc3cece8cda0e50b6bf1355ce104f6", 15959,
+    ),
+    "detector-sweep": (
+        0, "92e8f07df42584ee7142d8dc48c5ed69d5945bc4d31761698fc6afcfc6d57f8c", 1693,
+    ),
+    "game3-evaluate": (
+        0, "3b672664004c37e31433ce228ec35fa48feae16df32aca7b117c6f0dc0089267", 411,
+    ),
+    "game3-solve": (
+        0, "70c3a084bee63390d155ac04744d01760bf09081b43fa289138038c46636000b", 17084,
+    ),
+    "objective2-envelope": (
+        0, "ceac697d3c45594c20f7cc9217d777e8fe56497bd997682d7b1ae7ea4197bc9b", 232,
+    ),
+    "objective3-envelope": (
+        0, "20feb89de7f29605220759aaae7bf1c9bb61df3615ff2afb6a2ef1fa4d3229bd", 788,
+    ),
+    "quickest_detection-evaluate": (
+        0, "46a3a80f6cfaa6574485b57eab2c283bc353848c3d66cdb786af139eb9aa2787", 414,
+    ),
+    "quickest_detection-simulate": (
+        0, "ed1a746b29e08951f245e5a6f441eccbe00ada0232a760c1ab1dac9020086caa", 221,
+    ),
+    "quickest_detection-solve": (
+        0, "51855e24b49a25e874aa5f28e08978046d04d50252f56a6e0d9843659ffaf068", 25866,
+    ),
+    "quickest_detection-sweep": (
+        0, "6b95d3613f40ed8096095f1636313146f7461765a09261e4a608b0d877fd2c31", 4391,
+    ),
+}
+
+
+def run_case(name: str, workdir) -> tuple[int, bytes]:
+    paths = {}
+    for key, data in INPUTS.items():
+        path = workdir / f"{key}.json"
+        path.write_text(json.dumps(data))
+        paths[key] = str(path)
+    out = workdir / f"{name}.out"
+    argv = [arg.format(**paths) for arg in CASES[name]]
+    code = main([*argv, "--out", str(out)])
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_artifact_matches_golden(name, tmp_path):
+    code, data = run_case(name, tmp_path)
+    assert (code, hashlib.sha256(data).hexdigest(), len(data)) == GOLDENS[name]
