@@ -13,11 +13,8 @@ deviation tests.
 from .geometry import (
     EPS_GEOM,
     EPS_TIE,
-    AffineFunctional,
-    AffineMap,
     CellArrangement,
     GeometryDomainError,
-    PiecewiseAffine,
     SupportMeasure,
     Triangulation,
     VertexInterpolant,
@@ -27,7 +24,6 @@ from .geometry import (
     barycentric_indices,
     candidate_vertices,
     dedup_functionals,
-    interpolate,
     pullback_affine,
     simplex_grid,
     validate_triangulation,
@@ -57,8 +53,6 @@ from .solver import (
     stage_backup,
 )
 from .strategy import (
-    PrincipalPolicy,
-    ReceiverPolicy,
     principal_action,
     receiver_action,
 )
@@ -78,8 +72,6 @@ from .cli import ConfigError, RunConfig, builtin_example, main, run
 __all__ = [
     "EPS_GEOM",
     "EPS_TIE",
-    "AffineFunctional",
-    "AffineMap",
     "Belief",
     "BeliefEdge",
     "BeliefNode",
@@ -91,9 +83,6 @@ __all__ = [
     "GameSpec",
     "GeometryDomainError",
     "NodeBudgetExceeded",
-    "PiecewiseAffine",
-    "PrincipalPolicy",
-    "ReceiverPolicy",
     "RunConfig",
     "SimulationReport",
     "SpecValidationError",
@@ -112,7 +101,6 @@ __all__ = [
     "dedup_functionals",
     "exact_value",
     "induced_distribution",
-    "interpolate",
     "load_spec",
     "main",
     "one_shot_deviation_check",

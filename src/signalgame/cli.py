@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,13 +30,7 @@ import numpy as np
 
 from .evaluator import exact_value, one_shot_deviation_check, simulate
 from .game import GameSpec, SpecValidationError, load_spec, validate_spec
-from .geometry import (
-    EPS_TIE,
-    AffineFunctional,
-    CellArrangement,
-    argcav,
-    dedup_functionals,
-)
+from .geometry import EPS_TIE, CellArrangement, argcav, dedup_functionals
 from .solver import EquilibriumSolution, solve
 
 __all__ = [
@@ -236,15 +231,22 @@ def _sweep_text(solution: EquilibriumSolution, depth: int) -> str:
     return buf.getvalue()
 
 
-def _parse_affine(raw, where: str) -> AffineFunctional:
+def _parse_affine(raw, where: str, n: int) -> np.ndarray:
+    """One functional {"weights": [...], "offset": b} as the row [weights..., b]."""
     if not isinstance(raw, dict) or "weights" not in raw:
         raise ConfigError(f"{where}: expected an object with 'weights' and 'offset'")
     try:
-        return AffineFunctional(
-            np.asarray(raw["weights"], dtype=float), float(raw.get("offset", 0.0))
-        )
+        weights = np.atleast_1d(np.asarray(raw["weights"], dtype=float))
+        offset = float(raw.get("offset", 0.0))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{where}: {err}") from err
+    if weights.ndim != 1 or not np.all(np.isfinite(weights)):
+        raise ConfigError(f"{where}: weights must be a finite vector")
+    if not math.isfinite(offset):
+        raise ConfigError(f"{where}: offset must be finite, got {offset!r}")
+    if weights.size != n:
+        raise ConfigError(f"{where}: expected {n} weights, got {weights.size}")
+    return np.append(weights, offset)
 
 
 def _envelope_payload(data: dict) -> dict:
@@ -260,32 +262,28 @@ def _envelope_payload(data: dict) -> dict:
         raise ConfigError(f"envelope input needs 'states' and 'pieces': {err}") from err
     if n < 1 or not isinstance(raw_pieces, list) or not raw_pieces:
         raise ConfigError("envelope input needs states >= 1 and a nonempty piece list")
-    pieces: list[list[AffineFunctional]] = []
+    pieces: list[np.ndarray] = []
     for k, raw in enumerate(raw_pieces):
         if isinstance(raw, dict) and "min_of" in raw:
             group = [
-                _parse_affine(g, f"pieces[{k}].min_of[{j}]")
+                _parse_affine(g, f"pieces[{k}].min_of[{j}]", n)
                 for j, g in enumerate(raw["min_of"])
             ]
             if not group:
                 raise ConfigError(f"pieces[{k}]: min_of must be nonempty")
         else:
-            group = [_parse_affine(raw, f"pieces[{k}]")]
-        for f in group:
-            if f.weights.size != n:
-                raise ConfigError(f"pieces[{k}]: expected {n} weights, got {f.weights.size}")
-        pieces.append(group)
+            group = [_parse_affine(raw, f"pieces[{k}]", n)]
+        pieces.append(np.vstack(group))
 
     def psi(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         best = np.full(points.shape[0], -np.inf)
         for group in pieces:
-            np.maximum(best, np.min([f(points) for f in group], axis=0), out=best)
+            np.maximum(best, np.min([points @ g[:-1] + g[-1] for g in group], axis=0), out=best)
         return best
 
-    flat = [f for group in pieces for f in group]
-    diffs = [a - b for i, a in enumerate(flat) for b in flat[i + 1 :]]
-    arrangement = CellArrangement(n, dedup_functionals(diffs))
+    flat = np.vstack(pieces)
+    first, second = np.triu_indices(len(flat), k=1)
+    arrangement = CellArrangement(n, dedup_functionals(flat[first] - flat[second]))
     envelope = argcav(psi, arrangement)
     return {
         "format": ENVELOPE_FORMAT,

@@ -8,6 +8,9 @@ read off an arrangement of affine functionals, the candidates are
 lifted by the objective and run through an upper convex hull, and the
 upper faces are triangulated by the pulling rule (lexicographic vertex
 order) so the output is reproducible bit for bit.
+
+A set of m affine functionals x -> w . x + b on R^n is one (m, n+1)
+float array with rows [w_0 ... w_{n-1}, b].
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -32,19 +34,16 @@ __all__ = [
     "EPS_GEOM",
     "EPS_TIE",
     "GeometryDomainError",
-    "AffineFunctional",
-    "AffineMap",
     "SupportMeasure",
     "Triangulation",
     "VertexInterpolant",
-    "PiecewiseAffine",
     "CellArrangement",
     "as_simplex_point",
     "simplex_grid",
     "validate_triangulation",
     "barycentric",
     "barycentric_indices",
-    "interpolate",
+    "dedup_functionals",
     "pullback_affine",
     "candidate_vertices",
     "argcav",
@@ -134,97 +133,6 @@ def _cluster_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
             groups.append([i])
             reps.append(row)
     return groups
-
-
-@dataclass(frozen=True, eq=False)
-class AffineFunctional:
-    """The map x -> weights . x + offset, used on the simplex."""
-
-    weights: np.ndarray
-    offset: float = 0.0
-
-    def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise GeometryDomainError("functional weights must be a finite vector")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "offset", float(self.offset))
-
-    @property
-    def n_states(self) -> int:
-        return self.weights.size
-
-    def __call__(self, x):
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            return float(pts @ self.weights + self.offset)
-        return pts @ self.weights + self.offset
-
-    def __add__(self, other: "AffineFunctional") -> "AffineFunctional":
-        return AffineFunctional(self.weights + other.weights, self.offset + other.offset)
-
-    def __sub__(self, other: "AffineFunctional") -> "AffineFunctional":
-        return AffineFunctional(self.weights - other.weights, self.offset - other.offset)
-
-    def simplex_canonical(self) -> tuple[np.ndarray, float]:
-        """Equivalent (weights, offset) with mean-zero weights.
-
-        On the simplex w.x + b equals (w - c).x + (b + c) for every
-        constant c; centering the weights gives a canonical
-        representative for comparisons restricted to the simplex.
-        """
-        shift = float(self.weights.mean())
-        return self.weights - shift, self.offset + shift
-
-    def is_constant_on_simplex(self, tol: float = EPS_GEOM) -> bool:
-        w, _ = self.simplex_canonical()
-        return bool(np.max(np.abs(w)) <= tol)
-
-
-@dataclass(frozen=True, eq=False)
-class AffineMap:
-    """The map x -> matrix @ x + offset between coordinate spaces."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or not np.all(np.isfinite(m)):
-            raise GeometryDomainError("affine map matrix must be a finite 2-d array")
-        b = np.asarray(self.offset, dtype=float)
-        if b.shape != (m.shape[0],) or not np.all(np.isfinite(b)):
-            raise GeometryDomainError("affine map offset shape does not match the matrix")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "offset", b)
-
-    @classmethod
-    def linear(cls, matrix) -> "AffineMap":
-        matrix = np.asarray(matrix, dtype=float)
-        return cls(matrix, np.zeros(matrix.shape[0]))
-
-    @property
-    def source_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def target_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def __call__(self, x):
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            return self.matrix @ pts + self.offset
-        return pts @ self.matrix.T + self.offset
-
-    def pullback(self, functional: AffineFunctional) -> AffineFunctional:
-        """The functional x -> functional(self(x))."""
-        if functional.n_states != self.target_dim:
-            raise GeometryDomainError("functional dimension does not match the map target")
-        return AffineFunctional(
-            self.matrix.T @ functional.weights,
-            float(functional.weights @ self.offset) + functional.offset,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,41 +228,25 @@ class Triangulation:
         """Cell index and barycentric weights for each query point.
 
         Points on shared faces resolve to the first feasible cell in
-        listing order.  Raises GeometryDomainError when a point is not
-        covered by any cell.
+        listing order.  Raises GeometryDomainError when a cell has fewer
+        than n_states vertices or a point is not covered by any cell.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not self.simplices:
             raise GeometryDomainError("triangulation has no cells")
-        if self._uniform_full_dim:
-            bary = np.einsum("cij,pj->pci", self._cell_inverses, pts)
-            with np.errstate(invalid="ignore"):
-                feasible = (bary >= -tol).all(axis=2)
-            if not feasible.any(axis=1).all():
-                missing = pts[~feasible.any(axis=1)][0]
-                raise GeometryDomainError(f"point {missing} is not covered by any cell")
-            cell_idx = feasible.argmax(axis=1)
-            lam = bary[np.arange(len(pts)), cell_idx]
-            lam = np.clip(lam, 0.0, None)
-            lam /= lam.sum(axis=1, keepdims=True)
-            return cell_idx, lam
-        cell_out = np.empty(len(pts), dtype=int)
-        lam_out = []
-        for k, p in enumerate(pts):
-            hit = None
-            for ci, cell in enumerate(self.simplices):
-                verts = self.vertices[list(cell)]
-                system = np.vstack([verts.T, np.ones(len(cell))])
-                rhs = np.append(p, 1.0)
-                lam, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-                if lam.min() >= -tol and np.linalg.norm(system @ lam - rhs) <= 1e-9:
-                    hit = (ci, np.clip(lam, 0.0, None))
-                    break
-            if hit is None:
-                raise GeometryDomainError(f"point {p} is not covered by any cell")
-            cell_out[k] = hit[0]
-            lam_out.append(hit[1] / hit[1].sum())
-        return cell_out, lam_out
+        if not self._uniform_full_dim:
+            raise GeometryDomainError("point location needs full-dimensional cells")
+        bary = np.einsum("cij,pj->pci", self._cell_inverses, pts)
+        with np.errstate(invalid="ignore"):
+            feasible = (bary >= -tol).all(axis=2)
+        if not feasible.any(axis=1).all():
+            missing = pts[~feasible.any(axis=1)][0]
+            raise GeometryDomainError(f"point {missing} is not covered by any cell")
+        cell_idx = feasible.argmax(axis=1)
+        lam = bary[np.arange(len(pts)), cell_idx]
+        lam = np.clip(lam, 0.0, None)
+        lam /= lam.sum(axis=1, keepdims=True)
+        return cell_idx, lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -385,111 +277,89 @@ class VertexInterpolant:
             xs, ys = self._interp_xy
             return np.interp(pts[:, 0], xs, ys)
         cells, lam = tri.locate_many(pts)
-        if tri._uniform_full_dim:
-            cell_ids = np.asarray(tri.simplices, dtype=int)
-            return np.einsum("pi,pi->p", lam, self.values[cell_ids[cells]])
-        out = np.empty(len(pts))
-        for k in range(len(pts)):
-            ids = list(tri.simplices[cells[k]])
-            out[k] = float(np.asarray(lam[k], dtype=float) @ self.values[ids])
-        return out
+        cell_ids = np.asarray(tri.simplices, dtype=int)
+        return np.einsum("pi,pi->p", lam, self.values[cell_ids[cells]])
 
     def __call__(self, omega) -> float:
         return float(self.evaluate_many(np.asarray(omega, dtype=float)[None, :])[0])
 
-    @cached_property
-    def cell_pieces(self) -> tuple[AffineFunctional, ...]:
-        """The affine piece carried by each full-dimensional cell."""
+    def _inverses(self) -> np.ndarray:
+        """The cell inverses, checked to exist for every cell."""
         tri = self.triangulation
         if not tri._uniform_full_dim:
-            raise GeometryDomainError("cell pieces need full-dimensional cells")
-        pieces = []
-        for ci, cell in enumerate(tri.simplices):
-            inv = tri._cell_inverses[ci]
-            if not np.all(np.isfinite(inv)):
-                raise GeometryDomainError(f"cell {cell} is affinely degenerate")
-            pieces.append(AffineFunctional(inv.T @ self.values[list(cell)], 0.0))
-        return tuple(pieces)
+            raise GeometryDomainError("affine pieces need full-dimensional cells")
+        invs = tri._cell_inverses
+        degenerate = ~np.isfinite(invs).all(axis=(1, 2))
+        if degenerate.any():
+            cell = tri.simplices[int(np.argmax(degenerate))]
+            raise GeometryDomainError(f"cell {cell} is affinely degenerate")
+        return invs
 
     @cached_property
-    def boundary_functionals(self) -> tuple[AffineFunctional, ...]:
-        """Functionals vanishing on the cell facets (kink candidates)."""
-        tri = self.triangulation
-        if not tri._uniform_full_dim:
-            raise GeometryDomainError("boundary functionals need full-dimensional cells")
-        raw = []
-        for ci in range(len(tri.simplices)):
-            inv = tri._cell_inverses[ci]
-            if not np.all(np.isfinite(inv)):
-                raise GeometryDomainError("triangulation has a degenerate cell")
-            for row in inv:
-                # Barycentric coordinate of omega w.r.t. one vertex: zero
-                # exactly on the opposite facet's hyperplane.
-                raw.append(AffineFunctional(row, 0.0))
-        return dedup_functionals(raw)
+    def cell_pieces(self) -> np.ndarray:
+        """Rows of the linear piece carried by each cell, in cell order."""
+        invs = self._inverses()
+        cell_values = self.values[np.asarray(self.triangulation.simplices)]
+        weights = np.matmul(invs.transpose(0, 2, 1), cell_values[..., None])[..., 0]
+        return np.column_stack([weights, np.zeros(len(weights))])
 
+    @cached_property
+    def boundary_functionals(self) -> np.ndarray:
+        """Rows vanishing on the cell facets (kink candidates), deduped.
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseAffine:
-    """Piecewise-affine function given by pieces, kink loci, and an evaluator."""
-
-    pieces: tuple[AffineFunctional, ...]
-    boundary: tuple[AffineFunctional, ...]
-    evaluator: Callable[[np.ndarray], np.ndarray]
-
-    def evaluate_many(self, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.asarray(self.evaluator(pts), dtype=float)
-
-    def __call__(self, omega) -> float:
-        return float(self.evaluate_many(np.asarray(omega, dtype=float)[None, :])[0])
+        Row j of a cell inverse is the barycentric coordinate of its
+        vertex j: zero exactly on the opposite facet's hyperplane.
+        """
+        invs = self._inverses()
+        raw = invs.reshape(-1, invs.shape[2])
+        return dedup_functionals(np.column_stack([raw, np.zeros(len(raw))]))
 
 
 @dataclass(frozen=True, eq=False)
 class CellArrangement:
-    """Affine functionals whose zero sets cut the simplex into cells."""
+    """Functional rows, shape (m, n_states + 1), whose zero sets cut the simplex into cells."""
 
     n_states: int
-    functionals: tuple[AffineFunctional, ...]
+    functionals: np.ndarray
 
     def __post_init__(self):
         if self.n_states < 1:
             raise GeometryDomainError("need at least one state")
-        fs = tuple(self.functionals)
-        for f in fs:
-            if f.n_states != self.n_states:
-                raise GeometryDomainError("functional dimension does not match the arrangement")
-        object.__setattr__(self, "functionals", fs)
+        rows = np.asarray(self.functionals, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, self.n_states + 1)
+        if rows.ndim != 2 or rows.shape[1] != self.n_states + 1:
+            raise GeometryDomainError("functional dimension does not match the arrangement")
+        if not np.all(np.isfinite(rows)):
+            raise GeometryDomainError("functionals must be finite")
+        object.__setattr__(self, "functionals", rows)
 
-    @property
-    def dim(self) -> int:
-        return self.n_states - 1
 
+def dedup_functionals(functionals, tol: float = 1e-9) -> np.ndarray:
+    """Canonical, scale/sign-normalized functional rows with duplicates and constants removed.
 
-def dedup_functionals(functionals: Iterable[AffineFunctional], tol: float = 1e-9) -> tuple[AffineFunctional, ...]:
-    """Canonical, scale/sign-normalized functionals with duplicates and constants removed.
-
-    Two functionals are considered equal when their zero sets on the
-    simplex match; constants (no zero set) are dropped.
+    On the simplex w.x + b equals (w - c).x + (b + c) for every
+    constant c, so each row is moved to mean-zero weights, scaled to
+    max |w| = 1 and signed so its first entry beyond tol is positive.
+    Rows whose rounded canonical forms match (same zero set on the
+    simplex) keep their first occurrence, in input order; constants
+    (no zero set) are dropped.
     """
-    kept: list[AffineFunctional] = []
-    seen: set[tuple] = set()
+    rows = np.asarray(functionals, dtype=float)
+    if rows.size == 0:
+        return np.empty((0, rows.shape[1] if rows.ndim == 2 else 0))
+    shift = rows[:, :-1].mean(axis=1)
+    keys = np.column_stack([rows[:, :-1] - shift[:, None], rows[:, -1] + shift])
+    scale = np.abs(keys[:, :-1]).max(axis=1)
+    varies = scale > tol
+    keys = keys[varies] / scale[varies, None]
+    lead = np.argmax(np.abs(keys) > tol, axis=1)
+    keys[keys[np.arange(len(keys)), lead] < 0] *= -1.0
     decimals = max(1, int(-math.log10(tol)))
-    for f in functionals:
-        w, b = f.simplex_canonical()
-        scale = float(np.max(np.abs(w)))
-        if scale <= tol:
-            continue
-        key = np.append(w, b) / scale
-        lead = np.argmax(np.abs(key) > tol)
-        if key[lead] < 0:
-            key = -key
-        rounded = tuple(np.round(key, decimals) + 0.0)
-        if rounded in seen:
-            continue
-        seen.add(rounded)
-        kept.append(AffineFunctional(key[:-1], float(key[-1])))
-    return tuple(kept)
+    _, first = np.unique(np.round(keys, decimals) + 0.0, axis=0, return_index=True)
+    # Input order matters downstream: candidate_vertices solves row subsets
+    # in order, and another order changes the low bits of its points.
+    return keys[np.sort(first)]
 
 
 def validate_triangulation(t: Triangulation, tol: float = 1e-9) -> tuple[bool, list[str]]:
@@ -618,35 +488,35 @@ def barycentric(t: Triangulation, omega) -> SupportMeasure:
     return SupportMeasure(t.vertices[ids], weights)
 
 
-def interpolate(f: VertexInterpolant, omega) -> float:
-    """Evaluate the vertex interpolant at a single point."""
-    return f(omega)
+def _pull_rows(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Rows of x -> g(x @ kernel) for each row g: weights kernel @ w, offsets kept."""
+    # A stack of matrix-vector products rounds exactly like kernel @ w row
+    # by row; rows @ kernel.T or einsum can differ in the last bit.
+    weights = np.matmul(kernel[None], rows[:, :-1, None])[..., 0]
+    return np.column_stack([weights, rows[:, -1]])
 
 
-def pullback_affine(f: VertexInterpolant, mapping: AffineMap) -> PiecewiseAffine:
-    """Compose a piecewise-linear function with an affine map.
+def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """Compose a piecewise-linear function with the push-forward x -> x @ kernel.
 
-    The result lives on the source simplex of the map; its pieces are
-    the cell pieces of f composed with the map and its boundary set is
-    the pullback of the cell facets of f (constants dropped).  Raises
-    GeometryDomainError if the map can carry a source simplex point
-    outside the domain of f.
+    kernel is a row-stochastic (n_source, n_target) matrix.  Returns
+    (pieces, boundary) as rows on the source simplex: the cell pieces
+    of f pulled back, in cell order, and the pulled-back cell facets of
+    f, deduped (constants dropped).  Raises GeometryDomainError if the
+    kernel can carry a source simplex point outside the domain of f.
     """
-    if mapping.target_dim != f.triangulation.n_states:
-        raise GeometryDomainError("map target does not match the interpolant domain")
-    corners = np.eye(mapping.source_dim)
-    images = mapping(corners)
-    if images.min() < -1e-9 or np.max(np.abs(images.sum(axis=1) - 1.0)) > 1e-9:
-        raise GeometryDomainError("affine map sends the simplex outside the target simplex")
-    pieces = tuple(mapping.pullback(g) for g in f.cell_pieces)
-    boundary = dedup_functionals(mapping.pullback(h) for h in f.boundary_functionals)
-
-    def evaluator(pts: np.ndarray) -> np.ndarray:
-        mapped = np.clip(mapping(pts), 0.0, None)
-        mapped /= mapped.sum(axis=1, keepdims=True)
-        return f.evaluate_many(mapped)
-
-    return PiecewiseAffine(pieces=pieces, boundary=boundary, evaluator=evaluator)
+    kernel = np.asarray(kernel, dtype=float)
+    if kernel.ndim != 2 or kernel.shape[1] != f.triangulation.n_states:
+        raise GeometryDomainError("kernel target does not match the interpolant domain")
+    if (
+        not np.all(np.isfinite(kernel))
+        or kernel.min() < -1e-9
+        or np.max(np.abs(kernel.sum(axis=1) - 1.0)) > 1e-9
+    ):
+        raise GeometryDomainError("kernel sends the simplex outside the target simplex")
+    pieces = _pull_rows(kernel, f.cell_pieces)
+    boundary = dedup_functionals(_pull_rows(kernel, f.boundary_functionals))
+    return pieces, boundary
 
 
 def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
@@ -661,27 +531,22 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     n = arrangement.n_states
     if n == 1:
         return np.ones((1, 1))
-    fs = dedup_functionals(arrangement.functionals)
+    fs = dedup_functionals(arrangement.functionals).reshape(-1, n + 1)
     corners = np.eye(n)
 
     if n == 2:
-        ps = [0.0, 1.0]
-        for f in fs:
-            w, b = f.weights, f.offset
-            denom = w[0] - w[1]
-            if abs(denom) <= EPS_GEOM:
-                continue
-            p = -(w[1] + b) / denom
-            if -1e-9 <= p <= 1.0 + 1e-9:
-                ps.append(min(max(p, 0.0), 1.0))
-        ps = sorted(ps)
-        pts = np.column_stack([ps, 1.0 - np.asarray(ps)])
+        w0, w1, b = fs.T
+        denom = w0 - w1
+        crossing = np.abs(denom) > EPS_GEOM
+        p = -(w1[crossing] + b[crossing]) / denom[crossing]
+        p = p[(p >= -1e-9) & (p <= 1.0 + 1e-9)]
+        p = np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
+        ps = np.sort(np.concatenate([[0.0, 1.0], p]), kind="stable")
+        pts = np.column_stack([ps, 1.0 - ps])
         return pts[_dedup_sorted(pts, EPS_GEOM)]
 
-    pool_w = [f.weights for f in fs] + [row for row in corners]
-    pool_b = [f.offset for f in fs] + [0.0] * n
-    pool_w = np.asarray(pool_w)
-    pool_b = np.asarray(pool_b)
+    pool_w = np.vstack([fs[:, :-1], corners])
+    pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
 
     subsets = np.asarray(list(itertools.combinations(range(len(pool_w)), n - 1)), dtype=int)
     points = [corners]
@@ -705,17 +570,6 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     allpts = np.vstack(points)
     allpts = allpts[_lex_order(allpts)]
     return allpts[_dedup_sorted(allpts, EPS_GEOM)]
-
-
-def _eval_objective(psi, points: np.ndarray) -> np.ndarray:
-    """Evaluate psi on rows of points, tolerating scalar-only callables."""
-    try:
-        vals = np.asarray(psi(points), dtype=float)
-        if vals.shape == (len(points),):
-            return vals
-    except Exception:
-        pass
-    return np.asarray([float(psi(p)) for p in points], dtype=float)
 
 
 def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
@@ -844,15 +698,20 @@ def argcav(psi, arrangement: CellArrangement) -> VertexInterpolant:
     """Concave envelope of psi over the simplex, with its triangulation.
 
     psi must be piecewise affine with kinks contained in the zero sets
-    of the arrangement functionals; it may be called with a (k, n)
-    array (vectorized) or with single points.  The result interpolates
+    of the arrangement functionals.  It is called once, with the (k, n)
+    array of candidate points, and must return k finite values;
+    anything else raises GeometryDomainError.  The result interpolates
     psi at the returned triangulation's vertices and majorizes psi
     everywhere.  Output is deterministic: candidates are evaluated in
     lexicographic order and upper-hull faces are triangulated by the
     pulling rule anchored at lex-least vertices.
     """
     cands = candidate_vertices(arrangement)
-    vals = _eval_objective(psi, cands)
+    vals = np.asarray(psi(cands), dtype=float)
+    if vals.shape != (len(cands),):
+        raise GeometryDomainError(
+            f"objective returned shape {vals.shape} for {len(cands)} points"
+        )
     if not np.all(np.isfinite(vals)):
         raise GeometryDomainError("objective returned non-finite values")
     n = arrangement.n_states

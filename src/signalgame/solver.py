@@ -21,10 +21,7 @@ import numpy as np
 from .game import Belief, GameSpec, SpecValidationError, validate_spec
 from .geometry import (
     EPS_TIE,
-    AffineFunctional,
-    AffineMap,
     CellArrangement,
-    PiecewiseAffine,
     Triangulation,
     VertexInterpolant,
     argcav,
@@ -45,10 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class StageObjective:
-    """Stage payoff data: rewards plus pulled-back continuation values.
+    """Stage payoff data: rewards plus continuation values through the kernels.
 
-    continuation entries are None for terminating actions and at the
-    final stage, where the game yields no further payoff.
+    kernels[u] is the (n_states, next n_states) transition matrix of
+    action u, or None for terminating actions and at the final stage,
+    where the game yields no further payoff.  next_principal and
+    next_receiver are the next stage's value functions (None at the
+    final stage).
     """
 
     stage: int
@@ -57,8 +57,9 @@ class StageObjective:
     reward_principal: np.ndarray
     reward_receiver: np.ndarray
     terminating: frozenset[int]
-    continuation_principal: tuple[PiecewiseAffine | None, ...]
-    continuation_receiver: tuple[PiecewiseAffine | None, ...]
+    kernels: tuple[np.ndarray | None, ...]
+    next_principal: VertexInterpolant | None
+    next_receiver: VertexInterpolant | None
     arrangement: CellArrangement
 
     def q_many(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -69,11 +70,13 @@ class StageObjective:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         q_a = pts @ self.reward_principal
         q_b = pts @ self.reward_receiver
-        for u in range(self.n_actions):
-            if self.continuation_principal[u] is not None:
-                q_a[:, u] += self.continuation_principal[u].evaluate_many(pts)
-            if self.continuation_receiver[u] is not None:
-                q_b[:, u] += self.continuation_receiver[u].evaluate_many(pts)
+        for u, kernel in enumerate(self.kernels):
+            if kernel is None:
+                continue
+            mapped = np.clip(pts @ kernel, 0.0, None)
+            mapped /= mapped.sum(axis=1, keepdims=True)
+            q_a[:, u] += self.next_principal.evaluate_many(mapped)
+            q_b[:, u] += self.next_receiver.evaluate_many(mapped)
         return q_a, q_b
 
     def q_single(self, belief) -> tuple[np.ndarray, np.ndarray]:
@@ -154,37 +157,39 @@ class EquilibriumSolution:
         return first.value_principal(pi), first.value_receiver(pi)
 
 
+def _differences(rows_f: np.ndarray, rows_g: np.ndarray) -> np.ndarray:
+    """Rows of f - g for every f in rows_f (outer) and g in rows_g (inner)."""
+    return (rows_f[:, None, :] - rows_g[None, :, :]).reshape(-1, rows_f.shape[1])
+
+
 def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> StageObjective:
     n = spec.n_states(stage)
     n_act = spec.n_actions(stage)
     r_a = spec.rewards_principal[stage - 1]
     r_b = spec.rewards_receiver[stage - 1]
-    cont_a: list[PiecewiseAffine | None] = [None] * n_act
-    cont_b: list[PiecewiseAffine | None] = [None] * n_act
-    pieces_a: list[list[AffineFunctional]] = []
-    pieces_b: list[list[AffineFunctional]] = []
-    functionals: list[AffineFunctional] = []
+    kernels: list[np.ndarray | None] = [None] * n_act
+    pieces_a: list[np.ndarray] = []
+    pieces_b: list[np.ndarray] = []
+    functionals: list[np.ndarray] = [np.empty((0, n + 1))]
     for u in range(n_act):
-        base_a = AffineFunctional(r_a[:, u], 0.0)
-        base_b = AffineFunctional(r_b[:, u], 0.0)
+        base_a = np.append(r_a[:, u], 0.0)
+        base_b = np.append(r_b[:, u], 0.0)
         if spec.is_terminating(stage, u) or stage == spec.horizon or next_solution is None:
-            pieces_a.append([base_a])
-            pieces_b.append([base_b])
+            pieces_a.append(base_a[None, :])
+            pieces_b.append(base_b[None, :])
             continue
-        mapping = AffineMap.linear(spec.kernels[stage - 1][:, u, :].T)
-        pull_a = pullback_affine(next_solution.interp_principal, mapping)
-        pull_b = pullback_affine(next_solution.interp_receiver, mapping)
-        cont_a[u], cont_b[u] = pull_a, pull_b
-        functionals.extend(pull_a.boundary)
-        functionals.extend(pull_b.boundary)
-        pieces_a.append([base_a + g for g in pull_a.pieces])
-        pieces_b.append([base_b + g for g in pull_b.pieces])
+        kernels[u] = spec.kernels[stage - 1][:, u, :]
+        pull_a, boundary_a = pullback_affine(next_solution.interp_principal, kernels[u])
+        pull_b, boundary_b = pullback_affine(next_solution.interp_receiver, kernels[u])
+        functionals += [boundary_a, boundary_b]
+        pieces_a.append(base_a + pull_a)
+        pieces_b.append(base_b + pull_b)
     # Kinks of the tie-broken objective: receiver indifference loci (B-piece
     # differences) and, on tie regions, principal indifference loci.
     for u in range(n_act):
         for v in range(u + 1, n_act):
-            functionals.extend(f - g for f in pieces_b[u] for g in pieces_b[v])
-            functionals.extend(f - g for f in pieces_a[u] for g in pieces_a[v])
+            functionals.append(_differences(pieces_b[u], pieces_b[v]))
+            functionals.append(_differences(pieces_a[u], pieces_a[v]))
     return StageObjective(
         stage=stage,
         n_states=n,
@@ -192,9 +197,10 @@ def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | 
         reward_principal=r_a,
         reward_receiver=r_b,
         terminating=spec.terminating[stage - 1],
-        continuation_principal=tuple(cont_a),
-        continuation_receiver=tuple(cont_b),
-        arrangement=CellArrangement(n, tuple(functionals)),
+        kernels=tuple(kernels),
+        next_principal=None if next_solution is None else next_solution.interp_principal,
+        next_receiver=None if next_solution is None else next_solution.interp_receiver,
+        arrangement=CellArrangement(n, np.vstack(functionals)),
     )
 
 
@@ -249,7 +255,7 @@ def stage_backup(
         _, top_b, psi_i, action = receiver_best(q_a[i], q_b[i], tie_tol)
         actions.append(action)
         values_b[i] = top_b
-        if abs(psi_i - envelope.values[i]) > 1e-7:
+        if abs(psi_i - envelope.values[i]) > 1e-9 * max(1.0, abs(psi_i)):
             raise RuntimeError(
                 f"stage {stage}: envelope value diverges from the stage objective "
                 f"at vertex {i} ({envelope.values[i]!r} vs {psi_i!r})"

@@ -11,7 +11,7 @@ vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .geometry import SupportMeasure, barycentric_indices
 from .solver import EquilibriumSolution, receiver_best
 
 __all__ = [
-    "PrincipalPolicy",
-    "ReceiverPolicy",
     "principal_action",
     "receiver_action",
 ]
@@ -61,22 +59,3 @@ def receiver_action(solution: EquilibriumSolution, stage: int, belief) -> int:
     q_a, q_b = stage_solution.objective.q_single(_coords(belief))
     return receiver_best(q_a, q_b)[3]
 
-
-@dataclass(frozen=True, eq=False)
-class PrincipalPolicy:
-    """Stage-indexed experiment chooser for the principal."""
-
-    solution: EquilibriumSolution
-
-    def action(self, stage: int, belief) -> Experiment:
-        return principal_action(self.solution, stage, belief)
-
-
-@dataclass(frozen=True, eq=False)
-class ReceiverPolicy:
-    """Stage-indexed action chooser for the receiver."""
-
-    solution: EquilibriumSolution
-
-    def action(self, stage: int, belief) -> int:
-        return receiver_action(self.solution, stage, belief)

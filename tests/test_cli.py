@@ -210,6 +210,22 @@ def test_envelope_input_errors(tmp_path, capsys):
     assert "pieces[0]" in capsys.readouterr().err
 
 
+def test_envelope_rejects_non_finite_offset(tmp_path, capsys):
+    for offset in (float("nan"), float("inf")):
+        bad = tmp_path / "offset.json"
+        bad.write_text(json.dumps({
+            "states": 2,
+            "pieces": [
+                {"weights": [0.0, 1.0], "offset": 0.0},
+                {"min_of": [{"weights": [1.0, 0.0], "offset": offset}]},
+            ],
+        }))
+        assert main(["envelope", "--input", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "pieces[1].min_of[0]" in err and "offset" in err
+
+
 def test_saved_builtin_solves_identically(tmp_path):
     spec = builtin_example("detector", 0.2, 0.15, 5)
     path = tmp_path / "game.json"

@@ -3,8 +3,6 @@ import pytest
 
 from signalgame.geometry import (
     EPS_GEOM,
-    AffineFunctional,
-    AffineMap,
     CellArrangement,
     GeometryDomainError,
     SupportMeasure,
@@ -16,7 +14,6 @@ from signalgame.geometry import (
     barycentric_indices,
     candidate_vertices,
     dedup_functionals,
-    interpolate,
     pullback_affine,
     simplex_grid,
     validate_triangulation,
@@ -25,6 +22,12 @@ from signalgame.geometry import (
 
 def _unit_triangulation(n):
     return Triangulation(np.eye(n), (tuple(range(n)),))
+
+
+def _values(rows, points):
+    """Functional rows [w, b] evaluated at each point: shape (k, m)."""
+    rows = np.asarray(rows, dtype=float)
+    return np.atleast_2d(points) @ rows[:, :-1].T + rows[:, -1]
 
 
 def test_as_simplex_point_accepts_and_cleans():
@@ -57,36 +60,47 @@ def test_simplex_grid_counts_and_contents():
 
 
 def test_affine_functional_eval_and_arithmetic():
-    f = AffineFunctional([2.0, -1.0], 0.5)
-    assert f([1.0, 0.0]) == pytest.approx(2.5)
-    vals = f(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-    assert np.allclose(vals, [2.5, -0.5, 1.0])
-    g = AffineFunctional([1.0, 1.0], -0.5)
-    assert (f + g)([0.5, 0.5]) == pytest.approx(1.5)
-    assert (f - g)([0.5, 0.5]) == pytest.approx(0.5)
+    f = np.array([2.0, -1.0, 0.5])
+    g = np.array([1.0, 1.0, -0.5])
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    assert np.allclose(_values([f], pts)[:, 0], [2.5, -0.5, 1.0])
+    assert np.allclose(_values([f + g, f - g], [0.5, 0.5]), [[1.5, 0.5]])
+    # the zero set of the row f - g is where f and g agree
+    cand = candidate_vertices(CellArrangement(2, [f - g]))
+    cross = cand[(cand[:, 0] > 0.0) & (cand[:, 0] < 1.0)]
+    assert len(cross) == 1
+    assert _values([f], cross)[0, 0] == pytest.approx(_values([g], cross)[0, 0])
 
 
 def test_affine_functional_simplex_canonical():
-    f = AffineFunctional([3.0, 1.0], 0.25)
-    w, b = f.simplex_canonical()
-    assert abs(w.sum()) < 1e-12
+    rows = np.array([[3.0, 1.0, 0.25], [-1.0, 2.0, 0.5], [2.0, 2.0, -2.0]])
+    kept = dedup_functionals(rows)
+    assert kept.shape == (2, 3)  # the constant row [2, 2, -2] is dropped
+    w = kept[:, :-1]
+    assert np.allclose(w.sum(axis=1), 0.0, atol=1e-12)
+    assert np.allclose(np.abs(w).max(axis=1), 1.0)
+    assert np.all(kept[np.arange(2), np.argmax(np.abs(kept) > 1e-9, axis=1)] > 0)
+    # each canonical row is a nonzero multiple of its input on the simplex
     pts = simplex_grid(2, 7)
-    assert np.allclose(pts @ w + b, f(pts))
-    assert AffineFunctional([2.0, 2.0], -2.0).is_constant_on_simplex()
-    assert not f.is_constant_on_simplex()
+    ratio = _values(rows[:2], pts) / _values(kept, pts)
+    assert np.allclose(ratio, ratio[0])
 
 
 def test_affine_map_and_pullback():
     rng = np.random.default_rng(3)
-    m = rng.dirichlet(np.ones(3), size=2).T  # columns: images of the corners
-    push = AffineMap.linear(m)
+    kernel = rng.dirichlet(np.ones(3), size=2)  # rows: images of the corners
+    f = VertexInterpolant(_unit_triangulation(3), rng.normal(size=3))
+    pieces, boundary = pullback_affine(f, kernel)
     pts = rng.dirichlet(np.ones(2), size=10)
-    images = push(pts)
-    assert np.allclose(images, pts @ m.T)
+    images = pts @ kernel
     assert np.allclose(images.sum(axis=1), 1.0)
-    f = AffineFunctional(rng.normal(size=3), 0.3)
-    g = push.pullback(f)
-    assert np.allclose(g(pts), f(images))
+    assert pieces.shape == (1, 3) and boundary.shape[1] == 3
+    assert np.allclose(_values(pieces, pts), _values(f.cell_pieces, images))
+    assert np.allclose(_values(pieces, pts)[:, 0], f.evaluate_many(images))
+    with pytest.raises(GeometryDomainError):
+        pullback_affine(f, 2.0 * kernel)
+    with pytest.raises(GeometryDomainError):
+        pullback_affine(f, kernel[:, :2])
 
 
 def test_support_measure_validation_and_mean():
@@ -112,6 +126,15 @@ def test_locate_many_outside_raises():
     )
     with pytest.raises(GeometryDomainError):
         tri.locate_many(np.array([[0.1, 0.9]]))
+
+
+def test_locate_many_rejects_lower_dimensional_cells():
+    # a 3-state triangulation whose cells are edges, not triangles
+    tri = Triangulation(np.eye(3), ((0, 1), (1, 2)))
+    with pytest.raises(GeometryDomainError, match="full-dimensional"):
+        tri.locate_many(np.array([[0.5, 0.5, 0.0]]))
+    with pytest.raises(GeometryDomainError, match="full-dimensional"):
+        VertexInterpolant(tri, np.zeros(3)).evaluate_many(np.array([[0.5, 0.5, 0.0]]))
 
 
 def test_barycentric_mean_recovers_point():
@@ -153,17 +176,11 @@ def test_vertex_interpolant_cell_pieces_and_boundaries():
     )
     f = VertexInterpolant(tri, np.array([0.0, 1.0, 0.0]))
     pieces = f.cell_pieces
-    assert len(pieces) == 2
+    assert pieces.shape == (2, 3)
     mids = np.array([[0.25, 0.75], [0.75, 0.25]])
-    for piece, mid, cell in zip(pieces, mids, tri.simplices):
-        assert piece(mid) == pytest.approx(f(mid), abs=1e-12)
+    for piece, mid in zip(pieces, mids):
+        assert _values([piece], mid)[0, 0] == pytest.approx(f(mid), abs=1e-12)
     assert len(f.boundary_functionals) >= 1
-
-
-def test_interpolate_helper():
-    tri = _unit_triangulation(2)
-    f = VertexInterpolant(tri, np.array([2.0, 4.0]))
-    assert interpolate(f, [0.25, 0.75]) == pytest.approx(3.5)
 
 
 def test_pullback_affine_composes():
@@ -172,28 +189,36 @@ def test_pullback_affine_composes():
     )
     f = VertexInterpolant(tri, np.array([0.0, 2.0, 1.0]))
     kernel = np.array([[0.8, 0.2], [0.1, 0.9]])
-    push = AffineMap.linear(kernel.T)
-    g = pullback_affine(f, push)
+    pieces, boundary = pullback_affine(f, kernel)
+    assert pieces.shape == (2, 3)
     rng = np.random.default_rng(7)
     pts = rng.dirichlet(np.ones(2), size=30)
-    assert np.allclose(g.evaluate_many(pts), f.evaluate_many(push(pts)), atol=1e-12)
-    assert len(g.pieces) >= 1
+    # f is concave here, so it is the min of its pulled-back cell pieces
+    assert np.allclose(_values(pieces, pts).min(axis=1), f.evaluate_many(pts @ kernel), atol=1e-12)
+    # the kink of f at 1/2 pulls back to where x @ kernel crosses 1/2
+    kink = np.array([(0.5 - 0.1) / 0.7, 1.0 - (0.5 - 0.1) / 0.7])
+    assert np.abs(_values(boundary, kink)).min() < 1e-12
 
 
 def test_dedup_functionals_collapses_equivalent():
-    f1 = AffineFunctional([1.0, -1.0], 0.0)
-    f2 = AffineFunctional([2.0, -2.0], 0.0)         # scaled
-    f3 = AffineFunctional([-1.0, 1.0], 0.0)         # sign flipped
-    f4 = AffineFunctional([2.0, 0.0], -1.0)         # same zero set on the simplex
-    const = AffineFunctional([1.0, 1.0], 1.0)       # constant: dropped
+    f1 = [1.0, -1.0, 0.0]
+    f2 = [2.0, -2.0, 0.0]         # scaled
+    f3 = [-1.0, 1.0, 0.0]         # sign flipped
+    f4 = [2.0, 0.0, -1.0]         # same zero set on the simplex
+    const = [1.0, 1.0, 1.0]       # constant: dropped
     kept = dedup_functionals([f1, f2, f3, f4, const])
     assert len(kept) == 1
-    f5 = AffineFunctional([1.0, 0.0], -0.25)
+    f5 = [1.0, 0.0, -0.25]
     assert len(dedup_functionals([f1, f5])) == 2
+    # first occurrences survive, in input order
+    assert np.allclose(dedup_functionals([f5, f1, f4]), [[1.0, -1.0, 0.5], [1.0, -1.0, 0.0]])
+    # a tuple of 1-d rows is accepted, and no rows give no rows
+    assert dedup_functionals(tuple(np.array([f1, f2]))).shape == (1, 3)
+    assert len(dedup_functionals(())) == 0
 
 
 def test_candidate_vertices_two_states():
-    arr = CellArrangement(2, (AffineFunctional([1.0, -1.0], 0.0),))
+    arr = CellArrangement(2, [[1.0, -1.0, 0.0]])
     cand = candidate_vertices(arr)
     assert np.allclose(cand, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
 
@@ -201,10 +226,10 @@ def test_candidate_vertices_two_states():
 def test_candidate_vertices_three_states():
     arr = CellArrangement(
         3,
-        (
-            AffineFunctional([1.0, -1.0, 0.0], 0.0),
-            AffineFunctional([0.0, 0.0, 1.0], -0.5),
-        ),
+        [
+            [1.0, -1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, -0.5],
+        ],
     )
     cand = candidate_vertices(arr)
     expect = np.array(
@@ -225,42 +250,36 @@ def test_candidate_vertices_three_states():
 def test_argcav_concave_min_is_kept():
     # min(x0, x1) is concave: the envelope is the function itself and the
     # kink at 1/2 must appear as a vertex.
-    f0 = AffineFunctional([1.0, 0.0], 0.0)
-    f1 = AffineFunctional([0.0, 1.0], 0.0)
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def psi(points):
-        points = np.atleast_2d(points)
-        return np.minimum(f0(points), f1(points))
+        return _values(rows, points).min(axis=1)
 
-    env = argcav(psi, CellArrangement(2, dedup_functionals([f0 - f1])))
+    env = argcav(psi, CellArrangement(2, dedup_functionals([rows[0] - rows[1]])))
     assert np.allclose(env.triangulation.vertices, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
     assert np.allclose(env.values, [0.0, 0.5, 0.0])
     assert env.triangulation.simplices == ((0, 1), (1, 2))
 
 
 def test_argcav_convex_max_flattens():
-    f0 = AffineFunctional([1.0, 0.0], 0.0)
-    f1 = AffineFunctional([0.0, 1.0], 0.0)
+    rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def psi(points):
-        points = np.atleast_2d(points)
-        return np.maximum(f0(points), f1(points))
+        return _values(rows, points).max(axis=1)
 
-    env = argcav(psi, CellArrangement(2, dedup_functionals([f0 - f1])))
+    env = argcav(psi, CellArrangement(2, dedup_functionals([rows[0] - rows[1]])))
     assert env.triangulation.n_vertices == 2
     pts = simplex_grid(2, 50)
     assert np.allclose(env.evaluate_many(pts), 1.0)
 
 
 def test_argcav_concave_kink_two_pieces():
-    f0 = AffineFunctional([2.0, 0.0], 0.0)
-    f1 = AffineFunctional([0.0, 1.0], 0.0)
+    rows = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
     def psi(points):
-        points = np.atleast_2d(points)
-        return np.minimum(f0(points), f1(points))
+        return _values(rows, points).min(axis=1)
 
-    env = argcav(psi, CellArrangement(2, dedup_functionals([f0 - f1])))
+    env = argcav(psi, CellArrangement(2, dedup_functionals([rows[0] - rows[1]])))
     assert np.allclose(env.triangulation.vertices[:, 0], [0.0, 1.0 / 3.0, 1.0])
     assert np.allclose(env.values, [0.0, 2.0 / 3.0, 0.0])
 
@@ -269,13 +288,12 @@ def test_argcav_three_states_properties():
     rng = np.random.default_rng(17)
     pts = simplex_grid(3, 40)
     for trial in range(5):
-        fs = [AffineFunctional(rng.normal(size=3), rng.normal() * 0.2) for _ in range(3)]
+        fs = np.array([np.append(rng.normal(size=3), rng.normal() * 0.2) for _ in range(3)])
 
         def psi(points, fs=fs):
-            points = np.atleast_2d(points)
-            return np.max([f(points) for f in fs], axis=0)
+            return _values(fs, points).max(axis=1)
 
-        diffs = [a - b for i, a in enumerate(fs) for b in fs[i + 1 :]]
+        diffs = [fs[0] - fs[1], fs[0] - fs[2], fs[1] - fs[2]]
         env = argcav(psi, CellArrangement(3, dedup_functionals(diffs)))
         ok, problems = validate_triangulation(env.triangulation)
         assert ok, problems
@@ -300,14 +318,26 @@ def test_argcav_three_states_properties():
 
 
 def test_argcav_affine_three_states_is_exact():
-    f = AffineFunctional([0.3, -0.2, 0.1], 0.05)
+    f = np.array([[0.3, -0.2, 0.1, 0.05]])
 
     def psi(points):
-        return f(np.atleast_2d(points))
+        return _values(f, points)[:, 0]
 
     env = argcav(psi, CellArrangement(3, ()))
     pts = simplex_grid(3, 25)
-    assert np.allclose(env.evaluate_many(pts), f(pts), atol=1e-12)
+    assert np.allclose(env.evaluate_many(pts), psi(pts), atol=1e-12)
+
+
+def test_argcav_rejects_scalar_only_objective():
+    arrangement = CellArrangement(2, [[1.0, -1.0, 0.0]])
+
+    def scalar_psi(points):
+        return float(np.min(points))  # one value for the whole batch
+
+    with pytest.raises(GeometryDomainError, match="shape"):
+        argcav(scalar_psi, arrangement)
+    with pytest.raises(GeometryDomainError, match="non-finite"):
+        argcav(lambda points: np.full(len(points), np.nan), arrangement)
 
 
 def test_validate_triangulation_detects_problems():

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from signalgame.cli import builtin_example
 from signalgame.game import GameSpec, SpecValidationError, bayes_update, push_forward
-from signalgame.geometry import simplex_grid
+from signalgame.geometry import dedup_functionals, pullback_affine, simplex_grid
 from signalgame.solver import (
     q_values,
     receiver_best,
@@ -51,6 +53,57 @@ def _random_game(rng):
         ),
         prior=rng.dirichlet(np.ones(nx[0])),
     )
+
+
+def _dedup_loop(rows, tol=1e-9):
+    """Row-at-a-time reference for dedup_functionals."""
+    kept, seen = [], set()
+    decimals = max(1, int(-math.log10(tol)))
+    for row in rows:
+        shift = float(row[:-1].mean())
+        w, b = row[:-1] - shift, row[-1] + shift
+        scale = float(np.max(np.abs(w)))
+        if scale <= tol:
+            continue
+        key = np.append(w, b) / scale
+        if key[np.argmax(np.abs(key) > tol)] < 0:
+            key = -key
+        rounded = tuple(np.round(key, decimals) + 0.0)
+        if rounded not in seen:
+            seen.add(rounded)
+            kept.append(key)
+    return np.array(kept).reshape(-1, rows.shape[1])
+
+
+def test_row_arithmetic_matches_per_row_reference():
+    # The vectorized dedup, cell pieces and pullbacks must reproduce the
+    # row-at-a-time arithmetic bit for bit on real stage data, or solver
+    # artifacts drift in their last digits.
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(6):
+        spec = _random_game(rng)
+        sol = solve(spec)
+        for t in range(1, spec.horizon + 1):
+            st = sol.stage(t)
+            rows = st.objective.arrangement.functionals
+            assert np.array_equal(dedup_functionals(rows), _dedup_loop(rows))
+            if t == spec.horizon:
+                continue
+            f = sol.stage(t + 1).interp_principal
+            tri = f.triangulation
+            for ci, cell in enumerate(tri.simplices):
+                piece = tri._cell_inverses[ci].T @ f.values[list(cell)]
+                assert np.array_equal(f.cell_pieces[ci, :-1], piece)
+            for u in range(spec.n_actions(t)):
+                kernel = spec.kernels[t - 1][:, u, :]
+                pieces, boundary = pullback_affine(f, kernel)
+                for g, pulled in zip(f.cell_pieces, pieces):
+                    assert np.array_equal(pulled[:-1], kernel @ g[:-1])
+                raw = np.array([np.append(kernel @ h[:-1], h[-1]) for h in f.boundary_functionals])
+                assert np.array_equal(boundary, _dedup_loop(raw.reshape(-1, kernel.shape[0] + 1)))
+                checked += 1
+    assert checked > 0
 
 
 def test_q_values_stage_t_oracle():

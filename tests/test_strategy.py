@@ -5,12 +5,7 @@ from signalgame.cli import builtin_example
 from signalgame.game import Belief, induced_distribution
 from signalgame.geometry import barycentric_indices
 from signalgame.solver import solve
-from signalgame.strategy import (
-    PrincipalPolicy,
-    ReceiverPolicy,
-    principal_action,
-    receiver_action,
-)
+from signalgame.strategy import principal_action, receiver_action
 
 
 @pytest.fixture(scope="module")
@@ -94,11 +89,3 @@ def test_stage_bounds_and_stamp_validation(qd_solution):
     exp = principal_action(qd_solution, 2, stamped)
     assert exp.n_messages >= 1
 
-
-def test_policy_wrappers_delegate(qd_solution):
-    pi = [0.05, 0.95]
-    pa = PrincipalPolicy(qd_solution)
-    ra = ReceiverPolicy(qd_solution)
-    exp = pa.action(3, pi)
-    assert np.array_equal(exp.kernel, principal_action(qd_solution, 3, pi).kernel)
-    assert ra.action(3, pi) == receiver_action(qd_solution, 3, pi)
