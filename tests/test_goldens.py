@@ -60,7 +60,31 @@ OBJECTIVE_3 = {
     ],
 }
 
-INPUTS = {"game3": GAME_3, "objective2": OBJECTIVE_2, "objective3": OBJECTIVE_3}
+# A random stationary 2-state, 2-action game (``bench/workloads.py game
+# --seed 3 --states 2 --actions 2 --horizon 12``).  Its evaluate artifact
+# depends on the order in which the deviation check visits reachable
+# beliefs, because that order decides which belief gets which random
+# experiments.
+GAME_RANDOM = {
+    "horizon": 12,
+    "states": ["x0", "x1"],
+    "actions": ["u0", "u1"],
+    "terminating": [],
+    "kernel": [
+        [[0.22017419778837014, 0.7798258022116299], [0.3887949589986662, 0.611205041001334]],
+        [[0.5712241113807355, 0.4287758886192647], [0.8090007981653129, 0.1909992018346871]],
+    ],
+    "rewards_A": [[0.46915430281842907, -0.7726559601571932], [-0.21754361900867591, 0.03348036524272735]],
+    "rewards_B": [[-0.1387439591716444, 0.17359714287628147], [0.4756755745843204, 0.9125345096721971]],
+    "prior": [0.3793843178320563, 0.6206156821679437],
+}
+
+INPUTS = {
+    "game3": GAME_3,
+    "game_random": GAME_RANDOM,
+    "objective2": OBJECTIVE_2,
+    "objective3": OBJECTIVE_3,
+}
 
 
 def _cases():
@@ -73,6 +97,7 @@ def _cases():
         cases[f"{game}-simulate"] = ["simulate", *base, "--trajectories", "1000"]
     cases["game3-solve"] = ["solve", "--input", "{game3}"]
     cases["game3-evaluate"] = ["evaluate", "--input", "{game3}"]
+    cases["game_random-evaluate"] = ["evaluate", "--input", "{game_random}", "--seed", "0"]
     cases["objective2-envelope"] = ["envelope", "--input", "{objective2}"]
     cases["objective3-envelope"] = ["envelope", "--input", "{objective3}"]
     return cases
@@ -99,6 +124,9 @@ GOLDENS = {
     ),
     "game3-solve": (
         0, "70c3a084bee63390d155ac04744d01760bf09081b43fa289138038c46636000b", 17084,
+    ),
+    "game_random-evaluate": (
+        0, "612492a647d9b1bd94836323ed386340a905af96362f593cc2a35b95e4e26f6b", 394,
     ),
     "objective2-envelope": (
         0, "ceac697d3c45594c20f7cc9217d777e8fe56497bd997682d7b1ae7ea4197bc9b", 232,
