@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import exact_value, one_shot_deviation_check, simulate
+from .evaluator import NodeBudgetExceeded, exact_value, one_shot_deviation_check, simulate
 from .game import GameSpec, SpecValidationError, load_spec, validate_spec
 from .geometry import EPS_TIE, CellArrangement, argcav, dedup_functionals
 from .solver import EquilibriumSolution, solve
@@ -73,8 +73,10 @@ class RunConfig:
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.tie_tol <= 0:
-            raise ConfigError("tie_tol must be positive")
+        if not (math.isfinite(self.tie_tol) and self.tie_tol > 0):
+            raise ConfigError("tie_tol must be positive and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.node_cap <= 0:
             raise ConfigError("node_cap must be positive")
         if self.trajectories < 2:
@@ -419,7 +421,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**fields)
         return run(cfg)
-    except (ConfigError, SpecValidationError) as err:
+    except (ConfigError, SpecValidationError, NodeBudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .game import _signal_kernel
 from .geometry import EPS_GEOM, as_simplex_point, barycentric_indices
 from .solver import EquilibriumSolution, receiver_best
 
@@ -79,50 +80,73 @@ def _belief_key(stage: int, coords: np.ndarray) -> tuple:
 def reachable_tree(solution: EquilibriumSolution, node_cap: int = 1_000_000) -> BeliefNode:
     """Reachable belief DAG under the equilibrium policies.
 
-    Nodes are memoized on (stage, belief rounded to 9 decimals), so
-    recombining paths share children.  Values are exact expectations;
-    reach_probability accumulates over all paths into a node.  Raises
-    NodeBudgetExceeded past node_cap nodes.
+    The DAG is built one stage at a time.  Nodes are memoized on
+    (stage, belief rounded to 9 decimals), so recombining paths share
+    children.  Values are exact expectations; reach_probability
+    accumulates over all paths into a node.  Raises NodeBudgetExceeded
+    when stage expansion would create more than node_cap nodes.
     """
     spec = solution.spec
-    memo: dict[tuple, BeliefNode] = {}
-
-    def build(stage: int, coords: np.ndarray) -> BeliefNode:
-        key = _belief_key(stage, coords)
-        node = memo.get(key)
-        if node is not None:
-            return node
-        if len(memo) >= node_cap:
-            raise NodeBudgetExceeded(len(memo), stage)
-        node = BeliefNode(stage=stage, belief=np.asarray(coords, dtype=float))
-        memo[key] = node
+    if node_cap < 1:
+        raise NodeBudgetExceeded(0, 1)
+    root = BeliefNode(stage=1, belief=as_simplex_point(spec.prior), reach_probability=1.0)
+    layers = [[root]]
+    created = 1
+    for stage in range(1, spec.horizon + 1):
         st = solution.stage(stage)
-        ids, weights = barycentric_indices(st.triangulation, coords)
-        for label, w in zip(ids, weights):
-            vertex = st.triangulation.vertices[label]
-            action = st.vertex_actions[label]
-            r_a = float(vertex @ spec.rewards_principal[stage - 1][:, action])
-            r_b = float(vertex @ spec.rewards_receiver[stage - 1][:, action])
-            child = None
-            total_a, total_b = r_a, r_b
-            if stage < spec.horizon and not spec.is_terminating(stage, action):
-                child = build(stage + 1, vertex @ spec.kernels[stage - 1][:, action, :])
-                total_a += child.value_principal
-                total_b += child.value_receiver
-            node.edges.append(
-                BeliefEdge(int(label), float(w), vertex, int(action), r_a, r_b, child)
-            )
-            node.value_principal += w * total_a
-            node.value_receiver += w * total_b
-        return node
-
-    root = build(1, as_simplex_point(spec.prior))
-    root.reach_probability = 1.0
-    for node in sorted(memo.values(), key=lambda nd: nd.stage):
-        for edge in node.edges:
-            if edge.child is not None:
-                edge.child.reach_probability += node.reach_probability * edge.probability
+        children: dict[tuple, BeliefNode] = {}
+        for node in layers[-1]:
+            ids, weights = barycentric_indices(st.triangulation, node.belief)
+            for label, w in zip(ids, weights):
+                vertex = st.triangulation.vertices[label]
+                action = st.vertex_actions[label]
+                r_a = float(vertex @ spec.rewards_principal[stage - 1][:, action])
+                r_b = float(vertex @ spec.rewards_receiver[stage - 1][:, action])
+                child = None
+                if stage < spec.horizon and not spec.is_terminating(stage, action):
+                    coords = vertex @ spec.kernels[stage - 1][:, action, :]
+                    key = _belief_key(stage + 1, coords)
+                    child = children.get(key)
+                    if child is None:
+                        if created >= node_cap:
+                            raise NodeBudgetExceeded(created, stage + 1)
+                        child = children[key] = BeliefNode(stage=stage + 1, belief=coords)
+                        created += 1
+                    child.reach_probability += node.reach_probability * float(w)
+                node.edges.append(
+                    BeliefEdge(int(label), float(w), vertex, int(action), r_a, r_b, child)
+                )
+        layers.append(list(children.values()))
+    for layer in reversed(layers):
+        for node in layer:
+            for edge in node.edges:
+                total_a, total_b = edge.reward_principal, edge.reward_receiver
+                if edge.child is not None:
+                    total_a += edge.child.value_principal
+                    total_b += edge.child.value_receiver
+                node.value_principal += edge.probability * total_a
+                node.value_receiver += edge.probability * total_b
     return root
+
+
+def _stage_layers(root: BeliefNode) -> list[list[BeliefNode]]:
+    """The DAG's nodes, one list per stage from the root's stage on.
+
+    Within a stage, nodes come in the order a stack-based depth-first
+    walk first pops them: parents in the order of the previous stage,
+    each parent's children in reverse edge order.  The deviation check
+    hands out its random experiments in this order.
+    """
+    layers = [[root]]
+    while True:
+        children: dict[int, BeliefNode] = {}
+        for node in layers[-1]:
+            for edge in reversed(node.edges):
+                if edge.child is not None:
+                    children.setdefault(id(edge.child), edge.child)
+        if not children:
+            return layers
+        layers.append(list(children.values()))
 
 
 def exact_value(solution: EquilibriumSolution, node_cap: int = 1_000_000) -> tuple[float, float]:
@@ -172,37 +196,27 @@ def simulate(
     spec = solution.spec
     root = reachable_tree(solution, node_cap)
     plans: dict[int, _NodePlan] = {}
+    for layer in reversed(_stage_layers(root)):
+        for node in layer:
+            n = node.belief.size
+            kernel = _signal_kernel(
+                node.belief,
+                np.array([e.probability for e in node.edges]),
+                np.array([e.posterior for e in node.edges]),
+            )
+            entries = []
+            for edge in node.edges:
+                rew_a = tuple(spec.rewards_principal[node.stage - 1][:, edge.action])
+                rew_b = tuple(spec.rewards_receiver[node.stage - 1][:, edge.action])
+                if edge.child is None:
+                    entries.append((rew_a, rew_b, None, None))
+                else:
+                    trans = spec.kernels[node.stage - 1][:, edge.action, :]
+                    trans_cum = [tuple(np.cumsum(trans[x])) for x in range(n)]
+                    entries.append((rew_a, rew_b, trans_cum, plans[id(edge.child)]))
+            plans[id(node)] = _NodePlan([tuple(np.cumsum(kernel[x])) for x in range(n)], entries)
 
-    def plan_for(node: BeliefNode) -> _NodePlan:
-        plan = plans.get(id(node))
-        if plan is not None:
-            return plan
-        pi = node.belief
-        n = pi.size
-        weights = np.array([e.probability for e in node.edges])
-        atoms = np.array([e.posterior for e in node.edges])
-        kernel = np.empty((n, len(node.edges)))
-        for x in range(n):
-            if pi[x] > EPS_GEOM:
-                kernel[x] = weights * atoms[:, x] / pi[x]
-            else:
-                kernel[x] = 1.0 / len(node.edges)
-        kernel = np.clip(kernel, 0.0, None)
-        kernel /= kernel.sum(axis=1, keepdims=True)
-        plan = _NodePlan([tuple(np.cumsum(kernel[x])) for x in range(n)], [])
-        plans[id(node)] = plan
-        for edge in node.edges:
-            rew_a = tuple(spec.rewards_principal[node.stage - 1][:, edge.action])
-            rew_b = tuple(spec.rewards_receiver[node.stage - 1][:, edge.action])
-            if edge.child is None:
-                plan.entries.append((rew_a, rew_b, None, None))
-            else:
-                trans = spec.kernels[node.stage - 1][:, edge.action, :]
-                trans_cum = [tuple(np.cumsum(trans[x])) for x in range(n)]
-                plan.entries.append((rew_a, rew_b, trans_cum, plan_for(edge.child)))
-        return plan
-
-    root_plan = plan_for(root)
+    root_plan = plans[id(root)]
     prior_cum = tuple(np.cumsum(as_simplex_point(spec.prior)))
     streams = np.random.SeedSequence(seed).spawn(trajectories)
     totals_a = np.empty(trajectories)
@@ -286,96 +300,54 @@ def one_shot_deviation_check(
     max_gain_r = 0.0
     max_gain_p = 0.0
 
-    reachable: dict[int, list[np.ndarray]] = {t: [] for t in range(1, spec.horizon + 1)}
-    root = reachable_tree(solution, node_cap)
-    seen: set[int] = set()
-    frontier = [root]
-    while frontier:
-        node = frontier.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        reachable[node.stage].append(node.belief)
-        frontier.extend(e.child for e in node.edges if e.child is not None)
+    def flag(kind: str, t: int, belief: np.ndarray, gain: float) -> None:
+        if gain > tol:
+            violations.append(
+                {"kind": kind, "stage": t, "belief": belief.tolist(), "gain": float(gain)}
+            )
 
+    layers = _stage_layers(reachable_tree(solution, node_cap))
     for t in range(1, spec.horizon + 1):
         st = solution.stage(t)
         tri = st.triangulation
         n = spec.n_states(t)
-        q_a, q_b = st.objective.q_many(tri.vertices)
-        for i in range(tri.n_vertices):
-            receiver_checked += 1
-            stored = st.vertex_actions[i]
-            gain = float(q_b[i].max() - q_b[i, stored])
-            max_gain_r = max(max_gain_r, gain)
-            if gain > tol:
-                violations.append(
-                    {
-                        "kind": "receiver_action",
-                        "stage": t,
-                        "belief": tri.vertices[i].tolist(),
-                        "gain": gain,
-                    }
-                )
-            bellman_gap = abs(float(st.values_receiver[i]) - float(q_b[i].max()))
-            if bellman_gap > tol:
-                violations.append(
-                    {
-                        "kind": "receiver_bellman",
-                        "stage": t,
-                        "belief": tri.vertices[i].tolist(),
-                        "gain": bellman_gap,
-                    }
-                )
 
-        probes = np.vstack(
-            reachable[t] + [rng.dirichlet(np.ones(n), size=probes_per_stage)]
-        )
+        _, q_b = st.objective.q_many(tri.vertices)
+        top = q_b.max(axis=1)
+        action_gain = top - q_b[np.arange(tri.n_vertices), list(st.vertex_actions)]
+        bellman_gap = np.abs(np.asarray(st.values_receiver, dtype=float) - top)
+        receiver_checked += tri.n_vertices
+        max_gain_r = max([max_gain_r, *action_gain.tolist()])
+        for i, vertex in enumerate(tri.vertices):
+            flag("receiver_action", t, vertex, action_gain[i])
+            flag("receiver_bellman", t, vertex, bellman_gap[i])
+
+        reachable = [node.belief for node in layers[t - 1]] if t <= len(layers) else []
+        probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=probes_per_stage)])
         qp_a, qp_b = st.objective.q_many(probes)
         psi_probes, _ = st.objective.tie_broken_values(probes)
         v_probes = st.interp_principal.evaluate_many(probes)
-        for j in range(probes.shape[0]):
-            pi = probes[j]
+        measures = [_sample_inducible(rng, pi, experiments_per_belief) for pi in probes]
+        atoms = [a for per_probe in measures for a, _ in per_probe]
+        dev_vals = st.objective.tie_broken_values(np.vstack(atoms))[0] if atoms else None
+        null_gain = psi_probes - v_probes
+        lo = 0
+        for j, pi in enumerate(probes):
             receiver_checked += 1
             chosen = receiver_best(qp_a[j], qp_b[j])[3]
             gain = float(qp_b[j].max() - qp_b[j, chosen])
             max_gain_r = max(max_gain_r, gain)
-            if gain > tol:
-                violations.append(
-                    {
-                        "kind": "receiver_action",
-                        "stage": t,
-                        "belief": pi.tolist(),
-                        "gain": gain,
-                    }
-                )
+            flag("receiver_action", t, pi, gain)
             principal_checked += 1
-            null_gain = float(psi_probes[j] - v_probes[j])
-            max_gain_p = max(max_gain_p, null_gain)
-            if null_gain > tol:
-                violations.append(
-                    {
-                        "kind": "principal_null_split",
-                        "stage": t,
-                        "belief": pi.tolist(),
-                        "gain": null_gain,
-                    }
-                )
-            measures = _sample_inducible(rng, pi, experiments_per_belief)
-            for atoms, weights in measures:
+            max_gain_p = max(max_gain_p, float(null_gain[j]))
+            flag("principal_null_split", t, pi, null_gain[j])
+            for measure_atoms, weights in measures[j]:
+                hi = lo + len(measure_atoms)
                 principal_checked += 1
-                dev_vals, _ = st.objective.tie_broken_values(atoms)
-                gain = float(weights @ dev_vals - v_probes[j])
+                gain = float(weights @ dev_vals[lo:hi] - v_probes[j])
+                lo = hi
                 max_gain_p = max(max_gain_p, gain)
-                if gain > tol:
-                    violations.append(
-                        {
-                            "kind": "principal_experiment",
-                            "stage": t,
-                            "belief": pi.tolist(),
-                            "gain": gain,
-                        }
-                    )
+                flag("principal_experiment", t, pi, gain)
 
     return DeviationReport(
         receiver_checked=receiver_checked,
@@ -404,11 +376,9 @@ def _sample_inducible(rng: np.random.Generator, pi: np.ndarray, count: int) -> l
         weights = rng.dirichlet(np.ones(k))
         mean = weights @ atoms
         delta = atoms - mean
-        shrink = 1.0
-        for x in range(n):
-            worst = delta[:, x].min()
-            if worst < -EPS_GEOM:
-                shrink = min(shrink, pi[x] / -worst)
+        worst = delta.min(axis=0)
+        deep = worst < -EPS_GEOM
+        shrink = np.min(pi[deep] / -worst[deep], initial=1.0)
         if shrink <= 0.0:
             continue
         shifted = np.clip(pi + shrink * delta, 0.0, None)

@@ -324,16 +324,23 @@ def split_experiment(belief, measure: SupportMeasure) -> Experiment:
     gap = np.max(np.abs(measure.mean() - pi))
     if gap > 1e-9:
         raise ValueError(f"measure mean differs from the belief by {gap:.3e}; not inducible")
-    k = measure.n_atoms
-    kernel = np.empty((pi.size, k))
-    for x in range(pi.size):
-        if pi[x] > EPS_GEOM:
-            kernel[x] = measure.weights * measure.points[:, x] / pi[x]
-        else:
-            kernel[x] = 1.0 / k
+    return Experiment(_signal_kernel(pi, measure.weights, measure.points))
+
+
+def _signal_kernel(pi: np.ndarray, weights: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Signal rows sigma(m | x) = weights[m] * atoms[m, x] / pi[x] that
+    split pi into the weighted atoms.
+
+    States with pi[x] <= EPS_GEOM get uniform rows; the result is
+    clipped at zero and each row renormalized to sum to one.
+    """
+    kernel = np.empty((pi.size, weights.size))
+    live = pi > EPS_GEOM
+    kernel[live] = weights * atoms[:, live].T / pi[live, None]
+    kernel[~live] = 1.0 / weights.size
     kernel = np.clip(kernel, 0.0, None)
     kernel /= kernel.sum(axis=1, keepdims=True)
-    return Experiment(kernel)
+    return kernel
 
 
 def _nesting_depth(obj) -> int:

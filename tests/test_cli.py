@@ -57,8 +57,11 @@ def test_run_config_validation():
         RunConfig(command="solve", input_path="a.json", builtin="detector")
     with pytest.raises(ConfigError):
         RunConfig(command="envelope")  # envelope requires an input file
+    for tie_tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            RunConfig(command="solve", builtin="detector", tie_tol=tie_tol)
     with pytest.raises(ConfigError):
-        RunConfig(command="solve", builtin="detector", tie_tol=0.0)
+        RunConfig(command="evaluate", builtin="detector", seed=-1)
     with pytest.raises(ConfigError):
         RunConfig(command="simulate", builtin="detector", trajectories=1)
     with pytest.raises(ConfigError):
@@ -74,6 +77,15 @@ def test_main_reports_config_errors(capsys):
     code = main(["sweep", "--builtin", "detector", "--horizon", "3", "--depth", "9"])
     assert code == 2
     assert "depth" in capsys.readouterr().err
+    for command in ("evaluate", "simulate"):
+        code = main([command, "--builtin", "detector", "--node-cap", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceeded 2 nodes" in err
+    for flag, value in (("--seed", "-1"), ("--tie-tol", "nan")):
+        code = main(["evaluate", "--builtin", "detector", flag, value])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 def test_solve_payload_contains_last_stage_table(tmp_path):

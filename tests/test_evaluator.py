@@ -6,12 +6,14 @@ import pytest
 from signalgame.cli import builtin_example
 from signalgame.evaluator import (
     NodeBudgetExceeded,
+    _sample_inducible,
     exact_value,
     one_shot_deviation_check,
     reachable_tree,
     simulate,
 )
 from signalgame.game import GameSpec
+from signalgame.geometry import EPS_GEOM
 from signalgame.solver import EquilibriumSolution, solve
 
 
@@ -184,3 +186,81 @@ def test_deviation_check_single_action_game_is_vacuously_clean():
     report = one_shot_deviation_check(sol, seed=0)
     assert report.ok
     assert report.max_receiver_gain == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def long_detection():
+    # 2000 stages: far past the interpreter's recursion limit
+    return solve(builtin_example("quickest_detection", 0.2, 0.1, 2000))
+
+
+def test_exact_value_at_long_horizon(long_detection):
+    v = exact_value(long_detection)
+    want = long_detection.values_at_prior()
+    assert v[0] == pytest.approx(want[0], abs=1e-9)
+    assert v[1] == pytest.approx(want[1], abs=1e-9)
+
+
+def test_simulate_at_long_horizon(long_detection):
+    rep = simulate(long_detection, seed=0, trajectories=200)
+    assert rep.trajectories == 200
+
+
+def test_deviation_check_at_long_horizon(long_detection):
+    report = one_shot_deviation_check(
+        long_detection, probes_per_stage=2, experiments_per_belief=2
+    )
+    assert report.ok
+
+
+def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
+    sol = solve(builtin_example("detector", 0.2, 0.15, 10))
+    objective = type(sol.stage(1).objective)
+    calls = []
+    original = objective.tie_broken_values
+
+    def counted(self, points, *args, **kwargs):
+        calls.append(len(points))
+        return original(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(objective, "tie_broken_values", counted)
+    report = one_shot_deviation_check(sol, seed=2)
+    # per stage: one call on the probe beliefs, one on every sampled atom
+    assert len(calls) == 2 * sol.spec.horizon
+    assert report.principal_checked > len(calls)
+
+
+def _sample_inducible_loop(rng, pi, count):
+    # per-state shrink loop: the bit-exact reference for _sample_inducible
+    n = pi.size
+    out = []
+    support = pi > EPS_GEOM
+    if support.sum() > 1:
+        out.append((np.eye(n)[support], pi[support] / pi[support].sum()))
+    for _ in range(count):
+        k = int(rng.integers(2, n + 2))
+        atoms = rng.dirichlet(np.ones(n), size=k)
+        weights = rng.dirichlet(np.ones(k))
+        delta = atoms - weights @ atoms
+        shrink = 1.0
+        for x in range(n):
+            worst = delta[:, x].min()
+            if worst < -EPS_GEOM:
+                shrink = min(shrink, pi[x] / -worst)
+        if shrink <= 0.0:
+            continue
+        shifted = np.clip(pi + shrink * delta, 0.0, None)
+        shifted /= shifted.sum(axis=1, keepdims=True)
+        out.append((shifted, weights))
+    return out
+
+
+def test_sample_inducible_matches_per_state_loop():
+    beliefs = [np.array([0.3, 0.7]), np.array([0.0, 1.0]), np.array([0.2, 0.0, 0.5, 0.3])]
+    beliefs += list(np.random.default_rng(4).dirichlet(np.ones(3), size=5))
+    for seed, pi in enumerate(beliefs):
+        got = _sample_inducible(np.random.default_rng(seed), pi, 12)
+        want = _sample_inducible_loop(np.random.default_rng(seed), pi, 12)
+        assert len(got) == len(want)
+        for (atoms, weights), (atoms_ref, weights_ref) in zip(got, want):
+            assert np.array_equal(atoms, atoms_ref) and np.array_equal(weights, weights_ref)

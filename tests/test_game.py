@@ -16,7 +16,8 @@ from signalgame.game import (
     split_experiment,
     validate_spec,
 )
-from signalgame.geometry import SupportMeasure
+from signalgame.game import _signal_kernel
+from signalgame.geometry import EPS_GEOM, SupportMeasure
 
 
 def _tiny_spec(horizon=2):
@@ -249,6 +250,26 @@ def test_split_experiment_zero_mass_state_uniform_row():
     assert np.allclose(e.kernel[0], [1.0])
     mu = induced_distribution([0.0, 1.0], e)
     assert np.allclose(mu.points[0], [0.0, 1.0])
+
+
+def test_signal_kernel_matches_per_state_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(2, 5))
+        k = int(rng.integers(1, 5))
+        atoms = rng.dirichlet(np.ones(n), size=k)
+        atoms[:, rng.random(n) < 0.3] = 0.0  # some states carry no mass
+        weights = rng.dirichlet(np.ones(k))
+        pi = weights @ atoms
+        want = np.empty((n, k))
+        for x in range(n):
+            if pi[x] > EPS_GEOM:
+                want[x] = weights * atoms[:, x] / pi[x]
+            else:
+                want[x] = 1.0 / k
+        want = np.clip(want, 0.0, None)
+        want /= want.sum(axis=1, keepdims=True)
+        assert np.array_equal(_signal_kernel(pi, weights, atoms), want)
 
 
 def test_split_experiment_rejects_non_inducible():
