@@ -44,6 +44,8 @@ __all__ = [
 SOLUTION_FORMAT = "signalgame-solution-v1"
 SWEEP_FORMAT = "signalgame-sweep-v1"
 ENVELOPE_FORMAT = "signalgame-envelope-v1"
+SIMULATION_FORMAT = "signalgame-simulation-v2"
+EVALUATION_FORMAT = "signalgame-evaluation-v1"
 
 _COMMANDS = ("solve", "sweep", "evaluate", "simulate", "envelope")
 _BUILTINS = ("quickest_detection", "detector")
@@ -340,7 +342,7 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "simulate":
         report = simulate(solution, seed=cfg.seed, trajectories=cfg.trajectories, node_cap=cfg.node_cap)
         payload = {
-            "format": "signalgame-simulation-v1",
+            "format": SIMULATION_FORMAT,
             "trajectories": report.trajectories,
             "seed": report.seed,
             "mean_principal": report.mean_principal,
@@ -356,7 +358,7 @@ def run(cfg: RunConfig) -> int:
     report = one_shot_deviation_check(solution, seed=cfg.seed, node_cap=cfg.node_cap)
     gap = max(abs(exact_a - value_a), abs(exact_b - value_b))
     payload = {
-        "format": "signalgame-evaluation-v1",
+        "format": EVALUATION_FORMAT,
         "value_principal": value_a,
         "value_receiver": value_b,
         "exact_principal": exact_a,

@@ -5,8 +5,9 @@ Three independent routes confirm the backward-induction values:
 * exact evaluation walks the reachable belief DAG (the principal's
   splits always land on triangulation vertices, so the DAG is finite)
   and accumulates expected payoffs exactly;
-* Monte Carlo simulation plays the policies on sampled state paths
-  with one child RNG stream per trajectory;
+* Monte Carlo simulation plays the policies on sampled state paths,
+  a block of trajectories at a time, stage by stage, with one child
+  RNG stream per block;
 * one-shot deviation checks probe both players: the receiver against
   every alternative action at vertices and probe beliefs, the
   principal against sampled alternative experiments at reachable and
@@ -15,7 +16,6 @@ Three independent routes confirm the backward-induction values:
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,14 +167,56 @@ class SimulationReport:
     stderr_receiver: float
 
 
-@dataclass(eq=False)
-class _NodePlan:
-    """Sampling tables for one belief node: cumulative message rows per
-    state, then per message the realized reward columns and either a
-    terminal marker or the next-state tables plus the child plan."""
+# Trajectories per RNG stream and per vectorized step.  Fixed, because
+# each block's stream decides its trajectories' draws: another size
+# would give other results for the same seed.
+_SIM_BLOCK = 8192
 
-    message_cum: list[tuple[float, ...]]
-    entries: list[tuple]
+
+@dataclass(frozen=True)
+class _LayerTable:
+    """Sampling tables for one stage layer of k nodes with n states and
+    at most M messages per node.  msg_cum (k, n, M) holds the
+    cumulative signal rows padded with +inf, n_msg (k,) the message
+    counts, action (k, M) the receiver's action after each message and
+    child (k, M) the child's index in the next layer, or -1 where play
+    ends."""
+
+    msg_cum: np.ndarray
+    n_msg: np.ndarray
+    action: np.ndarray
+    child: np.ndarray
+
+
+def _layer_tables(layers: list[list[BeliefNode]]) -> list[_LayerTable]:
+    tables = []
+    for layer, next_layer in zip(layers, layers[1:] + [[]]):
+        index = {id(node): i for i, node in enumerate(next_layer)}
+        k, n = len(layer), layer[0].belief.size
+        width = max(len(node.edges) for node in layer)
+        msg_cum = np.full((k, n, width), np.inf)
+        n_msg = np.empty(k, dtype=np.intp)
+        action = np.zeros((k, width), dtype=np.intp)
+        child = np.full((k, width), -1, dtype=np.intp)
+        for i, node in enumerate(layer):
+            edges = node.edges
+            kernel = _signal_kernel(
+                node.belief,
+                np.array([e.probability for e in edges]),
+                np.array([e.posterior for e in edges]),
+            )
+            msg_cum[i, :, : len(edges)] = np.cumsum(kernel, axis=1)
+            n_msg[i] = len(edges)
+            action[i, : len(edges)] = [e.action for e in edges]
+            child[i, : len(edges)] = [-1 if e.child is None else index[id(e.child)] for e in edges]
+        tables.append(_LayerTable(msg_cum, n_msg, action, child))
+    return tables
+
+
+def _bisect_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise bisect_right of u[j] into the nondecreasing row cum[j];
+    +inf padding never counts."""
+    return (cum <= u[:, None]).sum(axis=1)
 
 
 def simulate(
@@ -185,70 +227,48 @@ def simulate(
 ) -> SimulationReport:
     """Play the equilibrium policies on sampled state trajectories.
 
-    Each trajectory draws from its own child stream of
-    SeedSequence(seed), so results are reproducible and independent of
-    scheduling.  Rewards are realized (true-state) stage rewards.
-    Sampling tables are precomputed on the reachable belief DAG, so
-    the same node_cap resource limit applies.
+    Trajectories run in fixed blocks of _SIM_BLOCK.  Block b draws from
+    child stream b of SeedSequence(seed): first one uniform per
+    trajectory for the initial state, then at every stage a (2, size)
+    array of uniforms for the message and the next state, whether a
+    trajectory is still in play or not.  A trajectory's draws thus
+    depend only on its block and its position in it, so results are
+    reproducible and independent of execution order.  All trajectories
+    of a block advance together, stage by stage, over per-layer tables
+    of the reachable belief DAG, so the same node_cap resource limit
+    applies.  Rewards are realized (true-state) stage rewards.
     """
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
     spec = solution.spec
     root = reachable_tree(solution, node_cap)
-    plans: dict[int, _NodePlan] = {}
-    for layer in reversed(_stage_layers(root)):
-        for node in layer:
-            n = node.belief.size
-            kernel = _signal_kernel(
-                node.belief,
-                np.array([e.probability for e in node.edges]),
-                np.array([e.posterior for e in node.edges]),
-            )
-            entries = []
-            for edge in node.edges:
-                rew_a = tuple(spec.rewards_principal[node.stage - 1][:, edge.action])
-                rew_b = tuple(spec.rewards_receiver[node.stage - 1][:, edge.action])
-                if edge.child is None:
-                    entries.append((rew_a, rew_b, None, None))
-                else:
-                    trans = spec.kernels[node.stage - 1][:, edge.action, :]
-                    trans_cum = [tuple(np.cumsum(trans[x])) for x in range(n)]
-                    entries.append((rew_a, rew_b, trans_cum, plans[id(edge.child)]))
-            plans[id(node)] = _NodePlan([tuple(np.cumsum(kernel[x])) for x in range(n)], entries)
-
-    root_plan = plans[id(root)]
-    prior_cum = tuple(np.cumsum(as_simplex_point(spec.prior)))
-    streams = np.random.SeedSequence(seed).spawn(trajectories)
-    totals_a = np.empty(trajectories)
-    totals_b = np.empty(trajectories)
-    draws_per_traj = 1 + 2 * spec.horizon
-    for i in range(trajectories):
-        rng = np.random.default_rng(streams[i])
-        draws = rng.random(draws_per_traj)
-        cursor = 0
-        x = bisect.bisect_right(prior_cum, draws[cursor])
-        cursor += 1
-        if x >= len(prior_cum):
-            x = len(prior_cum) - 1
-        plan = root_plan
-        acc_a = acc_b = 0.0
-        while True:
-            m = bisect.bisect_right(plan.message_cum[x], draws[cursor])
-            cursor += 1
-            if m >= len(plan.entries):
-                m = len(plan.entries) - 1
-            rew_a, rew_b, trans_cum, child = plan.entries[m]
-            acc_a += rew_a[x]
-            acc_b += rew_b[x]
-            if child is None:
+    tables = _layer_tables(_stage_layers(root))
+    prior_cum = np.cumsum(as_simplex_point(spec.prior))
+    # stage t's transition rows cumulated over next states: (n, A, n')
+    trans_cum = [np.cumsum(kernel, axis=2) for kernel in spec.kernels]
+    totals_a = np.zeros(trajectories)
+    totals_b = np.zeros(trajectories)
+    n_blocks = -(-trajectories // _SIM_BLOCK)
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        rng = np.random.default_rng(stream)
+        lo = b * _SIM_BLOCK
+        size = min(_SIM_BLOCK, trajectories - lo)
+        live = np.arange(lo, lo + size)
+        x = np.minimum(_bisect_rows(prior_cum[None, :], rng.random(size)), prior_cum.size - 1)
+        node = np.zeros(size, dtype=np.intp)
+        for stage, table in enumerate(tables, start=root.stage):
+            u0, u1 = rng.random((2, size))[:, live - lo]
+            m = np.minimum(_bisect_rows(table.msg_cum[node, x], u0), table.n_msg[node] - 1)
+            action = table.action[node, m]
+            totals_a[live] += spec.rewards_principal[stage - 1][x, action]
+            totals_b[live] += spec.rewards_receiver[stage - 1][x, action]
+            node = table.child[node, m]
+            going = node >= 0
+            if not going.any():
                 break
-            x = bisect.bisect_right(trans_cum[x], draws[cursor])
-            cursor += 1
-            if x >= len(rew_a):
-                x = len(rew_a) - 1
-            plan = child
-        totals_a[i] = acc_a
-        totals_b[i] = acc_b
+            live, node, x, action, u1 = live[going], node[going], x[going], action[going], u1[going]
+            cum = trans_cum[stage - 1]
+            x = np.minimum(_bisect_rows(cum[x, action], u1), cum.shape[2] - 1)
     return SimulationReport(
         trajectories=trajectories,
         seed=seed,

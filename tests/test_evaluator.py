@@ -1,19 +1,23 @@
+import bisect
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from signalgame.cli import builtin_example
 from signalgame.evaluator import (
+    _SIM_BLOCK,
     NodeBudgetExceeded,
+    SimulationReport,
     _sample_inducible,
     exact_value,
     one_shot_deviation_check,
     reachable_tree,
     simulate,
 )
-from signalgame.game import GameSpec
-from signalgame.geometry import EPS_GEOM
+from signalgame.game import GameSpec, _signal_kernel
+from signalgame.geometry import EPS_GEOM, as_simplex_point
 from signalgame.solver import EquilibriumSolution, solve
 
 
@@ -204,6 +208,142 @@ def test_exact_value_at_long_horizon(long_detection):
 def test_simulate_at_long_horizon(long_detection):
     rep = simulate(long_detection, seed=0, trajectories=200)
     assert rep.trajectories == 200
+    v_a, v_b = exact_value(long_detection)
+    assert abs(rep.mean_principal - v_a) <= 4 * rep.stderr_principal + 1e-12
+    assert abs(rep.mean_receiver - v_b) <= 4 * rep.stderr_receiver + 1e-12
+
+
+def _varying_states_game():
+    # 2 -> 3 -> 2 states; "stop" ends play at stage 2 on the third state
+    return GameSpec(
+        horizon=3,
+        states=(("a", "b"), ("a", "b", "c"), ("a", "b")),
+        actions=(("l", "r"), ("l", "r", "stop"), ("l", "r")),
+        terminating=(frozenset(), frozenset({2}), frozenset()),
+        kernels=(
+            np.array([[[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]], [[0.1, 0.5, 0.4], [0.3, 0.3, 0.4]]]),
+            np.array([
+                [[0.9, 0.1], [0.4, 0.6], [0.5, 0.5]],
+                [[0.2, 0.8], [0.7, 0.3], [0.5, 0.5]],
+                [[0.5, 0.5], [0.1, 0.9], [0.5, 0.5]],
+            ]),
+        ),
+        rewards_principal=(
+            np.array([[1.0, 0.0], [0.2, 0.8]]),
+            np.array([[0.5, 1.0, 1.5], [0.0, 0.4, 1.5], [1.0, 0.2, 1.5]]),
+            np.array([[1.0, -0.5], [0.0, 0.7]]),
+        ),
+        rewards_receiver=(
+            np.array([[0.6, -0.2], [-0.3, 0.5]]),
+            np.array([[0.4, -0.1, 0.0], [-0.2, 0.5, 0.0], [0.0, 0.0, 2.0]]),
+            np.array([[0.8, 0.1], [-0.4, 0.6]]),
+        ),
+        prior=[0.55, 0.45],
+    )
+
+
+def _simulate_loop(solution, seed, trajectories):
+    # per-trajectory bisect walk over the belief DAG, fed the same
+    # per-block draws as simulate: the bit-exact reference for simulate
+    spec = solution.spec
+    root = reachable_tree(solution)
+    prior_cum = tuple(np.cumsum(as_simplex_point(spec.prior)))
+    plans = {}
+
+    def plan(node):
+        if id(node) not in plans:
+            kernel = _signal_kernel(
+                node.belief,
+                np.array([e.probability for e in node.edges]),
+                np.array([e.posterior for e in node.edges]),
+            )
+            trans = [
+                None if e.child is None
+                else [tuple(np.cumsum(row)) for row in spec.kernels[node.stage - 1][:, e.action, :]]
+                for e in node.edges
+            ]
+            plans[id(node)] = ([tuple(np.cumsum(row)) for row in kernel], trans)
+        return plans[id(node)]
+
+    totals_a = np.empty(trajectories)
+    totals_b = np.empty(trajectories)
+    n_blocks = -(-trajectories // _SIM_BLOCK)
+    for b, stream in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
+        rng = np.random.default_rng(stream)
+        lo = b * _SIM_BLOCK
+        size = min(_SIM_BLOCK, trajectories - lo)
+        first = rng.random(size)
+        draws = [rng.random((2, size)) for _ in range(spec.horizon)]
+        for j in range(size):
+            x = min(bisect.bisect_right(prior_cum, first[j]), len(prior_cum) - 1)
+            node = root
+            acc_a = acc_b = 0.0
+            for u0, u1 in draws:
+                message_cum, trans = plan(node)
+                m = min(bisect.bisect_right(message_cum[x], u0[j]), len(node.edges) - 1)
+                edge = node.edges[m]
+                acc_a += spec.rewards_principal[node.stage - 1][x, edge.action]
+                acc_b += spec.rewards_receiver[node.stage - 1][x, edge.action]
+                if edge.child is None:
+                    break
+                x = min(bisect.bisect_right(trans[m][x], u1[j]), len(trans[m][x]) - 1)
+                node = edge.child
+            totals_a[lo + j] = acc_a
+            totals_b[lo + j] = acc_b
+    return SimulationReport(
+        trajectories=trajectories,
+        seed=seed,
+        mean_principal=float(totals_a.mean()),
+        mean_receiver=float(totals_b.mean()),
+        stderr_principal=float(totals_a.std(ddof=1) / np.sqrt(trajectories)),
+        stderr_receiver=float(totals_b.std(ddof=1) / np.sqrt(trajectories)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [builtin_example("quickest_detection", 0.2, 0.1, 14), _varying_states_game()],
+    ids=["quickest_detection", "varying_states"],
+)
+def test_simulate_matches_per_trajectory_loop(spec):
+    sol = solve(spec)
+    # two full blocks and a ragged last one
+    trajectories = 2 * _SIM_BLOCK + 37
+    assert simulate(sol, seed=3, trajectories=trajectories) == _simulate_loop(sol, 3, trajectories)
+
+
+def test_simulate_agrees_with_exact_value_when_state_count_changes():
+    # the next state is clamped to the next stage's state count, not this one's
+    sol = solve(_varying_states_game())
+    rep = simulate(sol, seed=0, trajectories=20_000)
+    v_a, v_b = exact_value(sol)
+    assert abs(rep.mean_principal - v_a) <= 4 * rep.stderr_principal + 1e-12
+    assert abs(rep.mean_receiver - v_b) <= 4 * rep.stderr_receiver + 1e-12
+
+
+def test_simulate_makes_one_generator_per_block(monkeypatch):
+    sol = solve(builtin_example("detector", 0.2, 0.15, 6))
+    made = []
+    original = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    simulate(sol, trajectories=2 * _SIM_BLOCK + 1)
+    assert len(made) == 3
+
+
+def test_simulate_memory_is_bounded():
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 14))
+    tracemalloc.start()
+    try:
+        simulate(sol, trajectories=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_deviation_check_at_long_horizon(long_detection):

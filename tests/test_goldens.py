@@ -5,10 +5,15 @@ status, the sha256 and the byte length of what it wrote.  A refactor
 that keeps the outputs identical leaves this file untouched; a change
 that alters an artifact on purpose must bump the artifact's format
 version and re-pin the case.
+
+Run as a script (``PYTHONPATH=src python tests/test_goldens.py``) to
+print the ``GOLDENS`` dict for the current code in this file's layout.
 """
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +102,7 @@ def _cases():
         cases[f"{game}-simulate"] = ["simulate", *base, "--trajectories", "1000"]
     cases["game3-solve"] = ["solve", "--input", "{game3}"]
     cases["game3-evaluate"] = ["evaluate", "--input", "{game3}"]
+    cases["game3-simulate"] = ["simulate", "--input", "{game3}", "--trajectories", "1000"]
     cases["game_random-evaluate"] = ["evaluate", "--input", "{game_random}", "--seed", "0"]
     cases["objective2-envelope"] = ["envelope", "--input", "{objective2}"]
     cases["objective3-envelope"] = ["envelope", "--input", "{objective3}"]
@@ -111,7 +117,7 @@ GOLDENS = {
         0, "62b867b6700d72e701fa53361baa4c68450a41dad091940529443df14654f4af", 334,
     ),
     "detector-simulate": (
-        0, "25625d4a284f3a3bb4c532e6ca5d91c592cec5c49a122b08a3a991c4d9cac1b6", 215,
+        0, "a52cc2853febbcb21686bb5952995aa0f54140449ced2fa7c888a2de8582fbb8", 215,
     ),
     "detector-solve": (
         0, "7747a4ff87bb1195b18a995a31c2e78dc7fc3cece8cda0e50b6bf1355ce104f6", 15959,
@@ -121,6 +127,9 @@ GOLDENS = {
     ),
     "game3-evaluate": (
         0, "3b672664004c37e31433ce228ec35fa48feae16df32aca7b117c6f0dc0089267", 411,
+    ),
+    "game3-simulate": (
+        0, "2f479f25d3366897f4c456552378c806aa5029d00d5b5859dafd18d05d59dd39", 221,
     ),
     "game3-solve": (
         0, "70c3a084bee63390d155ac04744d01760bf09081b43fa289138038c46636000b", 17084,
@@ -138,7 +147,7 @@ GOLDENS = {
         0, "46a3a80f6cfaa6574485b57eab2c283bc353848c3d66cdb786af139eb9aa2787", 414,
     ),
     "quickest_detection-simulate": (
-        0, "ed1a746b29e08951f245e5a6f441eccbe00ada0232a760c1ab1dac9020086caa", 221,
+        0, "0e57b08fd07b7a8c5d1d1121a21f111464b771d6cac6668ce4d95dde254d3198", 221,
     ),
     "quickest_detection-solve": (
         0, "51855e24b49a25e874aa5f28e08978046d04d50252f56a6e0d9843659ffaf068", 25866,
@@ -165,3 +174,13 @@ def run_case(name: str, workdir) -> tuple[int, bytes]:
 def test_artifact_matches_golden(name, tmp_path):
     code, data = run_case(name, tmp_path)
     assert (code, hashlib.sha256(data).hexdigest(), len(data)) == GOLDENS[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        print("GOLDENS = {")
+        for name in sorted(CASES):
+            code, data = run_case(name, Path(tmp))
+            digest = hashlib.sha256(data).hexdigest()
+            print(f'    "{name}": (\n        {code}, "{digest}", {len(data)},\n    ),')
+        print("}")
