@@ -30,7 +30,7 @@ import numpy as np
 
 from .evaluator import NodeBudgetExceeded, exact_value, one_shot_deviation_check, simulate
 from .game import GameSpec, SpecValidationError, load_spec, validate_spec
-from .geometry import EPS_TIE, CellArrangement, argcav, dedup_functionals
+from .geometry import EPS_EQUILIBRIUM, EPS_TIE, CellArrangement, argcav, dedup_functionals
 from .solver import EquilibriumSolution, solve
 
 __all__ = [
@@ -149,8 +149,6 @@ def _load_game(cfg: RunConfig) -> GameSpec:
         return builtin_example(cfg.builtin, cfg.p, cfg.c, cfg.horizon)
     try:
         spec = load_spec(cfg.input_path)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{cfg.input_path}:{err.lineno}:{err.colno}: {err.msg}") from err
     except OSError as err:
         raise ConfigError(f"cannot read {cfg.input_path}: {err}") from err
     ok, problems = validate_spec(spec)
@@ -371,7 +369,7 @@ def run(cfg: RunConfig) -> int:
         "violations": [dict(v) for v in report.violations],
     }
     _emit(_to_json(payload), cfg.out)
-    return 0 if report.ok and gap <= 1e-9 else 1
+    return 0 if report.ok and gap <= EPS_EQUILIBRIUM else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import _signal_kernel
-from .geometry import EPS_GEOM, as_simplex_point, barycentric_indices
+from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, as_simplex_point, barycentric_indices
 from .solver import EquilibriumSolution, receiver_best
 
 __all__ = [
@@ -299,7 +299,6 @@ def one_shot_deviation_check(
     probes_per_stage: int = 20,
     experiments_per_belief: int = 20,
     seed: int = 0,
-    tol: float = 1e-9,
     node_cap: int = 1_000_000,
 ) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
@@ -310,7 +309,7 @@ def one_shot_deviation_check(
     equal it (Bellman consistency).  Principal: at every reachable
     belief and probe, no sampled alternative experiment
     (mean-preserving split, full revelation, or no split) may beat the
-    stage value.  Gains above tol are reported as violations.
+    stage value.  Gains above EPS_EQUILIBRIUM are reported as violations.
     """
     spec = solution.spec
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -321,7 +320,7 @@ def one_shot_deviation_check(
     max_gain_p = 0.0
 
     def flag(kind: str, t: int, belief: np.ndarray, gain: float) -> None:
-        if gain > tol:
+        if gain > EPS_EQUILIBRIUM:
             violations.append(
                 {"kind": kind, "stage": t, "belief": belief.tolist(), "gain": float(gain)}
             )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import EPS_GEOM, GeometryDomainError, SupportMeasure, as_simplex_point
+from .geometry import EPS_GEOM, EPS_MEMBER, GeometryDomainError, SupportMeasure, as_simplex_point
 
 __all__ = [
     "SpecValidationError",
@@ -176,10 +176,10 @@ class Experiment:
             raise ValueError(f"experiment kernel must be a nonempty matrix, got shape {k.shape}")
         if not np.all(np.isfinite(k)):
             raise ValueError("experiment kernel must be finite")
-        if k.min() < -1e-12:
+        if k.min() < -EPS_GEOM:
             raise ValueError(f"experiment kernel has negative entry {k.min():.3e}")
         rows = k.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
+        if np.max(np.abs(rows - 1.0)) > EPS_GEOM:
             raise ValueError("experiment kernel rows must sum to one")
         k = np.clip(k, 0.0, None)
         k /= k.sum(axis=1, keepdims=True)
@@ -207,7 +207,7 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
     """Numeric invariants of a structurally well-formed specification.
 
     Checks label uniqueness, finite rewards, stochastic kernel slices
-    (rows sum to one within 1e-12, entries nonnegative within 1e-12),
+    (rows sum to one within EPS_GEOM, entries nonnegative within EPS_GEOM),
     a prior on the simplex, and in-range terminating action indices.
     Returns (ok, problems) without raising.
     """
@@ -237,7 +237,7 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
                 if kern.min() < -EPS_GEOM:
                     problems.append(f"stage {t}: negative kernel entry {kern.min():.3e}")
                 rows = kern.sum(axis=2)
-                if np.max(np.abs(rows - 1.0)) > 1e-12:
+                if np.max(np.abs(rows - 1.0)) > EPS_GEOM:
                     problems.append(f"stage {t}: kernel rows must sum to one")
     try:
         as_simplex_point(spec.prior)
@@ -314,7 +314,7 @@ def induced_distribution(belief, experiment: Experiment) -> SupportMeasure:
 def split_experiment(belief, measure: SupportMeasure) -> Experiment:
     """Experiment inducing the given distribution over posteriors.
 
-    The measure must average back to the belief (within 1e-9 per
+    The measure must average back to the belief (within EPS_MEMBER per
     coordinate), which is exactly the inducibility condition.  States
     with zero prior mass get uniform signal rows.
     """
@@ -322,7 +322,7 @@ def split_experiment(belief, measure: SupportMeasure) -> Experiment:
     if pi.size != measure.n_states:
         raise ValueError("belief dimension does not match the measure")
     gap = np.max(np.abs(measure.mean() - pi))
-    if gap > 1e-9:
+    if gap > EPS_MEMBER:
         raise ValueError(f"measure mean differs from the belief by {gap:.3e}; not inducible")
     return Experiment(_signal_kernel(pi, measure.weights, measure.points))
 

@@ -25,10 +25,25 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
-# Membership and dedup tolerance for simplex points.
+# Tolerance table: every numeric tolerance of the package, one per role.
+# Point coincidence, zero mass, and stochastic-row sums.
 EPS_GEOM = 1e-12
-# Slack for argmax tie sets.
+# Relative degeneracy: non-transversal subsets, collinear chain points.
+EPS_DEGENERATE = 1e-12
+# Receiver indifference: slack for argmax tie sets (--tie-tol default).
 EPS_TIE = 1e-9
+# Equilibrium identities: value gap, deviation gains, Bellman residuals, backups.
+EPS_EQUILIBRIUM = 1e-9
+# Membership and measure slack: points in cells, kernels, weights, means.
+EPS_MEMBER = 1e-9
+# Functional and facet equality: dedup, hull facet clusters, affine fits.
+EPS_FUNCTIONAL = 1e-9
+# Oracle checks in validate_triangulation.
+EPS_ORACLE = 1e-9
+# Upper-hull normal: a lifted hull facet faces up above this component.
+EPS_HULL_NORMAL = 1e-10
+# Tiling audit: relative slack on the upper-hull cells' total volume.
+EPS_TILING = 1e-7
 
 __all__ = [
     "EPS_GEOM",
@@ -54,22 +69,23 @@ class GeometryDomainError(ValueError):
     """Raised when an input is outside the geometric domain of an operation."""
 
 
-def as_simplex_point(coords, *, eps: float = EPS_GEOM) -> np.ndarray:
+def as_simplex_point(coords) -> np.ndarray:
     """Validate coordinates as a point of the standard simplex.
 
-    Coordinates must be finite, nonnegative within eps, and sum to one
-    within eps per coordinate.  The returned array is clipped to [0, 1]
-    and renormalized so downstream arithmetic sees an exact point.
+    Coordinates must be finite, nonnegative within EPS_GEOM, and sum to
+    one within EPS_GEOM per coordinate.  The returned array is clipped
+    to [0, 1] and renormalized so downstream arithmetic sees an exact
+    point.
     """
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise GeometryDomainError(f"expected a 1-d coordinate vector, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise GeometryDomainError("coordinates must be finite")
-    if x.min() < -eps:
-        raise GeometryDomainError(f"negative coordinate {x.min():.3e} below tolerance -{eps:.1e}")
+    if x.min() < -EPS_GEOM:
+        raise GeometryDomainError(f"negative coordinate {x.min():.3e} below tolerance -{EPS_GEOM:.1e}")
     total = float(x.sum())
-    if abs(total - 1.0) > eps * x.size:
+    if abs(total - 1.0) > EPS_GEOM * x.size:
         raise GeometryDomainError(f"coordinates sum to {total!r}, expected 1")
     x = np.clip(x, 0.0, None)
     return x / x.sum()
@@ -97,21 +113,21 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def _dedup_sorted(points: np.ndarray, tol: float) -> list[int]:
-    """Indices of rows to keep, merging rows within tol in the sup norm.
+def _dedup_sorted(points: np.ndarray) -> list[int]:
+    """Indices of rows to keep, merging rows within EPS_GEOM in the sup norm.
 
     Points must be lexicographically sorted; the kept representative of
     each cluster is the lex-smallest one.  Only rows whose first
-    coordinates are within tol can merge, so a sorted window keeps the
-    scan near-linear.
+    coordinates are within EPS_GEOM can merge, so a sorted window keeps
+    the scan near-linear.
     """
     kept: list[int] = []
     kept_first: list[float] = []
     for i in range(len(points)):
         row = points[i]
-        lo = bisect.bisect_left(kept_first, row[0] - tol)
+        lo = bisect.bisect_left(kept_first, row[0] - EPS_GEOM)
         for j in range(lo, len(kept)):
-            if np.max(np.abs(points[kept[j]] - row)) <= tol:
+            if np.max(np.abs(points[kept[j]] - row)) <= EPS_GEOM:
                 break
         else:
             kept.append(i)
@@ -119,14 +135,14 @@ def _dedup_sorted(points: np.ndarray, tol: float) -> list[int]:
     return kept
 
 
-def _cluster_rows(rows: np.ndarray, tol: float) -> list[list[int]]:
-    """Group row indices whose rows agree within tol in the sup norm."""
+def _cluster_rows(rows: np.ndarray) -> list[list[int]]:
+    """Group row indices whose rows agree within EPS_FUNCTIONAL in the sup norm."""
     groups: list[list[int]] = []
     reps: list[np.ndarray] = []
     for i in range(len(rows)):
         row = rows[i]
         for g, rep in zip(groups, reps):
-            if np.max(np.abs(row - rep)) <= tol:
+            if np.max(np.abs(row - rep)) <= EPS_FUNCTIONAL:
                 g.append(i)
                 break
         else:
@@ -152,7 +168,7 @@ class SupportMeasure:
             raise GeometryDomainError("weights shape does not match the support")
         if w.min() <= 0.0:
             raise GeometryDomainError("weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-9:
+        if abs(w.sum() - 1.0) > EPS_MEMBER:
             raise GeometryDomainError(f"weights sum to {w.sum()!r}, expected 1")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w / w.sum())
@@ -224,7 +240,7 @@ class Triangulation:
                 pass
         return invs
 
-    def locate_many(self, points, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and barycentric weights for each query point.
 
         Points on shared faces resolve to the first feasible cell in
@@ -238,7 +254,7 @@ class Triangulation:
             raise GeometryDomainError("point location needs full-dimensional cells")
         bary = np.einsum("cij,pj->pci", self._cell_inverses, pts)
         with np.errstate(invalid="ignore"):
-            feasible = (bary >= -tol).all(axis=2)
+            feasible = (bary >= -EPS_MEMBER).all(axis=2)
         if not feasible.any(axis=1).all():
             missing = pts[~feasible.any(axis=1)][0]
             raise GeometryDomainError(f"point {missing} is not covered by any cell")
@@ -335,15 +351,15 @@ class CellArrangement:
         object.__setattr__(self, "functionals", rows)
 
 
-def dedup_functionals(functionals, tol: float = 1e-9) -> np.ndarray:
+def dedup_functionals(functionals) -> np.ndarray:
     """Canonical, scale/sign-normalized functional rows with duplicates and constants removed.
 
     On the simplex w.x + b equals (w - c).x + (b + c) for every
     constant c, so each row is moved to mean-zero weights, scaled to
-    max |w| = 1 and signed so its first entry beyond tol is positive.
-    Rows whose rounded canonical forms match (same zero set on the
-    simplex) keep their first occurrence, in input order; constants
-    (no zero set) are dropped.
+    max |w| = 1 and signed so its first entry beyond EPS_FUNCTIONAL is
+    positive.  Rows whose rounded canonical forms match (same zero set
+    on the simplex) keep their first occurrence, in input order;
+    constants (no zero set) are dropped.
     """
     rows = np.asarray(functionals, dtype=float)
     if rows.size == 0:
@@ -351,18 +367,18 @@ def dedup_functionals(functionals, tol: float = 1e-9) -> np.ndarray:
     shift = rows[:, :-1].mean(axis=1)
     keys = np.column_stack([rows[:, :-1] - shift[:, None], rows[:, -1] + shift])
     scale = np.abs(keys[:, :-1]).max(axis=1)
-    varies = scale > tol
+    varies = scale > EPS_FUNCTIONAL
     keys = keys[varies] / scale[varies, None]
-    lead = np.argmax(np.abs(keys) > tol, axis=1)
+    lead = np.argmax(np.abs(keys) > EPS_FUNCTIONAL, axis=1)
     keys[keys[np.arange(len(keys)), lead] < 0] *= -1.0
-    decimals = max(1, int(-math.log10(tol)))
+    decimals = max(1, int(-math.log10(EPS_FUNCTIONAL)))
     _, first = np.unique(np.round(keys, decimals) + 0.0, axis=0, return_index=True)
     # Input order matters downstream: candidate_vertices solves row subsets
     # in order, and another order changes the low bits of its points.
     return keys[np.sort(first)]
 
 
-def validate_triangulation(t: Triangulation, tol: float = 1e-9) -> tuple[bool, list[str]]:
+def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[bool, list[str]]:
     """Check that t is a genuine triangulation of the whole simplex.
 
     Verifies pairwise-distinct vertices, affinely independent cells,
@@ -401,7 +417,7 @@ def validate_triangulation(t: Triangulation, tol: float = 1e-9) -> tuple[bool, l
             gram = edges @ edges.T
             det = float(np.linalg.det(gram))
             edge_scale = float(np.prod(np.linalg.norm(edges, axis=1)))
-            if det <= (1e-9 * max(edge_scale, 1e-30)) ** 2:
+            if det <= (EPS_ORACLE * max(edge_scale, 1e-30)) ** 2:
                 problems.append(f"cell {ci} is affinely degenerate")
                 degenerate.add(ci)
                 continue
@@ -454,7 +470,7 @@ def validate_triangulation(t: Triangulation, tol: float = 1e-9) -> tuple[bool, l
                 problems.append(f"cells {ai} and {bi}: face check LP failed ({res.message})")
 
     target = math.sqrt(n) / math.factorial(n - 1)
-    if abs(total_volume - target) > 1e-9 * target:
+    if abs(total_volume - target) > EPS_ORACLE * target:
         problems.append(
             f"cell volumes sum to {total_volume!r}, simplex volume is {target!r}"
         )
@@ -510,8 +526,8 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
         raise GeometryDomainError("kernel target does not match the interpolant domain")
     if (
         not np.all(np.isfinite(kernel))
-        or kernel.min() < -1e-9
-        or np.max(np.abs(kernel.sum(axis=1) - 1.0)) > 1e-9
+        or kernel.min() < -EPS_MEMBER
+        or np.max(np.abs(kernel.sum(axis=1) - 1.0)) > EPS_MEMBER
     ):
         raise GeometryDomainError("kernel sends the simplex outside the target simplex")
     pieces = _pull_rows(kernel, f.cell_pieces)
@@ -539,11 +555,11 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
         denom = w0 - w1
         crossing = np.abs(denom) > EPS_GEOM
         p = -(w1[crossing] + b[crossing]) / denom[crossing]
-        p = p[(p >= -1e-9) & (p <= 1.0 + 1e-9)]
+        p = p[(p >= -EPS_MEMBER) & (p <= 1.0 + EPS_MEMBER)]
         p = np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
         ps = np.sort(np.concatenate([[0.0, 1.0], p]), kind="stable")
         pts = np.column_stack([ps, 1.0 - ps])
-        return pts[_dedup_sorted(pts, EPS_GEOM)]
+        return pts[_dedup_sorted(pts)]
 
     pool_w = np.vstack([fs[:, :-1], corners])
     pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
@@ -559,17 +575,17 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
         rhs[:, n - 1] = 1.0
         dets = np.abs(np.linalg.det(systems))
         scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
-        transversal = dets > 1e-12 * np.maximum(scale, 1e-30)
+        transversal = dets > EPS_DEGENERATE * np.maximum(scale, 1e-30)
         if transversal.any():
             sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
-            inside = sols.min(axis=1) >= -1e-9
+            inside = sols.min(axis=1) >= -EPS_MEMBER
             if inside.any():
                 pts = np.clip(sols[inside], 0.0, None)
                 pts /= pts.sum(axis=1, keepdims=True)
                 points.append(pts)
     allpts = np.vstack(points)
     allpts = allpts[_lex_order(allpts)]
-    return allpts[_dedup_sorted(allpts, EPS_GEOM)]
+    return allpts[_dedup_sorted(allpts)]
 
 
 def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
@@ -580,7 +596,7 @@ def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     the two endpoints.
     """
     p = cands[:, 0]
-    tol_area = 1e-12 * max(1.0, float(np.ptp(vals)))
+    tol_area = EPS_DEGENERATE * max(1.0, float(np.ptp(vals)))
     keep: list[int] = []
     for i in range(len(p)):
         while len(keep) >= 2:
@@ -604,7 +620,7 @@ def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     fitted = design @ coef
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(fitted - vals)) > 1e-9 * scale:
+    if np.max(np.abs(fitted - vals)) > EPS_FUNCTIONAL * scale:
         raise GeometryDomainError("degenerate lifted hull for a non-affine objective")
     corners = np.eye(n)
     corner_vals = np.column_stack([corners[:, :-1], np.ones(n)]) @ coef
@@ -627,7 +643,7 @@ def _face_facets(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[i
     hull = ConvexHull(local)
     extremes = set(hull.vertices.tolist())
     facets = []
-    for group in _cluster_rows(hull.equations, 1e-9):
+    for group in _cluster_rows(hull.equations):
         members = set()
         for row in group:
             members.update(hull.simplices[row].tolist())
@@ -665,11 +681,11 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     except QhullError:
         return _affine_envelope(cands, vals)
     extremes = set(hull.vertices.tolist())
-    upper = np.where(hull.equations[:, d] > 1e-10)[0]
+    upper = np.where(hull.equations[:, d] > EPS_HULL_NORMAL)[0]
     if upper.size == 0:
         return _affine_envelope(cands, vals)
     cells: set[tuple[int, ...]] = set()
-    for group in _cluster_rows(hull.equations[upper], 1e-9):
+    for group in _cluster_rows(hull.equations[upper]):
         members = set()
         for gi in group:
             members.update(hull.simplices[upper[gi]].tolist())
@@ -689,7 +705,7 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         edges = pts[1:] - pts[0]
         vol += abs(math.sqrt(max(np.linalg.det(edges @ edges.T), 0.0))) / math.factorial(d)
     target = math.sqrt(n) / math.factorial(d)
-    if abs(vol - target) > 1e-7 * target:
+    if abs(vol - target) > EPS_TILING * target:
         raise GeometryDomainError("upper-hull faces failed to tile the simplex")
     return VertexInterpolant(tri, vals[used])
 

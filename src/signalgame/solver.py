@@ -18,8 +18,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .game import Belief, GameSpec, SpecValidationError, validate_spec
+from .game import Belief, GameSpec, SpecValidationError, _coords, validate_spec
 from .geometry import (
+    EPS_EQUILIBRIUM,
     EPS_TIE,
     CellArrangement,
     Triangulation,
@@ -51,12 +52,8 @@ class StageObjective:
     final stage).
     """
 
-    stage: int
-    n_states: int
-    n_actions: int
     reward_principal: np.ndarray
     reward_receiver: np.ndarray
-    terminating: frozenset[int]
     kernels: tuple[np.ndarray | None, ...]
     next_principal: VertexInterpolant | None
     next_receiver: VertexInterpolant | None
@@ -81,7 +78,7 @@ class StageObjective:
 
     def q_single(self, belief) -> tuple[np.ndarray, np.ndarray]:
         """Action values at one belief: two vectors of length n_actions."""
-        pi = as_simplex_point(belief.coords if isinstance(belief, Belief) else belief)
+        pi = as_simplex_point(_coords(belief))
         q_a, q_b = self.q_many(pi[None, :])
         return q_a[0], q_b[0]
 
@@ -191,17 +188,24 @@ def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | 
             functionals.append(_differences(pieces_b[u], pieces_b[v]))
             functionals.append(_differences(pieces_a[u], pieces_a[v]))
     return StageObjective(
-        stage=stage,
-        n_states=n,
-        n_actions=n_act,
         reward_principal=r_a,
         reward_receiver=r_b,
-        terminating=spec.terminating[stage - 1],
         kernels=tuple(kernels),
         next_principal=None if next_solution is None else next_solution.interp_principal,
         next_receiver=None if next_solution is None else next_solution.interp_receiver,
         arrangement=CellArrangement(n, np.vstack(functionals)),
     )
+
+
+def _check_next_solution(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> None:
+    """Stage in range, and next_solution is the solved stage t+1 (None only at the horizon)."""
+    spec._check_stage(stage)
+    if stage < spec.horizon and next_solution is None:
+        raise ValueError(f"stage {stage} needs the stage-{stage + 1} solution")
+    if next_solution is not None and next_solution.stage != stage + 1:
+        raise ValueError(
+            f"expected the stage-{stage + 1} solution, got stage {next_solution.stage}"
+        )
 
 
 def q_values(spec: GameSpec, stage: int, belief, next_solution: StageSolution | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -210,15 +214,9 @@ def q_values(spec: GameSpec, stage: int, belief, next_solution: StageSolution | 
     next_solution must be the solved stage t+1 (or None at the final
     stage); terminating actions contribute reward only.
     """
-    spec._check_stage(stage)
+    _check_next_solution(spec, stage, next_solution)
     if isinstance(belief, Belief) and belief.stage != stage:
         raise ValueError(f"belief is stamped for stage {belief.stage}, not {stage}")
-    if stage < spec.horizon and next_solution is None:
-        raise ValueError(f"stage {stage} needs the stage-{stage + 1} solution")
-    if next_solution is not None and next_solution.stage != stage + 1:
-        raise ValueError(
-            f"expected the stage-{stage + 1} solution, got stage {next_solution.stage}"
-        )
     objective = _build_objective(spec, stage, next_solution)
     return objective.q_single(belief)
 
@@ -234,13 +232,7 @@ def stage_backup(
     Concavifies the tie-broken principal objective and reads both
     players' vertex values and the receiver's actions off the vertices.
     """
-    spec._check_stage(stage)
-    if stage < spec.horizon and next_solution is None:
-        raise ValueError(f"stage {stage} needs the stage-{stage + 1} solution")
-    if next_solution is not None and next_solution.stage != stage + 1:
-        raise ValueError(
-            f"expected the stage-{stage + 1} solution, got stage {next_solution.stage}"
-        )
+    _check_next_solution(spec, stage, next_solution)
     objective = _build_objective(spec, stage, next_solution)
 
     def psi(points):
@@ -255,7 +247,7 @@ def stage_backup(
         _, top_b, psi_i, action = receiver_best(q_a[i], q_b[i], tie_tol)
         actions.append(action)
         values_b[i] = top_b
-        if abs(psi_i - envelope.values[i]) > 1e-9 * max(1.0, abs(psi_i)):
+        if abs(psi_i - envelope.values[i]) > EPS_EQUILIBRIUM * max(1.0, abs(psi_i)):
             raise RuntimeError(
                 f"stage {stage}: envelope value diverges from the stage objective "
                 f"at vertex {i} ({envelope.values[i]!r} vs {psi_i!r})"

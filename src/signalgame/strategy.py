@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
-from .game import Belief, Experiment, split_experiment
+from .game import Belief, Experiment, _coords, split_experiment
 from .geometry import SupportMeasure, barycentric_indices
 from .solver import EquilibriumSolution, receiver_best
 
@@ -23,10 +21,6 @@ __all__ = [
     "principal_action",
     "receiver_action",
 ]
-
-
-def _coords(belief) -> np.ndarray:
-    return belief.coords if isinstance(belief, Belief) else np.asarray(belief, dtype=float)
 
 
 def _check_stage(solution: EquilibriumSolution, stage: int, belief) -> None:

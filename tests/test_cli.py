@@ -222,6 +222,17 @@ def test_envelope_input_errors(tmp_path, capsys):
     assert "pieces[0]" in capsys.readouterr().err
 
 
+def test_game_input_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["solve", "--input", str(missing)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}:")
+
+    broken = tmp_path / "bad.json"
+    broken.write_text("{\n  \"horizon\": 2,\n")
+    assert main(["solve", "--input", str(broken)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {broken}: not valid JSON (")
+
+
 def test_envelope_rejects_non_finite_offset(tmp_path, capsys):
     for offset in (float("nan"), float("inf")):
         bad = tmp_path / "offset.json"

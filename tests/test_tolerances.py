@@ -1,0 +1,53 @@
+"""The tolerance table in signalgame.geometry is the only place tolerances are written."""
+
+import ast
+import re
+import tokenize
+from pathlib import Path
+
+from signalgame import geometry
+
+PACKAGE = Path(geometry.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+TOLERANCE_VALUES = {1e-7, 1e-9, 1e-10, 1e-12}
+
+
+def _table_lines() -> dict[str, int]:
+    """Line of each module-level EPS_* = <number> assignment in geometry.py."""
+    tree = ast.parse((PACKAGE / "geometry.py").read_text())
+    lines = {}
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id.startswith("EPS_")
+            and isinstance(node.value, ast.Constant)
+        ):
+            lines[node.targets[0].id] = node.lineno
+    return lines
+
+
+def test_no_tolerance_literal_outside_the_table():
+    table = set(_table_lines().values())
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type != tokenize.NUMBER or float(tok.string) not in TOLERANCE_VALUES:
+                    continue
+                if path.name == "geometry.py" and tok.start[0] in table:
+                    continue
+                stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not stray
+
+
+def test_readme_lists_the_table():
+    documented = {
+        name: float(value)
+        for name, value in re.findall(
+            r"^\|[^|]+\| `(EPS_\w+)` \| ([0-9.e-]+) \|$", README.read_text(), re.MULTILINE
+        )
+    }
+    table = {name: getattr(geometry, name) for name in _table_lines()}
+    assert documented == table
