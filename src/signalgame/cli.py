@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import NodeBudgetExceeded, exact_value, one_shot_deviation_check, simulate
+from .evaluator import NODE_CAP, TRAJECTORIES, NodeBudgetExceeded, exact_value, one_shot_deviation_check, simulate
 from .game import GameSpec, SpecValidationError, load_spec, validate_spec
-from .geometry import EPS_EQUILIBRIUM, EPS_TIE, CellArrangement, argcav, dedup_functionals
+from .geometry import EPS_EQUILIBRIUM, CellArrangement, argcav, dedup_functionals
 from .solver import EquilibriumSolution, solve
 
 __all__ = [
@@ -66,17 +66,14 @@ class RunConfig:
     c: float = 0.1
     horizon: int = 14
     seed: int = 0
-    trajectories: int = 100_000
+    trajectories: int = TRAJECTORIES
     depth: int | None = None
     out: str | None = None
-    tie_tol: float = EPS_TIE
-    node_cap: int = 1_000_000
+    node_cap: int = NODE_CAP
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if not (math.isfinite(self.tie_tol) and self.tie_tol > 0):
-            raise ConfigError("tie_tol must be positive and finite")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.node_cap <= 0:
@@ -92,7 +89,9 @@ class RunConfig:
             raise ConfigError("specify exactly one of --input or --builtin")
 
 
-def builtin_example(name: str, p: float = 0.2, c: float = 0.1, horizon: int = 14) -> GameSpec:
+def builtin_example(
+    name: str, p: float = RunConfig.p, c: float = RunConfig.c, horizon: int = RunConfig.horizon
+) -> GameSpec:
     """Construct one of the two built-in detection games.
 
     quickest_detection: uncontrolled binary chain that jumps from state
@@ -324,7 +323,7 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     spec = _load_game(cfg)
-    solution = solve(spec, tie_tol=cfg.tie_tol)
+    solution = solve(spec)
 
     if cfg.command == "solve":
         _emit(_to_json(_solution_payload(solution)), cfg.out)
@@ -389,19 +388,17 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", help="game (or objective) description, JSON")
         if name != "envelope":
             cmd.add_argument("--builtin", choices=_BUILTINS, help="built-in example game")
-            cmd.add_argument("--p", type=float, default=0.2, help="chain jump/flip probability")
-            cmd.add_argument("--c", type=float, default=0.1, help="receiver stage cost")
-            cmd.add_argument("--horizon", type=int, default=14, help="number of stages")
-            cmd.add_argument("--tie-tol", type=float, default=EPS_TIE, dest="tie_tol",
-                             help="receiver indifference tolerance")
-            cmd.add_argument("--node-cap", type=int, default=1_000_000, dest="node_cap",
+            cmd.add_argument("--p", type=float, default=RunConfig.p, help="chain jump/flip probability")
+            cmd.add_argument("--c", type=float, default=RunConfig.c, help="receiver stage cost")
+            cmd.add_argument("--horizon", type=int, default=RunConfig.horizon, help="number of stages")
+            cmd.add_argument("--node-cap", type=int, default=RunConfig.node_cap, dest="node_cap",
                              help="reachable belief node budget")
         if name == "sweep":
             cmd.add_argument("--depth", type=int, help="stages below the horizon to export")
         if name in ("evaluate", "simulate"):
-            cmd.add_argument("--seed", type=int, default=0, help="master random seed")
+            cmd.add_argument("--seed", type=int, default=RunConfig.seed, help="master random seed")
         if name == "simulate":
-            cmd.add_argument("--trajectories", type=int, default=100_000,
+            cmd.add_argument("--trajectories", type=int, default=RunConfig.trajectories,
                              help="Monte Carlo sample size")
         cmd.add_argument("--out", help="output path (default: stdout)")
     return parser
@@ -414,8 +411,7 @@ def main(argv=None) -> int:
         "input_path": args.input,
         "out": args.out,
     }
-    for name in ("builtin", "p", "c", "horizon", "seed", "trajectories", "depth",
-                 "tie_tol", "node_cap"):
+    for name in ("builtin", "p", "c", "horizon", "seed", "trajectories", "depth", "node_cap"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     try:

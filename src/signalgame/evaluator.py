@@ -73,11 +73,16 @@ class BeliefNode:
     reach_probability: float = 0.0
 
 
+# Defaults of the verifiers' resource and sample sizes, shared with the CLI.
+NODE_CAP = 1_000_000
+TRAJECTORIES = 100_000
+
+
 def _belief_key(stage: int, coords: np.ndarray) -> tuple:
     return (stage, tuple(np.round(coords, 9) + 0.0))
 
 
-def reachable_tree(solution: EquilibriumSolution, node_cap: int = 1_000_000) -> BeliefNode:
+def reachable_tree(solution: EquilibriumSolution, node_cap: int = NODE_CAP) -> BeliefNode:
     """Reachable belief DAG under the equilibrium policies.
 
     The DAG is built one stage at a time.  Nodes are memoized on
@@ -149,7 +154,7 @@ def _stage_layers(root: BeliefNode) -> list[list[BeliefNode]]:
         layers.append(list(children.values()))
 
 
-def exact_value(solution: EquilibriumSolution, node_cap: int = 1_000_000) -> tuple[float, float]:
+def exact_value(solution: EquilibriumSolution, node_cap: int = NODE_CAP) -> tuple[float, float]:
     """Exact expected payoffs (principal, receiver) under the equilibrium."""
     root = reachable_tree(solution, node_cap)
     return root.value_principal, root.value_receiver
@@ -222,8 +227,8 @@ def _bisect_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
 def simulate(
     solution: EquilibriumSolution,
     seed: int = 0,
-    trajectories: int = 100_000,
-    node_cap: int = 1_000_000,
+    trajectories: int = TRAJECTORIES,
+    node_cap: int = NODE_CAP,
 ) -> SimulationReport:
     """Play the equilibrium policies on sampled state trajectories.
 
@@ -299,7 +304,7 @@ def one_shot_deviation_check(
     probes_per_stage: int = 20,
     experiments_per_belief: int = 20,
     seed: int = 0,
-    node_cap: int = 1_000_000,
+    node_cap: int = NODE_CAP,
 ) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
 
@@ -344,21 +349,20 @@ def one_shot_deviation_check(
         reachable = [node.belief for node in layers[t - 1]] if t <= len(layers) else []
         probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=probes_per_stage)])
         qp_a, qp_b = st.objective.q_many(probes)
-        psi_probes, _ = st.objective.tie_broken_values(probes)
+        chosen, psi_probes, top_probes = receiver_best(qp_a, qp_b)
+        receiver_gain = top_probes - qp_b[np.arange(len(probes)), chosen]
         v_probes = st.interp_principal.evaluate_many(probes)
+        null_gain = psi_probes - v_probes
+        receiver_checked += len(probes)
+        principal_checked += len(probes)
+        max_gain_r = max(max_gain_r, float(receiver_gain.max()))
+        max_gain_p = max(max_gain_p, float(null_gain.max()))
         measures = [_sample_inducible(rng, pi, experiments_per_belief) for pi in probes]
         atoms = [a for per_probe in measures for a, _ in per_probe]
         dev_vals = st.objective.tie_broken_values(np.vstack(atoms))[0] if atoms else None
-        null_gain = psi_probes - v_probes
         lo = 0
         for j, pi in enumerate(probes):
-            receiver_checked += 1
-            chosen = receiver_best(qp_a[j], qp_b[j])[3]
-            gain = float(qp_b[j].max() - qp_b[j, chosen])
-            max_gain_r = max(max_gain_r, gain)
-            flag("receiver_action", t, pi, gain)
-            principal_checked += 1
-            max_gain_p = max(max_gain_p, float(null_gain[j]))
+            flag("receiver_action", t, pi, receiver_gain[j])
             flag("principal_null_split", t, pi, null_gain[j])
             for measure_atoms, weights in measures[j]:
                 hi = lo + len(measure_atoms)

@@ -240,6 +240,28 @@ class Triangulation:
                 pass
         return invs
 
+    def _checked_inverses(self) -> np.ndarray:
+        """The cell inverses, checked to exist for every cell."""
+        if not self._uniform_full_dim:
+            raise GeometryDomainError("affine pieces need full-dimensional cells")
+        invs = self._cell_inverses
+        degenerate = ~np.isfinite(invs).all(axis=(1, 2))
+        if degenerate.any():
+            cell = self.simplices[int(np.argmax(degenerate))]
+            raise GeometryDomainError(f"cell {cell} is affinely degenerate")
+        return invs
+
+    @cached_property
+    def boundary_functionals(self) -> np.ndarray:
+        """Rows vanishing on the cell facets (kink candidates), deduped.
+
+        Row j of a cell inverse is the barycentric coordinate of its
+        vertex j: zero exactly on the opposite facet's hyperplane.
+        """
+        invs = self._checked_inverses()
+        raw = invs.reshape(-1, invs.shape[2])
+        return dedup_functionals(np.column_stack([raw, np.zeros(len(raw))]))
+
     def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and barycentric weights for each query point.
 
@@ -299,36 +321,13 @@ class VertexInterpolant:
     def __call__(self, omega) -> float:
         return float(self.evaluate_many(np.asarray(omega, dtype=float)[None, :])[0])
 
-    def _inverses(self) -> np.ndarray:
-        """The cell inverses, checked to exist for every cell."""
-        tri = self.triangulation
-        if not tri._uniform_full_dim:
-            raise GeometryDomainError("affine pieces need full-dimensional cells")
-        invs = tri._cell_inverses
-        degenerate = ~np.isfinite(invs).all(axis=(1, 2))
-        if degenerate.any():
-            cell = tri.simplices[int(np.argmax(degenerate))]
-            raise GeometryDomainError(f"cell {cell} is affinely degenerate")
-        return invs
-
     @cached_property
     def cell_pieces(self) -> np.ndarray:
         """Rows of the linear piece carried by each cell, in cell order."""
-        invs = self._inverses()
+        invs = self.triangulation._checked_inverses()
         cell_values = self.values[np.asarray(self.triangulation.simplices)]
         weights = np.matmul(invs.transpose(0, 2, 1), cell_values[..., None])[..., 0]
         return np.column_stack([weights, np.zeros(len(weights))])
-
-    @cached_property
-    def boundary_functionals(self) -> np.ndarray:
-        """Rows vanishing on the cell facets (kink candidates), deduped.
-
-        Row j of a cell inverse is the barycentric coordinate of its
-        vertex j: zero exactly on the opposite facet's hyperplane.
-        """
-        invs = self._inverses()
-        raw = invs.reshape(-1, invs.shape[2])
-        return dedup_functionals(np.column_stack([raw, np.zeros(len(raw))]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -531,7 +530,7 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     ):
         raise GeometryDomainError("kernel sends the simplex outside the target simplex")
     pieces = _pull_rows(kernel, f.cell_pieces)
-    boundary = dedup_functionals(_pull_rows(kernel, f.boundary_functionals))
+    boundary = dedup_functionals(_pull_rows(kernel, f.triangulation.boundary_functionals))
     return pieces, boundary
 
 

@@ -82,32 +82,29 @@ class StageObjective:
         q_a, q_b = self.q_many(pi[None, :])
         return q_a[0], q_b[0]
 
-    def tie_broken_values(self, points, tie_tol: float = EPS_TIE) -> tuple[np.ndarray, np.ndarray]:
-        """(Psi, max q_receiver) rows: the receiver maximizes their own q
-        within tie_tol and the principal collects the best q over that set."""
-        q_a, q_b = self.q_many(points)
-        top_b = q_b.max(axis=1)
-        in_ties = q_b >= top_b[:, None] - tie_tol
-        psi = np.where(in_ties, q_a, -np.inf).max(axis=1)
+    def tie_broken_values(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(Psi, max q_receiver) rows: receiver_best on the action values."""
+        _, psi, top_b = receiver_best(*self.q_many(points))
         return psi, top_b
 
 
-def receiver_best(q_principal, q_receiver, tie_tol: float = EPS_TIE) -> tuple[tuple[int, ...], float, float, int]:
-    """Receiver-optimal action set and the tie-broken selection.
+def receiver_best(q_principal, q_receiver) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The receiver's tie-broken best response, one row per belief.
 
-    Returns (tie_set, receiver_value, principal_value, action): the
-    tie_set collects actions within tie_tol of the receiver's best
-    value; the chosen action maximizes the principal's value over the
-    tie set (smallest action index on exact principal ties).
+    Takes (k, n_actions) action values for both players and returns
+    (action, psi, top_b), each of length k.  The tie set of a row holds
+    the actions within EPS_TIE of the receiver's best value top_b; the
+    chosen action maximizes the principal's value psi over the tie set
+    (smallest action index on exact principal ties).
     """
     q_a = np.asarray(q_principal, dtype=float)
     q_b = np.asarray(q_receiver, dtype=float)
-    if q_a.shape != q_b.shape or q_a.ndim != 1 or q_a.size == 0:
-        raise ValueError("need two equal-length action value vectors")
-    top = float(q_b.max())
-    ties = np.where(q_b >= top - tie_tol)[0]
-    action = int(ties[np.argmax(q_a[ties])])
-    return tuple(int(i) for i in ties), top, float(q_a[action]), action
+    if q_a.shape != q_b.shape or q_a.ndim != 2 or q_a.size == 0:
+        raise ValueError("need two nonempty action value arrays of the same (k, n_actions) shape")
+    top_b = q_b.max(axis=1)
+    tied = np.where(q_b >= top_b[:, None] - EPS_TIE, q_a, -np.inf)
+    action = tied.argmax(axis=1)
+    return action, tied[np.arange(len(action)), action], top_b
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,9 +173,10 @@ def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | 
             pieces_b.append(base_b[None, :])
             continue
         kernels[u] = spec.kernels[stage - 1][:, u, :]
-        pull_a, boundary_a = pullback_affine(next_solution.interp_principal, kernels[u])
-        pull_b, boundary_b = pullback_affine(next_solution.interp_receiver, kernels[u])
-        functionals += [boundary_a, boundary_b]
+        # Both interpolants live on one triangulation, so they share the facet rows.
+        pull_a, boundary = pullback_affine(next_solution.interp_principal, kernels[u])
+        pull_b, _ = pullback_affine(next_solution.interp_receiver, kernels[u])
+        functionals.append(boundary)
         pieces_a.append(base_a + pull_a)
         pieces_b.append(base_b + pull_b)
     # Kinks of the tie-broken objective: receiver indifference loci (B-piece
@@ -221,12 +219,7 @@ def q_values(spec: GameSpec, stage: int, belief, next_solution: StageSolution | 
     return objective.q_single(belief)
 
 
-def stage_backup(
-    spec: GameSpec,
-    stage: int,
-    next_solution: StageSolution | None = None,
-    tie_tol: float = EPS_TIE,
-) -> StageSolution:
+def stage_backup(spec: GameSpec, stage: int, next_solution: StageSolution | None = None) -> StageSolution:
     """Solve one stage given the next stage's solution.
 
     Concavifies the tie-broken principal objective and reads both
@@ -234,35 +227,27 @@ def stage_backup(
     """
     _check_next_solution(spec, stage, next_solution)
     objective = _build_objective(spec, stage, next_solution)
-
-    def psi(points):
-        return objective.tie_broken_values(points, tie_tol)[0]
-
-    envelope = argcav(psi, objective.arrangement)
+    envelope = argcav(lambda points: objective.tie_broken_values(points)[0], objective.arrangement)
     tri = envelope.triangulation
-    q_a, q_b = objective.q_many(tri.vertices)
-    actions = []
-    values_b = np.empty(tri.n_vertices)
-    for i in range(tri.n_vertices):
-        _, top_b, psi_i, action = receiver_best(q_a[i], q_b[i], tie_tol)
-        actions.append(action)
-        values_b[i] = top_b
-        if abs(psi_i - envelope.values[i]) > EPS_EQUILIBRIUM * max(1.0, abs(psi_i)):
-            raise RuntimeError(
-                f"stage {stage}: envelope value diverges from the stage objective "
-                f"at vertex {i} ({envelope.values[i]!r} vs {psi_i!r})"
-            )
+    actions, psi, values_b = receiver_best(*objective.q_many(tri.vertices))
+    diverged = np.abs(psi - envelope.values) > EPS_EQUILIBRIUM * np.maximum(1.0, np.abs(psi))
+    if diverged.any():
+        i = int(diverged.argmax())
+        raise RuntimeError(
+            f"stage {stage}: envelope value diverges from the stage objective "
+            f"at vertex {i} ({float(envelope.values[i])!r} vs {float(psi[i])!r})"
+        )
     return StageSolution(
         stage=stage,
         triangulation=tri,
         values_principal=envelope.values,
         values_receiver=values_b,
-        vertex_actions=tuple(actions),
+        vertex_actions=tuple(actions.tolist()),
         objective=objective,
     )
 
 
-def solve(spec: GameSpec, tie_tol: float = EPS_TIE) -> EquilibriumSolution:
+def solve(spec: GameSpec) -> EquilibriumSolution:
     """Backward induction over all stages.
 
     Raises SpecValidationError when the specification fails its
@@ -274,6 +259,6 @@ def solve(spec: GameSpec, tie_tol: float = EPS_TIE) -> EquilibriumSolution:
     solved: list[StageSolution] = []
     nxt: StageSolution | None = None
     for t in range(spec.horizon, 0, -1):
-        nxt = stage_backup(spec, t, nxt, tie_tol)
+        nxt = stage_backup(spec, t, nxt)
         solved.append(nxt)
     return EquilibriumSolution(spec=spec, stages=tuple(reversed(solved)))

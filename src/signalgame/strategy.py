@@ -51,5 +51,5 @@ def receiver_action(solution: EquilibriumSolution, stage: int, belief) -> int:
     _check_stage(solution, stage, belief)
     stage_solution = solution.stage(stage)
     q_a, q_b = stage_solution.objective.q_single(_coords(belief))
-    return receiver_best(q_a, q_b)[3]
+    return int(receiver_best(q_a[None, :], q_b[None, :])[0][0])
 

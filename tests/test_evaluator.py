@@ -365,8 +365,9 @@ def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
 
     monkeypatch.setattr(objective, "tie_broken_values", counted)
     report = one_shot_deviation_check(sol, seed=2)
-    # per stage: one call on the probe beliefs, one on every sampled atom
-    assert len(calls) == 2 * sol.spec.horizon
+    # per stage: one call on every sampled atom; the probe beliefs go
+    # through receiver_best on the action values directly
+    assert len(calls) == sol.spec.horizon
     assert report.principal_checked > len(calls)
 
 

@@ -180,7 +180,7 @@ def test_vertex_interpolant_cell_pieces_and_boundaries():
     mids = np.array([[0.25, 0.75], [0.75, 0.25]])
     for piece, mid in zip(pieces, mids):
         assert _values([piece], mid)[0, 0] == pytest.approx(f(mid), abs=1e-12)
-    assert len(f.boundary_functionals) >= 1
+    assert len(tri.boundary_functionals) >= 1
 
 
 def test_pullback_affine_composes():

@@ -5,7 +5,8 @@ import pytest
 
 from signalgame.cli import builtin_example
 from signalgame.game import GameSpec, SpecValidationError, bayes_update, push_forward
-from signalgame.geometry import dedup_functionals, pullback_affine, simplex_grid
+from signalgame import solver
+from signalgame.geometry import VertexInterpolant, dedup_functionals, pullback_affine, simplex_grid
 from signalgame.solver import (
     q_values,
     receiver_best,
@@ -100,7 +101,7 @@ def test_row_arithmetic_matches_per_row_reference():
                 pieces, boundary = pullback_affine(f, kernel)
                 for g, pulled in zip(f.cell_pieces, pieces):
                     assert np.array_equal(pulled[:-1], kernel @ g[:-1])
-                raw = np.array([np.append(kernel @ h[:-1], h[-1]) for h in f.boundary_functionals])
+                raw = np.array([np.append(kernel @ h[:-1], h[-1]) for h in tri.boundary_functionals])
                 assert np.array_equal(boundary, _dedup_loop(raw.reshape(-1, kernel.shape[0] + 1)))
                 checked += 1
     assert checked > 0
@@ -139,22 +140,44 @@ def test_q_values_terminating_drops_continuation():
 def test_receiver_best_threshold_tie():
     # at pi(1) = 1/11 the receiver is indifferent; the principal prefers declare_1
     p = 1.0 / 11.0
-    ties, v_b, v_a, chosen = receiver_best([1.0, 0.0], [-0.1 * (1.0 - p), -p])
-    assert ties == (0, 1)
-    assert v_b == pytest.approx(-1.0 / 11.0)
-    assert v_a == pytest.approx(1.0)
-    assert chosen == 0
+    action, psi, top_b = receiver_best([[1.0, 0.0]], [[-0.1 * (1.0 - p), -p]])
+    assert action.tolist() == [0]
+    assert top_b[0] == pytest.approx(-1.0 / 11.0)
+    assert psi[0] == pytest.approx(1.0)
 
 
 def test_receiver_best_dominant_and_full_tie():
-    ties, v_b, v_a, chosen = receiver_best([0.0, 5.0], [1.0, 0.0])
-    assert ties == (0,) and chosen == 0 and v_a == 0.0 and v_b == 1.0
-    ties, v_b, v_a, chosen = receiver_best([1.0, 3.0, 2.0], [0.5, 0.5, 0.5])
-    assert ties == (0, 1, 2)
-    assert chosen == 1 and v_a == 3.0
-    # principal ties break to the smallest action index
-    ties, v_b, v_a, chosen = receiver_best([2.0, 2.0], [0.5, 0.5])
-    assert chosen == 0
+    action, psi, top_b = receiver_best([[0.0, 5.0]], [[1.0, 0.0]])
+    assert action.tolist() == [0] and psi.tolist() == [0.0] and top_b.tolist() == [1.0]
+    action, psi, _ = receiver_best([[1.0, 3.0, 2.0]], [[0.5, 0.5, 0.5]])
+    assert action.tolist() == [1] and psi.tolist() == [3.0]
+    # principal ties break to the smallest action index; rows are independent
+    action, psi, top_b = receiver_best([[2.0, 2.0], [0.0, 5.0]], [[0.5, 0.5], [1.0, 0.0]])
+    assert action.tolist() == [0, 0]
+    assert psi.tolist() == [2.0, 0.0] and top_b.tolist() == [0.5, 1.0]
+    for q_a, q_b in (
+        ([[1.0, 0.0]], [[1.0, 0.0, 0.0]]),
+        ([1.0, 0.0], [1.0, 0.0]),
+        (np.empty((0, 2)), np.empty((0, 2))),
+    ):
+        with pytest.raises(ValueError):
+            receiver_best(q_a, q_b)
+
+
+def test_stage_backup_reports_envelope_divergence(monkeypatch):
+    spec = builtin_example("quickest_detection", 0.2, 0.1, 3)
+    nxt = stage_backup(spec, 3)
+    original = solver.argcav
+
+    def shifted(psi, arrangement):
+        envelope = original(psi, arrangement)
+        values = envelope.values.copy()
+        values[1] += 1e-6
+        return VertexInterpolant(envelope.triangulation, values)
+
+    monkeypatch.setattr(solver, "argcav", shifted)
+    with pytest.raises(RuntimeError, match=r"^stage 2: .* at vertex 1 \(\S+ vs \S+\)$"):
+        stage_backup(spec, 2, nxt)
 
 
 def test_stage_backup_stage_t_closed_form():

@@ -42,6 +42,23 @@ def test_no_tolerance_literal_outside_the_table():
     assert not stray
 
 
+def test_no_tolerance_parameters():
+    # A tolerance is a table constant, not a knob; the oracle's tol is the
+    # one parameter, so a test can tighten or loosen what it checks.
+    allowed = {("geometry.py", "validate_triangulation", "tol")}
+    knobs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            name = getattr(node, "name", "<lambda>")
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
+                if arg is not None and "tol" in arg.arg and (path.name, name, arg.arg) not in allowed:
+                    knobs.append(f"{path.name}:{node.lineno}: {name}({arg.arg}=)")
+    assert not knobs
+
+
 def test_readme_lists_the_table():
     documented = {
         name: float(value)
