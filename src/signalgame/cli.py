@@ -30,7 +30,7 @@ import numpy as np
 
 from .evaluator import NODE_CAP, TRAJECTORIES, NodeBudgetExceeded, exact_value, one_shot_deviation_check, simulate
 from .game import GameSpec, SpecValidationError, load_spec, validate_spec
-from .geometry import EPS_EQUILIBRIUM, CellArrangement, argcav, dedup_functionals
+from .geometry import EPS_EQUILIBRIUM, CandidateBudgetExceeded, CellArrangement, argcav, dedup_functionals
 from .solver import EquilibriumSolution, solve
 
 __all__ = [
@@ -45,7 +45,7 @@ SOLUTION_FORMAT = "signalgame-solution-v1"
 SWEEP_FORMAT = "signalgame-sweep-v1"
 ENVELOPE_FORMAT = "signalgame-envelope-v1"
 SIMULATION_FORMAT = "signalgame-simulation-v2"
-EVALUATION_FORMAT = "signalgame-evaluation-v1"
+EVALUATION_FORMAT = "signalgame-evaluation-v2"
 
 _COMMANDS = ("solve", "sweep", "evaluate", "simulate", "envelope")
 _BUILTINS = ("quickest_detection", "detector")
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**fields)
         return run(cfg)
-    except (ConfigError, SpecValidationError, NodeBudgetExceeded) as err:
+    except (ConfigError, SpecValidationError, NodeBudgetExceeded, CandidateBudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -9,9 +9,9 @@ Three independent routes confirm the backward-induction values:
   a block of trajectories at a time, stage by stage, with one child
   RNG stream per block;
 * one-shot deviation checks probe both players: the receiver against
-  every alternative action at vertices and probe beliefs, the
-  principal against sampled alternative experiments at reachable and
-  random beliefs.
+  every alternative action at the triangulation vertices, the
+  principal against alternative experiments at reachable and random
+  beliefs, sampled and scored for a stage's probes in array passes.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .game import _signal_kernel
 from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, as_simplex_point, barycentric_indices
-from .solver import EquilibriumSolution, receiver_best
+from .solver import EquilibriumSolution
 
 __all__ = [
     "BeliefEdge",
@@ -299,6 +299,13 @@ class DeviationReport:
         return len(self.violations) == 0
 
 
+# Probes per chunk of the deviation check's experiment draws; chunks keep
+# the draw arrays bounded on wide layers.  Fixed, because the chunk
+# decides the shape of each RNG call: another size would give other
+# experiments for the same seed.
+_PROBE_BLOCK = 256
+
+
 def one_shot_deviation_check(
     solution: EquilibriumSolution,
     probes_per_stage: int = 20,
@@ -308,13 +315,16 @@ def one_shot_deviation_check(
 ) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
 
-    Receiver: at every triangulation vertex, every reachable belief,
-    and every random probe belief, the prescribed action must attain
-    the best action value; at vertices the stored stage value must
-    equal it (Bellman consistency).  Principal: at every reachable
-    belief and probe, no sampled alternative experiment
-    (mean-preserving split, full revelation, or no split) may beat the
-    stage value.  Gains above EPS_EQUILIBRIUM are reported as violations.
+    Receiver: at every triangulation vertex the stored action must
+    attain the best action value and the stored stage value must equal
+    it (Bellman consistency); receiver_checked counts these vertices.
+    Principal: at every reachable belief and random probe, no
+    alternative experiment (no split, full revelation, or one of
+    experiments_per_belief sampled mean-preserving splits) may beat the
+    stage value.  Gains above EPS_EQUILIBRIUM are reported as
+    violations, stage by stage: vertices first, then probes in order,
+    each probe's no-split, full-revelation and sampled experiments in
+    that order.
     """
     spec = solution.spec
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -324,13 +334,16 @@ def one_shot_deviation_check(
     max_gain_r = 0.0
     max_gain_p = 0.0
 
-    def flag(kind: str, t: int, belief: np.ndarray, gain: float) -> None:
-        if gain > EPS_EQUILIBRIUM:
+    def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray) -> None:
+        # gains[i, j] is the gain of deviation kinds[j] at beliefs[i]
+        for i, j in zip(*np.divmod(np.flatnonzero(gains > EPS_EQUILIBRIUM), len(kinds))):
             violations.append(
-                {"kind": kind, "stage": t, "belief": belief.tolist(), "gain": float(gain)}
+                {"kind": kinds[j], "stage": t, "belief": beliefs[i].tolist(), "gain": float(gains[i, j])}
             )
 
     layers = _stage_layers(reachable_tree(solution, node_cap))
+    count = experiments_per_belief
+    principal_kinds = ("principal_null_split",) + ("principal_experiment",) * (count + 1)
     for t in range(1, spec.horizon + 1):
         st = solution.stage(t)
         tri = st.triangulation
@@ -342,35 +355,31 @@ def one_shot_deviation_check(
         bellman_gap = np.abs(np.asarray(st.values_receiver, dtype=float) - top)
         receiver_checked += tri.n_vertices
         max_gain_r = max([max_gain_r, *action_gain.tolist()])
-        for i, vertex in enumerate(tri.vertices):
-            flag("receiver_action", t, vertex, action_gain[i])
-            flag("receiver_bellman", t, vertex, bellman_gap[i])
+        flag(("receiver_action", "receiver_bellman"), t, tri.vertices,
+             np.column_stack([action_gain, bellman_gap]))
 
         reachable = [node.belief for node in layers[t - 1]] if t <= len(layers) else []
         probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=probes_per_stage)])
-        qp_a, qp_b = st.objective.q_many(probes)
-        chosen, psi_probes, top_probes = receiver_best(qp_a, qp_b)
-        receiver_gain = top_probes - qp_b[np.arange(len(probes)), chosen]
-        v_probes = st.interp_principal.evaluate_many(probes)
-        null_gain = psi_probes - v_probes
-        receiver_checked += len(probes)
-        principal_checked += len(probes)
-        max_gain_r = max(max_gain_r, float(receiver_gain.max()))
-        max_gain_p = max(max_gain_p, float(null_gain.max()))
-        measures = [_sample_inducible(rng, pi, experiments_per_belief) for pi in probes]
-        atoms = [a for per_probe in measures for a, _ in per_probe]
-        dev_vals = st.objective.tie_broken_values(np.vstack(atoms))[0] if atoms else None
-        lo = 0
-        for j, pi in enumerate(probes):
-            flag("receiver_action", t, pi, receiver_gain[j])
-            flag("principal_null_split", t, pi, null_gain[j])
-            for measure_atoms, weights in measures[j]:
-                hi = lo + len(measure_atoms)
-                principal_checked += 1
-                gain = float(weights @ dev_vals[lo:hi] - v_probes[j])
-                lo = hi
-                max_gain_p = max(max_gain_p, gain)
-                flag("principal_experiment", t, pi, gain)
+        for lo in range(0, len(probes), _PROBE_BLOCK):
+            chunk = probes[lo : lo + _PROBE_BLOCK]
+            atoms, weights, owner, kept = _sample_inducible(rng, chunk, count)
+            psi = st.objective.tie_broken_values(np.vstack([chunk, np.eye(n), atoms]))[0]
+            psi_probes, psi_corners, psi_atoms = np.split(psi, [len(chunk), len(chunk) + n])
+            v = st.interp_principal.evaluate_many(chunk)
+            # full revelation: the corners of the probe's support, weighted by the probe
+            support = chunk > EPS_GEOM
+            revealing = support.sum(axis=1) > 1
+            full = np.where(support, chunk, 0.0)
+            full /= full.sum(axis=1, keepdims=True)
+            sampled = np.bincount(owner, weights * psi_atoms, minlength=kept.size).reshape(kept.shape)
+            gains = np.column_stack([
+                psi_probes - v,
+                np.where(revealing, full @ psi_corners - v, -np.inf),
+                np.where(kept, sampled - v[:, None], -np.inf),
+            ])
+            principal_checked += len(chunk) + int(revealing.sum()) + int(kept.sum())
+            max_gain_p = max(max_gain_p, float(gains.max()))
+            flag(principal_kinds, t, chunk, gains)
 
     return DeviationReport(
         receiver_checked=receiver_checked,
@@ -381,30 +390,41 @@ def one_shot_deviation_check(
     )
 
 
-def _sample_inducible(rng: np.random.Generator, pi: np.ndarray, count: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random mean-pi distributions over posteriors, plus full revelation.
+def _sample_inducible(
+    rng: np.random.Generator, probes: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """count random mean-preserving splits of each of P probe beliefs.
 
-    Random draws are recentered and shrunk toward pi so the mean is
-    preserved exactly and all atoms stay in the simplex.
+    Three RNG calls cover all probes: support sizes k from
+    integers(2, n+2, (P, count)); atoms from dirichlet(ones(n),
+    (P, count, n+1)), of which the first k are used; and
+    standard_exponential((P, count, n+1)), whose first k slots,
+    normalized, are the weights (the Dirichlet(1, ..., 1) law) and whose
+    other slots get weight 0.  The atoms are recentered on the probe
+    and shrunk toward it, so the weighted mean is the probe and every
+    atom stays in the simplex; an experiment whose shrink factor is not
+    positive is dropped.
+
+    Returns (atoms, weights, owner, kept): the used atoms of the kept
+    experiments as rows, in probe, experiment, slot order; their
+    weights; the flat index p * count + c of the experiment each row
+    belongs to; and the (P, count) mask of kept experiments.
     """
-    n = pi.size
-    out: list[tuple[np.ndarray, np.ndarray]] = []
-    support = pi > EPS_GEOM
-    if support.sum() > 1:
-        atoms = np.eye(n)[support]
-        out.append((atoms, pi[support] / pi[support].sum()))
-    for _ in range(count):
-        k = int(rng.integers(2, n + 2))
-        atoms = rng.dirichlet(np.ones(n), size=k)
-        weights = rng.dirichlet(np.ones(k))
-        mean = weights @ atoms
-        delta = atoms - mean
-        worst = delta.min(axis=0)
-        deep = worst < -EPS_GEOM
-        shrink = np.min(pi[deep] / -worst[deep], initial=1.0)
-        if shrink <= 0.0:
-            continue
-        shifted = np.clip(pi + shrink * delta, 0.0, None)
-        shifted /= shifted.sum(axis=1, keepdims=True)
-        out.append((shifted, weights))
-    return out
+    n_probes, n = probes.shape
+    k = rng.integers(2, n + 2, (n_probes, count))
+    atoms = rng.dirichlet(np.ones(n), (n_probes, count, n + 1))
+    weights = rng.standard_exponential((n_probes, count, n + 1))
+    used = np.arange(n + 1) < k[..., None]
+    weights = np.where(used, weights, 0.0)
+    weights /= weights.sum(axis=2, keepdims=True)
+    delta = atoms - (weights[..., None] * atoms).sum(axis=2)[:, :, None, :]
+    worst = np.min(delta, axis=2, where=used[..., None], initial=np.inf)
+    deep = worst < -EPS_GEOM
+    ratio = np.divide(probes[:, None, :], -worst, out=np.full(worst.shape, np.inf), where=deep)
+    shrink = np.minimum(ratio.min(axis=2), 1.0)
+    kept = shrink > 0.0
+    rows = used & kept[..., None]
+    p, c, _ = np.nonzero(rows)
+    shifted = np.clip(probes[p] + shrink[p, c, None] * delta[rows], 0.0, None)
+    shifted /= shifted.sum(axis=1, keepdims=True)
+    return shifted, weights[rows], p * count + c, kept

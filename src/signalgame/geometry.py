@@ -49,6 +49,7 @@ __all__ = [
     "EPS_GEOM",
     "EPS_TIE",
     "GeometryDomainError",
+    "CandidateBudgetExceeded",
     "SupportMeasure",
     "Triangulation",
     "VertexInterpolant",
@@ -67,6 +68,29 @@ __all__ = [
 
 class GeometryDomainError(ValueError):
     """Raised when an input is outside the geometric domain of an operation."""
+
+
+# Most (n-1)-subsets candidate_vertices may solve.  The largest stage of
+# the tests and benchmarks needs 752,151.  At 4 states the enumeration
+# peaks near 375 bytes per subset (721 MB traced for 1,923,825), so the
+# cap bounds it below 1 GB.
+CANDIDATE_CAP = 2_000_000
+
+
+class CandidateBudgetExceeded(RuntimeError):
+    """Candidate enumeration would solve more linear systems than CANDIDATE_CAP."""
+
+    def __init__(self, functionals: int, n_states: int, subsets: int, cap: int, stage: int | None = None):
+        self.functionals = functionals
+        self.n_states = n_states
+        self.subsets = subsets
+        self.cap = cap
+        self.stage = stage
+        where = "" if stage is None else f"stage {stage}: "
+        super().__init__(
+            f"{where}candidate enumeration over {functionals} functionals in {n_states} states "
+            f"needs {subsets} subsets, over the cap of {cap}"
+        )
 
 
 def as_simplex_point(coords) -> np.ndarray:
@@ -541,7 +565,8 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     the simplex facet equalities, together with the sum-to-one row;
     near-singular subsets are skipped as non-transversal.  The corners
     always appear.  Rows come back lexicographically sorted and deduped
-    at EPS_GEOM.
+    at EPS_GEOM.  Raises CandidateBudgetExceeded, before enumerating,
+    when there are more than CANDIDATE_CAP subsets.
     """
     n = arrangement.n_states
     if n == 1:
@@ -563,6 +588,9 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     pool_w = np.vstack([fs[:, :-1], corners])
     pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
 
+    count = math.comb(len(pool_w), n - 1)
+    if count > CANDIDATE_CAP:
+        raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
     subsets = np.asarray(list(itertools.combinations(range(len(pool_w)), n - 1)), dtype=int)
     points = [corners]
     if subsets.size:

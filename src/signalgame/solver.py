@@ -22,6 +22,7 @@ from .game import Belief, GameSpec, SpecValidationError, _coords, validate_spec
 from .geometry import (
     EPS_EQUILIBRIUM,
     EPS_TIE,
+    CandidateBudgetExceeded,
     CellArrangement,
     Triangulation,
     VertexInterpolant,
@@ -224,10 +225,14 @@ def stage_backup(spec: GameSpec, stage: int, next_solution: StageSolution | None
 
     Concavifies the tie-broken principal objective and reads both
     players' vertex values and the receiver's actions off the vertices.
+    A CandidateBudgetExceeded from the enumeration names the stage.
     """
     _check_next_solution(spec, stage, next_solution)
     objective = _build_objective(spec, stage, next_solution)
-    envelope = argcav(lambda points: objective.tie_broken_values(points)[0], objective.arrangement)
+    try:
+        envelope = argcav(lambda points: objective.tie_broken_values(points)[0], objective.arrangement)
+    except CandidateBudgetExceeded as err:
+        raise CandidateBudgetExceeded(err.functionals, err.n_states, err.subsets, err.cap, stage) from None
     tri = envelope.triangulation
     actions, psi, values_b = receiver_best(*objective.q_many(tri.vertices))
     diverged = np.abs(psi - envelope.values) > EPS_EQUILIBRIUM * np.maximum(1.0, np.abs(psi))

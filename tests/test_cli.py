@@ -10,6 +10,7 @@ from signalgame.cli import (
     main,
     run,
 )
+from signalgame import geometry
 from signalgame.evaluator import simulate
 from signalgame.game import save_spec
 from signalgame.solver import solve
@@ -89,6 +90,30 @@ def test_main_reports_config_errors(capsys):
     assert "unrecognized arguments: --tie-tol" in capsys.readouterr().err
 
 
+def test_main_reports_candidate_budget(tmp_path, capsys, monkeypatch):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "horizon": 2,
+        "states": ["a", "b", "c"],
+        "actions": ["u", "v"],
+        "terminating": [],
+        "kernel": [[[0.6, 0.3, 0.1], [0.2, 0.5, 0.3]], [[0.1, 0.8, 0.1], [0.3, 0.3, 0.4]],
+                   [[0.2, 0.2, 0.6], [0.5, 0.1, 0.4]]],
+        "rewards_A": [[1.0, 0.2], [0.0, 0.7], [0.4, 0.9]],
+        "rewards_B": [[0.6, -0.2], [-0.3, 0.5], [0.1, 0.2]],
+        "prior": [0.4, 0.35, 0.25],
+    }))
+    assert main(["solve", "--input", str(game)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(geometry, "CANDIDATE_CAP", 1)
+    for command in ("solve", "evaluate"):
+        assert main([command, "--input", str(game)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 2: candidate enumeration over ")
+        assert " functionals in 3 states needs " in err
+        assert err.endswith(" subsets, over the cap of 1\n")
+
+
 def test_solve_payload_contains_last_stage_table(tmp_path):
     out = tmp_path / "sol.json"
     code = main([
@@ -162,7 +187,7 @@ def test_evaluate_payload_and_exit_code(tmp_path):
     ])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["format"] == "signalgame-evaluation-v1"
+    assert payload["format"] == "signalgame-evaluation-v2"
     assert payload["violations"] == []
     assert payload["value_gap"] <= 1e-9
     assert payload["max_receiver_gain"] <= 1e-9

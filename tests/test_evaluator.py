@@ -5,8 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from signalgame import evaluator
 from signalgame.cli import builtin_example
 from signalgame.evaluator import (
+    _PROBE_BLOCK,
     _SIM_BLOCK,
     NodeBudgetExceeded,
     SimulationReport,
@@ -17,7 +19,7 @@ from signalgame.evaluator import (
     simulate,
 )
 from signalgame.game import GameSpec, _signal_kernel
-from signalgame.geometry import EPS_GEOM, as_simplex_point
+from signalgame.geometry import EPS_EQUILIBRIUM, EPS_GEOM, EPS_MEMBER, as_simplex_point
 from signalgame.solver import EquilibriumSolution, solve
 
 
@@ -160,7 +162,7 @@ def test_no_profitable_one_shot_deviations_on_builtins():
         assert report.violations == ()
         assert report.max_receiver_gain <= 1e-9
         assert report.max_principal_gain <= 1e-9
-        assert report.receiver_checked > 0
+        assert report.receiver_checked == sum(st.triangulation.n_vertices for st in sol.stages)
         assert report.principal_checked > 0
 
 
@@ -183,6 +185,35 @@ def test_deviation_check_flags_wrong_receiver_action():
     flagged = [v for v in report.violations if v["kind"] == "receiver_action"]
     assert any(abs(v["belief"][0] - 1.0) <= 1e-9 and v["stage"] == 2 for v in flagged)
     assert report.max_receiver_gain == pytest.approx(1.0, abs=1e-9)
+
+
+def test_deviation_check_flags_lowered_principal_value():
+    # lower the principal's stored value at the interior vertex of stage 3:
+    # near it, staying silent and the sampled splits now beat the stage value
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 4))
+    clean = one_shot_deviation_check(sol, seed=0)
+    assert clean.ok and clean.max_principal_gain <= EPS_EQUILIBRIUM
+    t, drop = 3, 0.5
+    st = sol.stage(t)
+    interior = np.flatnonzero(st.triangulation.vertices.min(axis=1) > 0)
+    assert len(interior) == 1
+    lowered = st.values_principal.copy()
+    lowered[interior] -= drop
+    planted = dataclasses.replace(st, values_principal=lowered)
+    stages = tuple(planted if s.stage == t else s for s in sol.stages)
+    report = one_shot_deviation_check(EquilibriumSolution(spec=sol.spec, stages=stages), seed=0)
+    assert report.principal_checked == clean.principal_checked
+    kinds = {(v["kind"], v["stage"]) for v in report.violations}
+    assert kinds == {("principal_null_split", t), ("principal_experiment", t)}
+    # no experiment is worth more than the stage's true value, which is at
+    # most drop above the lowered one
+    assert 0.0 < report.max_principal_gain <= drop + EPS_EQUILIBRIUM
+    for v in report.violations:
+        assert v["gain"] <= report.max_principal_gain
+        if v["kind"] == "principal_null_split":
+            belief = np.array(v["belief"])
+            psi = st.objective.tie_broken_values(belief[None, :])[0][0]
+            assert v["gain"] == pytest.approx(psi - planted.value_principal(belief), abs=1e-12)
 
 
 def test_deviation_check_single_action_game_is_vacuously_clean():
@@ -347,9 +378,7 @@ def test_simulate_memory_is_bounded():
 
 
 def test_deviation_check_at_long_horizon(long_detection):
-    report = one_shot_deviation_check(
-        long_detection, probes_per_stage=2, experiments_per_belief=2
-    )
+    report = one_shot_deviation_check(long_detection)
     assert report.ok
 
 
@@ -371,37 +400,78 @@ def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
     assert report.principal_checked > len(calls)
 
 
-def _sample_inducible_loop(rng, pi, count):
-    # per-state shrink loop: the bit-exact reference for _sample_inducible
-    n = pi.size
-    out = []
-    support = pi > EPS_GEOM
-    if support.sum() > 1:
-        out.append((np.eye(n)[support], pi[support] / pi[support].sum()))
-    for _ in range(count):
-        k = int(rng.integers(2, n + 2))
-        atoms = rng.dirichlet(np.ones(n), size=k)
-        weights = rng.dirichlet(np.ones(k))
-        delta = atoms - weights @ atoms
-        shrink = 1.0
-        for x in range(n):
-            worst = delta[:, x].min()
-            if worst < -EPS_GEOM:
-                shrink = min(shrink, pi[x] / -worst)
-        if shrink <= 0.0:
-            continue
-        shifted = np.clip(pi + shrink * delta, 0.0, None)
-        shifted /= shifted.sum(axis=1, keepdims=True)
-        out.append((shifted, weights))
-    return out
+def _sample_inducible_loop(probes, k, atoms, expo):
+    # per-experiment shrink loop over the raw draws: the bit-exact
+    # reference for _sample_inducible
+    count = k.shape[1]
+    kept = np.zeros(k.shape, dtype=bool)
+    out_atoms, out_weights, owner = [], [], []
+    for p, pi in enumerate(probes):
+        for c in range(count):
+            used = atoms[p, c, : k[p, c]]
+            weights = expo[p, c, : k[p, c]] / expo[p, c, : k[p, c]].sum()
+            delta = used - (weights[:, None] * used).sum(axis=0)
+            shrink = 1.0
+            for x in range(pi.size):
+                worst = delta[:, x].min()
+                if worst < -EPS_GEOM:
+                    shrink = min(shrink, pi[x] / -worst)
+            if shrink <= 0.0:
+                continue
+            shifted = np.clip(pi + shrink * delta, 0.0, None)
+            shifted /= shifted.sum(axis=1, keepdims=True)
+            kept[p, c] = True
+            out_atoms.append(shifted)
+            out_weights.append(weights)
+            owner += [p * count + c] * len(shifted)
+    return np.vstack(out_atoms), np.concatenate(out_weights), np.array(owner), kept
 
 
 def test_sample_inducible_matches_per_state_loop():
-    beliefs = [np.array([0.3, 0.7]), np.array([0.0, 1.0]), np.array([0.2, 0.0, 0.5, 0.3])]
-    beliefs += list(np.random.default_rng(4).dirichlet(np.ones(3), size=5))
-    for seed, pi in enumerate(beliefs):
-        got = _sample_inducible(np.random.default_rng(seed), pi, 12)
-        want = _sample_inducible_loop(np.random.default_rng(seed), pi, 12)
-        assert len(got) == len(want)
-        for (atoms, weights), (atoms_ref, weights_ref) in zip(got, want):
-            assert np.array_equal(atoms, atoms_ref) and np.array_equal(weights, weights_ref)
+    # n + 1 < 8 slots keeps numpy's slot sums sequential on both sides
+    groups = [
+        np.array([[0.3, 0.7], [0.0, 1.0], [0.5, 0.5]]),
+        np.random.default_rng(4).dirichlet(np.ones(3), size=5),
+        np.array([[0.2, 0.0, 0.5, 0.3], [0.25, 0.25, 0.25, 0.25]]),
+    ]
+    count = 12
+    for seed, probes in enumerate(groups):
+        n_probes, n = probes.shape
+        got = _sample_inducible(np.random.default_rng(seed), probes, count)
+        # the batch's raw draws: three calls on the same stream
+        rng = np.random.default_rng(seed)
+        k = rng.integers(2, n + 2, (n_probes, count))
+        atoms = rng.dirichlet(np.ones(n), (n_probes, count, n + 1))
+        expo = rng.standard_exponential((n_probes, count, n + 1))
+        want = _sample_inducible_loop(probes, k, atoms, expo)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+        shifted, weights, owner, kept = got
+        flat = kept.size
+        assert np.array_equal(np.bincount(owner, minlength=flat) > 0, kept.ravel())
+        assert np.abs(np.bincount(owner, weights, minlength=flat)[kept.ravel()] - 1.0).max() <= EPS_GEOM
+        assert shifted.min() >= 0.0 and np.abs(shifted.sum(axis=1) - 1.0).max() <= EPS_GEOM
+        means = np.column_stack(
+            [np.bincount(owner, weights * shifted[:, x], minlength=flat) for x in range(n)]
+        ).reshape(n_probes, count, n)
+        assert np.abs(means - probes[:, None, :])[kept].max() <= EPS_MEMBER
+    # a corner probe has no room to split: every draw is dropped there
+    assert not _sample_inducible(np.random.default_rng(0), groups[0], count)[3][1].any()
+
+
+def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
+    sol = solve(builtin_example("detector", 0.2, 0.15, 4))
+    sizes = []
+    original = evaluator._sample_inducible
+
+    def recorded(rng, probes, count):
+        sizes.append(len(probes))
+        return original(rng, probes, count)
+
+    monkeypatch.setattr(evaluator, "_sample_inducible", recorded)
+    report = one_shot_deviation_check(sol, probes_per_stage=2 * _PROBE_BLOCK + 3, experiments_per_belief=2)
+    assert report.ok
+    # every stage: two full chunks, then the rest with the reachable beliefs
+    assert sizes[:3] == [_PROBE_BLOCK, _PROBE_BLOCK, sizes[2]] and 3 < sizes[2] < _PROBE_BLOCK
+    assert len(sizes) == 3 * sol.spec.horizon

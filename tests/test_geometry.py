@@ -1,8 +1,14 @@
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from signalgame.geometry import (
+    CANDIDATE_CAP,
     EPS_GEOM,
+    CandidateBudgetExceeded,
     CellArrangement,
     GeometryDomainError,
     SupportMeasure,
@@ -271,6 +277,29 @@ def test_argcav_convex_max_flattens():
     assert env.triangulation.n_vertices == 2
     pts = simplex_grid(2, 50)
     assert np.allclose(env.evaluate_many(pts), 1.0)
+
+
+def test_candidate_vertices_refuses_an_oversized_enumeration():
+    # as many functionals as stage 1 of bench/workloads.py's
+    # random_game(1, 4, 3, 4): C(3443, 3), about 6.8e9 linear systems
+    rows = np.random.default_rng(0).normal(size=(3439, 5))
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(CandidateBudgetExceeded) as err:
+            candidate_vertices(CellArrangement(4, rows))
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 16 * 2**20
+    e = err.value
+    subsets = math.comb(3443, 3)
+    assert (e.functionals, e.n_states, e.subsets, e.cap, e.stage) == (3439, 4, subsets, CANDIDATE_CAP, None)
+    assert str(e) == (
+        f"candidate enumeration over 3439 functionals in 4 states needs {subsets} subsets, "
+        f"over the cap of {CANDIDATE_CAP}"
+    )
 
 
 def test_argcav_concave_kink_two_pieces():
