@@ -266,12 +266,12 @@ def _envelope_payload(data: dict) -> dict:
     pieces: list[np.ndarray] = []
     for k, raw in enumerate(raw_pieces):
         if isinstance(raw, dict) and "min_of" in raw:
+            if not isinstance(raw["min_of"], list) or not raw["min_of"]:
+                raise ConfigError(f"pieces[{k}]: min_of must be a nonempty list")
             group = [
                 _parse_affine(g, f"pieces[{k}].min_of[{j}]", n)
                 for j, g in enumerate(raw["min_of"])
             ]
-            if not group:
-                raise ConfigError(f"pieces[{k}]: min_of must be nonempty")
         else:
             group = [_parse_affine(raw, f"pieces[{k}]", n)]
         pieces.append(np.vstack(group))

@@ -365,7 +365,7 @@ def one_shot_deviation_check(
             atoms, weights, owner, kept = _sample_inducible(rng, chunk, count)
             psi = st.objective.tie_broken_values(np.vstack([chunk, np.eye(n), atoms]))[0]
             psi_probes, psi_corners, psi_atoms = np.split(psi, [len(chunk), len(chunk) + n])
-            v = st.interp_principal.evaluate_many(chunk)
+            v = st.interp.evaluate_many(chunk)[:, 0]
             # full revelation: the corners of the probe's support, weighted by the probe
             support = chunk > EPS_GEOM
             revealing = support.sum(axis=1) > 1

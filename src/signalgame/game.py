@@ -52,6 +52,22 @@ def _coords(belief) -> np.ndarray:
     return belief.coords if isinstance(belief, Belief) else np.asarray(belief, dtype=float)
 
 
+def _horizon(raw) -> int:
+    """raw as a whole horizon >= 1 (an integral float is accepted)."""
+    whole = isinstance(raw, (int, np.integer)) or (isinstance(raw, float) and raw.is_integer())
+    if not whole or isinstance(raw, bool) or raw < 1:
+        raise SpecValidationError(f"horizon must be a whole number >= 1, got {raw!r}")
+    return int(raw)
+
+
+def _float_arrays(raw, what: str) -> tuple[np.ndarray, ...]:
+    """Each entry of raw as a float array; SpecValidationError naming what otherwise."""
+    try:
+        return tuple(np.asarray(x, dtype=float) for x in raw)
+    except (TypeError, ValueError) as err:
+        raise SpecValidationError(f"{what} must hold numeric arrays: {err}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """Finite-horizon game data.  Stages are indexed 1..horizon.
@@ -73,9 +89,7 @@ class GameSpec:
 
     def __post_init__(self):
         problems = []
-        horizon = int(self.horizon)
-        if horizon < 1:
-            raise SpecValidationError(f"horizon must be >= 1, got {horizon}")
+        horizon = _horizon(self.horizon)
         object.__setattr__(self, "horizon", horizon)
 
         def _label_stages(raw, what):
@@ -89,14 +103,14 @@ class GameSpec:
         term = tuple(frozenset(int(i) for i in s) for s in self.terminating)
         if len(term) != horizon:
             problems.append("terminating must list one action set per stage")
-        kernels = tuple(np.asarray(k, dtype=float) for k in self.kernels)
+        kernels = _float_arrays(self.kernels, "kernels")
         if len(kernels) != horizon - 1:
             problems.append(f"expected {horizon - 1} kernels, got {len(kernels)}")
-        rew_a = tuple(np.asarray(r, dtype=float) for r in self.rewards_principal)
-        rew_b = tuple(np.asarray(r, dtype=float) for r in self.rewards_receiver)
+        rew_a = _float_arrays(self.rewards_principal, "rewards_A")
+        rew_b = _float_arrays(self.rewards_receiver, "rewards_B")
         if len(rew_a) != horizon or len(rew_b) != horizon:
             problems.append("rewards must list one matrix per stage for each player")
-        prior = np.asarray(self.prior, dtype=float)
+        (prior,) = _float_arrays((self.prior,), "prior")
         if problems:
             raise SpecValidationError(problems)
 
@@ -380,29 +394,23 @@ def spec_from_dict(data: dict) -> GameSpec:
     receiver).  The expanded per-stage form written by spec_to_dict
     round-trips exactly.
     """
-    try:
-        horizon = int(data["horizon"])
-    except (KeyError, TypeError, ValueError):
-        raise SpecValidationError("missing or invalid horizon") from None
-    if horizon < 1:
-        raise SpecValidationError(f"horizon must be >= 1, got {horizon}")
+    horizon = _horizon(data.get("horizon"))
 
-    def _per_stage_labels(key):
-        raw = data.get(key)
+    def _per_stage_labels(key, default=None):
+        raw = data.get(key, default)
         if raw is None:
             raise SpecValidationError(f"missing {key}")
-        if _nesting_depth(raw) == 1:
-            return tuple(tuple(raw) for _ in range(horizon))
+        if not isinstance(raw, (list, tuple)):
+            raise SpecValidationError(f"{key} must be a list, got {type(raw).__name__}")
+        if _nesting_depth(raw) <= 1:
+            return (tuple(raw),) * horizon
+        if not all(isinstance(s, (list, tuple)) for s in raw):
+            raise SpecValidationError(f"{key} must be one label list or one list per stage")
         return tuple(tuple(s) for s in raw)
 
     states = _per_stage_labels("states")
     actions = _per_stage_labels("actions")
-
-    raw_term = data.get("terminating", [])
-    if _nesting_depth(raw_term) <= 1:
-        term_labels = [list(raw_term) for _ in range(horizon)]
-    else:
-        term_labels = [list(s) for s in raw_term]
+    term_labels = _per_stage_labels("terminating", [])
     if len(term_labels) != horizon:
         raise SpecValidationError("terminating must give one action list per stage")
     terminating = []
@@ -437,9 +445,9 @@ def spec_from_dict(data: dict) -> GameSpec:
         states=states,
         actions=actions,
         terminating=tuple(terminating),
-        kernels=tuple(kernels),
-        rewards_principal=tuple(rew_a),
-        rewards_receiver=tuple(rew_b),
+        kernels=kernels,
+        rewards_principal=rew_a,
+        rewards_receiver=rew_b,
         prior=prior,
     )
 

@@ -30,7 +30,7 @@ from scipy.spatial import ConvexHull, QhullError
 EPS_GEOM = 1e-12
 # Relative degeneracy: non-transversal subsets, collinear chain points.
 EPS_DEGENERATE = 1e-12
-# Receiver indifference: slack for argmax tie sets (--tie-tol default).
+# Receiver indifference: slack for argmax tie sets.
 EPS_TIE = 1e-9
 # Equilibrium identities: value gap, deviation gains, Bellman residuals, backups.
 EPS_EQUILIBRIUM = 1e-9
@@ -311,17 +311,28 @@ class Triangulation:
         return cell_idx, lam
 
 
+def _by_column(fn, values: np.ndarray, axis: int) -> np.ndarray:
+    """fn of each value column as its own contiguous 1-d array, stacked along axis.
+
+    A column then rounds exactly like a one-column interpolant; one
+    stacked matmul or einsum over all columns can differ in the last bit.
+    """
+    if values.ndim == 1:
+        return fn(values)
+    return np.stack([fn(np.ascontiguousarray(col)) for col in values.T], axis=axis)
+
+
 @dataclass(frozen=True, eq=False)
 class VertexInterpolant:
-    """Piecewise-linear function: one value per triangulation vertex."""
+    """Piecewise-linear function(s): values (V,), or (V, k) for k functions on one triangulation."""
 
     triangulation: Triangulation
     values: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.triangulation.n_vertices,):
-            raise GeometryDomainError("need exactly one value per vertex")
+        if vals.ndim not in (1, 2) or vals.shape[0] != self.triangulation.n_vertices:
+            raise GeometryDomainError(f"need one value or value row per vertex, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
             raise GeometryDomainError("vertex values must be finite")
         object.__setattr__(self, "values", vals)
@@ -333,25 +344,27 @@ class VertexInterpolant:
         return xs[order], self.values[order]
 
     def evaluate_many(self, points) -> np.ndarray:
+        """Values at each row of points: shape (P,), or (P, k) for k columns."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri = self.triangulation
         if tri.n_states == 2 and tri._uniform_full_dim:
             xs, ys = self._interp_xy
-            return np.interp(pts[:, 0], xs, ys)
+            return _by_column(lambda col: np.interp(pts[:, 0], xs, col), ys, axis=-1)
         cells, lam = tri.locate_many(pts)
-        cell_ids = np.asarray(tri.simplices, dtype=int)
-        return np.einsum("pi,pi->p", lam, self.values[cell_ids[cells]])
+        corners = np.asarray(tri.simplices, dtype=int)[cells]
+        return _by_column(lambda col: np.einsum("pi,pi->p", lam, col[corners]), self.values, axis=-1)
 
-    def __call__(self, omega) -> float:
-        return float(self.evaluate_many(np.asarray(omega, dtype=float)[None, :])[0])
+    def __call__(self, omega) -> float | np.ndarray:
+        value = self.evaluate_many(np.asarray(omega, dtype=float)[None, :])[0]
+        return float(value) if self.values.ndim == 1 else value
 
     @cached_property
     def cell_pieces(self) -> np.ndarray:
-        """Rows of the linear piece carried by each cell, in cell order."""
-        invs = self.triangulation._checked_inverses()
-        cell_values = self.values[np.asarray(self.triangulation.simplices)]
-        weights = np.matmul(invs.transpose(0, 2, 1), cell_values[..., None])[..., 0]
-        return np.column_stack([weights, np.zeros(len(weights))])
+        """Rows of each cell's linear piece in cell order: (C, n+1), or (k, C, n+1) for k columns."""
+        invs = self.triangulation._checked_inverses().transpose(0, 2, 1)
+        cells = np.asarray(self.triangulation.simplices)
+        weights = _by_column(lambda col: np.matmul(invs, col[cells][..., None])[..., 0], self.values, axis=0)
+        return np.concatenate([weights, np.zeros(weights.shape[:-1] + (1,))], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -528,11 +541,11 @@ def barycentric(t: Triangulation, omega) -> SupportMeasure:
 
 
 def _pull_rows(kernel: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Rows of x -> g(x @ kernel) for each row g: weights kernel @ w, offsets kept."""
+    """Rows of x -> g(x @ kernel) for each row g (last axis): weights kernel @ w, offsets kept."""
     # A stack of matrix-vector products rounds exactly like kernel @ w row
     # by row; rows @ kernel.T or einsum can differ in the last bit.
-    weights = np.matmul(kernel[None], rows[:, :-1, None])[..., 0]
-    return np.column_stack([weights, rows[:, -1]])
+    weights = np.matmul(kernel, rows[..., :-1, None])[..., 0]
+    return np.concatenate([weights, rows[..., -1:]], axis=-1)
 
 
 def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarray]:
@@ -540,9 +553,10 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
 
     kernel is a row-stochastic (n_source, n_target) matrix.  Returns
     (pieces, boundary) as rows on the source simplex: the cell pieces
-    of f pulled back, in cell order, and the pulled-back cell facets of
-    f, deduped (constants dropped).  Raises GeometryDomainError if the
-    kernel can carry a source simplex point outside the domain of f.
+    of f pulled back, shaped like f.cell_pieces, and the pulled-back
+    cell facets of f, deduped (constants dropped).  Raises
+    GeometryDomainError if the kernel can carry a source simplex point
+    outside the domain of f.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[1] != f.triangulation.n_states:

@@ -6,9 +6,10 @@ piecewise-linear value functions pulled back through the transition
 kernel, (ii) evaluating the principal's tie-broken objective Psi (the
 receiver picks an action maximizing their own q, breaking near-ties in
 the principal's favor), and (iii) concavifying Psi.  The triangulation
-chosen by the concavification carries BOTH value functions: the
-receiver's stage value is interpolated on the same vertex set, because
-in equilibrium the principal splits the belief onto those vertices.
+chosen by the concavification carries BOTH value functions, as the
+columns (principal, receiver) of one interpolant: the receiver's value
+lives on the same vertex set, because in equilibrium the principal
+splits the belief onto those vertices.
 """
 
 from __future__ import annotations
@@ -48,16 +49,15 @@ class StageObjective:
 
     kernels[u] is the (n_states, next n_states) transition matrix of
     action u, or None for terminating actions and at the final stage,
-    where the game yields no further payoff.  next_principal and
-    next_receiver are the next stage's value functions (None at the
-    final stage).
+    where the game yields no further payoff.  next_values is the next
+    stage's value function, columns (principal, receiver), or None at
+    the final stage.
     """
 
     reward_principal: np.ndarray
     reward_receiver: np.ndarray
     kernels: tuple[np.ndarray | None, ...]
-    next_principal: VertexInterpolant | None
-    next_receiver: VertexInterpolant | None
+    next_values: VertexInterpolant | None
     arrangement: CellArrangement
 
     def q_many(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -66,16 +66,14 @@ class StageObjective:
         Returns (q_principal, q_receiver), each of shape (k, n_actions).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        q_a = pts @ self.reward_principal
-        q_b = pts @ self.reward_receiver
+        q = np.stack([pts @ self.reward_principal, pts @ self.reward_receiver])
         for u, kernel in enumerate(self.kernels):
             if kernel is None:
                 continue
             mapped = np.clip(pts @ kernel, 0.0, None)
             mapped /= mapped.sum(axis=1, keepdims=True)
-            q_a[:, u] += self.next_principal.evaluate_many(mapped)
-            q_b[:, u] += self.next_receiver.evaluate_many(mapped)
-        return q_a, q_b
+            q[:, :, u] += self.next_values.evaluate_many(mapped).T
+        return q[0], q[1]
 
     def q_single(self, belief) -> tuple[np.ndarray, np.ndarray]:
         """Action values at one belief: two vectors of length n_actions."""
@@ -120,18 +118,17 @@ class StageSolution:
     objective: StageObjective
 
     @cached_property
-    def interp_principal(self) -> VertexInterpolant:
-        return VertexInterpolant(self.triangulation, self.values_principal)
-
-    @cached_property
-    def interp_receiver(self) -> VertexInterpolant:
-        return VertexInterpolant(self.triangulation, self.values_receiver)
+    def interp(self) -> VertexInterpolant:
+        """Both value functions as columns (principal, receiver)."""
+        return VertexInterpolant(
+            self.triangulation, np.column_stack([self.values_principal, self.values_receiver])
+        )
 
     def value_principal(self, omega) -> float:
-        return self.interp_principal(np.asarray(omega, dtype=float))
+        return float(self.interp(omega)[0])
 
     def value_receiver(self, omega) -> float:
-        return self.interp_receiver(np.asarray(omega, dtype=float))
+        return float(self.interp(omega)[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,14 +144,7 @@ class EquilibriumSolution:
         return self.stages[t - 1]
 
     def values_at_prior(self) -> tuple[float, float]:
-        first = self.stages[0]
-        pi = self.spec.prior
-        return first.value_principal(pi), first.value_receiver(pi)
-
-
-def _differences(rows_f: np.ndarray, rows_g: np.ndarray) -> np.ndarray:
-    """Rows of f - g for every f in rows_f (outer) and g in rows_g (inner)."""
-    return (rows_f[:, None, :] - rows_g[None, :, :]).reshape(-1, rows_f.shape[1])
+        return tuple(float(v) for v in self.stages[0].interp(self.spec.prior))
 
 
 def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> StageObjective:
@@ -163,35 +153,30 @@ def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | 
     r_a = spec.rewards_principal[stage - 1]
     r_b = spec.rewards_receiver[stage - 1]
     kernels: list[np.ndarray | None] = [None] * n_act
-    pieces_a: list[np.ndarray] = []
-    pieces_b: list[np.ndarray] = []
+    # Per action, (2, cells, n+1): the principal's and the receiver's piece rows.
+    pieces: list[np.ndarray] = []
     functionals: list[np.ndarray] = [np.empty((0, n + 1))]
     for u in range(n_act):
-        base_a = np.append(r_a[:, u], 0.0)
-        base_b = np.append(r_b[:, u], 0.0)
+        base = np.stack([np.append(r_a[:, u], 0.0), np.append(r_b[:, u], 0.0)])[:, None, :]
         if spec.is_terminating(stage, u) or stage == spec.horizon or next_solution is None:
-            pieces_a.append(base_a[None, :])
-            pieces_b.append(base_b[None, :])
+            pieces.append(base)
             continue
         kernels[u] = spec.kernels[stage - 1][:, u, :]
-        # Both interpolants live on one triangulation, so they share the facet rows.
-        pull_a, boundary = pullback_affine(next_solution.interp_principal, kernels[u])
-        pull_b, _ = pullback_affine(next_solution.interp_receiver, kernels[u])
+        pull, boundary = pullback_affine(next_solution.interp, kernels[u])
         functionals.append(boundary)
-        pieces_a.append(base_a + pull_a)
-        pieces_b.append(base_b + pull_b)
+        pieces.append(base + pull)
     # Kinks of the tie-broken objective: receiver indifference loci (B-piece
-    # differences) and, on tie regions, principal indifference loci.
+    # differences, each u-row minus each v-row) and, on tie regions,
+    # principal indifference loci.
     for u in range(n_act):
         for v in range(u + 1, n_act):
-            functionals.append(_differences(pieces_b[u], pieces_b[v]))
-            functionals.append(_differences(pieces_a[u], pieces_a[v]))
+            diffs = (pieces[u][:, :, None] - pieces[v][:, None]).reshape(2, -1, n + 1)
+            functionals += [diffs[1], diffs[0]]
     return StageObjective(
         reward_principal=r_a,
         reward_receiver=r_b,
         kernels=tuple(kernels),
-        next_principal=None if next_solution is None else next_solution.interp_principal,
-        next_receiver=None if next_solution is None else next_solution.interp_receiver,
+        next_values=None if next_solution is None else next_solution.interp,
         arrangement=CellArrangement(n, np.vstack(functionals)),
     )
 

@@ -43,7 +43,7 @@ def _binary_grid():
 
 
 def _grid_values(stage_solution):
-    return stage_solution.interp_principal.evaluate_many(_binary_grid())
+    return stage_solution.interp.evaluate_many(_binary_grid())[:, 0]
 
 
 def _random_small_game(rng):
@@ -249,7 +249,7 @@ def test_criterion_7_concavification_grid_oracle():
             oracle[order] = hull_sorted
         else:
             oracle, lipschitz = _upper_hull_values_2d(grid, psi)
-        gap = float(np.abs(st.interp_principal.evaluate_many(grid) - oracle).max())
+        gap = float(np.abs(st.interp.evaluate_many(grid)[:, 0] - oracle).max())
         if gap > 2.0 * lipschitz / 200.0 + 1e-12:
             problems.append(f"game {i} (|X|={n}): gap {gap:.3e} > {2 * lipschitz / 200:.3e}")
     _verdict(7, "concavification vs grid hull", problems, time.perf_counter() - start, 60.0)
@@ -286,16 +286,16 @@ def test_criterion_8_property_sweep():
 
             grid = rng.dirichlet(np.ones(n), size=300)
             psi, top_b = st.objective.tie_broken_values(grid)
-            v_a = st.interp_principal.evaluate_many(grid)
+            v_a = st.interp.evaluate_many(grid)[:, 0]
             if (v_a - psi).min() < -1e-9:
                 problems.append(f"game {idx} stage {t}: majorization broken")
             lam = rng.random(150)[:, None]
             a, b = grid[:150], grid[150:]
             mid = lam * a + (1 - lam) * b
-            chord = lam[:, 0] * st.interp_principal.evaluate_many(a) + (
+            chord = lam[:, 0] * st.interp.evaluate_many(a)[:, 0] + (
                 1 - lam[:, 0]
-            ) * st.interp_principal.evaluate_many(b)
-            if (st.interp_principal.evaluate_many(mid) - chord).min() < -1e-9:
+            ) * st.interp.evaluate_many(b)[:, 0]
+            if (st.interp.evaluate_many(mid)[:, 0] - chord).min() < -1e-9:
                 problems.append(f"game {idx} stage {t}: concavity broken")
             psi_v, top_v = st.objective.tie_broken_values(tri.vertices)
             if np.abs(st.values_principal - psi_v).max() > 1e-9:

@@ -258,6 +258,43 @@ def test_game_input_errors(tmp_path, capsys):
     assert main(["solve", "--input", str(broken)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {broken}: not valid JSON (")
 
+    game = {
+        "horizon": 2,
+        "states": ["a", "b"],
+        "actions": ["go", "stop"],
+        "terminating": ["stop"],
+        "kernel": [[[0.8, 0.2], [0.4, 0.6]], [[0.0, 1.0], [0.0, 1.0]]],
+        "rewards_A": [[1.0, 0.0], [0.0, 1.0]],
+        "rewards_B": [[0.0, 1.0], [1.0, 0.0]],
+        "prior": [0.5, 0.5],
+    }
+    malformed = [
+        ("states", 5),
+        ("actions", "go"),
+        ("terminating", 3),
+        ("terminating", [["stop"], 3]),
+        ("kernel", "abc"),
+        ("rewards_A", [[1.0, 0.0], [0.0]]),
+        ("prior", "x"),
+        ("horizon", 2.5),
+        ("horizon", "2"),
+    ]
+    path = tmp_path / "malformed.json"
+    for field, value in malformed:
+        path.write_text(json.dumps({**game, field: value}))
+        assert main(["solve", "--input", str(path)]) == 2, field
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, (field, err)
+    path.write_text(json.dumps({**game, "horizon": 2.0}))
+    assert main(["solve", "--input", str(path)]) == 0
+    capsys.readouterr()
+
+    for min_of in (5, None, []):
+        path.write_text(json.dumps({"states": 2, "pieces": [{"min_of": min_of}]}))
+        assert main(["envelope", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pieces[0]: min_of must be a nonempty list"), err
+
 
 def test_envelope_rejects_non_finite_offset(tmp_path, capsys):
     for offset in (float("nan"), float("inf")):

@@ -189,6 +189,43 @@ def test_vertex_interpolant_cell_pieces_and_boundaries():
     assert len(tri.boundary_functionals) >= 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_value_columns_match_one_column_interpolants(n):
+    # Each column of a (V, 2) interpolant must round exactly like its own
+    # one-column interpolant, or stage values drift in their last bits.
+    if n == 2:
+        tri = Triangulation(
+            np.array([[0.3, 0.7], [0.0, 1.0], [1.0, 0.0], [0.8, 0.2]]), ((1, 0), (0, 3), (3, 2))
+        )
+    else:
+        tri = Triangulation(
+            np.vstack([np.eye(3), [[0.2, 0.3, 0.5]]]), ((0, 1, 3), (1, 2, 3), (0, 2, 3))
+        )
+    rng = np.random.default_rng(40 + n)
+    both = VertexInterpolant(tri, rng.uniform(-1.0, 1.0, size=(tri.n_vertices, 2)))
+    columns = [VertexInterpolant(tri, both.values[:, j]) for j in range(2)]
+    pts = rng.dirichlet(np.ones(n), size=50)
+    kernel = rng.dirichlet(np.ones(n), size=n)
+    values = both.evaluate_many(pts)
+    pulled, boundary = pullback_affine(both, kernel)
+    assert values.shape == (50, 2)
+    assert both.cell_pieces.shape == pulled.shape == (2, len(tri.simplices), n + 1)
+    for j, f in enumerate(columns):
+        assert np.array_equal(values[:, j], f.evaluate_many(pts))
+        assert np.array_equal([both(p)[j] for p in pts[:5]], [f(p) for p in pts[:5]])
+        assert np.array_equal(both.cell_pieces[j], f.cell_pieces)
+        f_pulled, f_boundary = pullback_affine(f, kernel)
+        assert np.array_equal(pulled[j], f_pulled)
+        assert np.array_equal(boundary, f_boundary)
+
+
+def test_vertex_interpolant_rejects_bad_value_shapes():
+    tri = _unit_triangulation(3)
+    for shape in ((), (2,), (4,), (2, 2), (3, 2, 1)):
+        with pytest.raises(GeometryDomainError, match="per vertex"):
+            VertexInterpolant(tri, np.zeros(shape))
+
+
 def test_pullback_affine_composes():
     tri = Triangulation(
         np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]), ((0, 1), (1, 2))

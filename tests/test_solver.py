@@ -6,7 +6,13 @@ import pytest
 from signalgame.cli import builtin_example
 from signalgame.game import GameSpec, SpecValidationError, bayes_update, push_forward
 from signalgame import solver
-from signalgame.geometry import VertexInterpolant, dedup_functionals, pullback_affine, simplex_grid
+from signalgame.geometry import (
+    Triangulation,
+    VertexInterpolant,
+    dedup_functionals,
+    pullback_affine,
+    simplex_grid,
+)
 from signalgame.solver import (
     q_values,
     receiver_best,
@@ -91,20 +97,47 @@ def test_row_arithmetic_matches_per_row_reference():
             assert np.array_equal(dedup_functionals(rows), _dedup_loop(rows))
             if t == spec.horizon:
                 continue
-            f = sol.stage(t + 1).interp_principal
+            f = sol.stage(t + 1).interp
             tri = f.triangulation
-            for ci, cell in enumerate(tri.simplices):
-                piece = tri._cell_inverses[ci].T @ f.values[list(cell)]
-                assert np.array_equal(f.cell_pieces[ci, :-1], piece)
+            for j in range(2):  # principal, receiver
+                for ci, cell in enumerate(tri.simplices):
+                    piece = tri._cell_inverses[ci].T @ f.values[list(cell), j]
+                    assert np.array_equal(f.cell_pieces[j, ci, :-1], piece)
             for u in range(spec.n_actions(t)):
                 kernel = spec.kernels[t - 1][:, u, :]
                 pieces, boundary = pullback_affine(f, kernel)
-                for g, pulled in zip(f.cell_pieces, pieces):
-                    assert np.array_equal(pulled[:-1], kernel @ g[:-1])
+                for j in range(2):
+                    for g, pulled in zip(f.cell_pieces[j], pieces[j]):
+                        assert np.array_equal(pulled[:-1], kernel @ g[:-1])
                 raw = np.array([np.append(kernel @ h[:-1], h[-1]) for h in tri.boundary_functionals])
                 assert np.array_equal(boundary, _dedup_loop(raw.reshape(-1, kernel.shape[0] + 1)))
                 checked += 1
     assert checked > 0
+
+
+def test_one_pullback_and_one_location_per_continuing_action(monkeypatch):
+    # Both players' continuation values share one triangulation, so a stage
+    # pulls back its cells, and locates a point, once for the pair.
+    rng = np.random.default_rng(17)
+    spec = GameSpec(
+        horizon=2,
+        states=(("a", "b", "c"),) * 2,
+        actions=(("u0", "u1", "stop"),) * 2,
+        terminating=(frozenset({2}),) * 2,
+        kernels=(rng.dirichlet(np.ones(3), size=(3, 3)),),
+        rewards_principal=tuple(rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(2)),
+        rewards_receiver=tuple(rng.uniform(-1.0, 1.0, size=(3, 3)) for _ in range(2)),
+        prior=np.full(3, 1.0 / 3.0),
+    )
+    last = stage_backup(spec, 2)
+    calls = []
+    pullback, locate = solver.pullback_affine, Triangulation.locate_many
+    monkeypatch.setattr(solver, "pullback_affine", lambda *a: calls.append("pullback") or pullback(*a))
+    first = stage_backup(spec, 1, last)
+    assert calls.count("pullback") == 2
+    monkeypatch.setattr(Triangulation, "locate_many", lambda *a: calls.append("locate") or locate(*a))
+    first.objective.q_many(rng.dirichlet(np.ones(3), size=7))
+    assert calls.count("locate") == 2
 
 
 def test_q_values_stage_t_oracle():
@@ -297,7 +330,7 @@ def _stage_value_invariants(spec, sol, rng):
         n = spec.n_states(t)
         grid = rng.dirichlet(np.ones(n), size=1000)
         psi, top_b = st.objective.tie_broken_values(grid)
-        v_a = st.interp_principal.evaluate_many(grid)
+        v_a = st.interp.evaluate_many(grid)[:, 0]
 
         # majorization: the interpolated value dominates the stage objective
         assert np.all(v_a >= psi - 1e-9)
@@ -307,8 +340,8 @@ def _stage_value_invariants(spec, sol, rng):
         b = rng.dirichlet(np.ones(n), size=1000)
         lam = rng.random(1000)
         mix = lam[:, None] * a + (1 - lam[:, None]) * b
-        lhs = st.interp_principal.evaluate_many(mix)
-        rhs = lam * st.interp_principal.evaluate_many(a) + (1 - lam) * st.interp_principal.evaluate_many(b)
+        lhs = st.interp.evaluate_many(mix)[:, 0]
+        rhs = lam * st.interp.evaluate_many(a)[:, 0] + (1 - lam) * st.interp.evaluate_many(b)[:, 0]
         assert np.all(lhs >= rhs - 1e-9)
 
         # vertex touching for both players
@@ -323,9 +356,9 @@ def _stage_value_invariants(spec, sol, rng):
             w = rng.dirichlet(np.ones(len(cell)), size=20)
             mix = w @ pts
             direct = w @ st.values_principal[list(cell)]
-            assert np.allclose(st.interp_principal.evaluate_many(mix), direct, atol=1e-9)
+            assert np.allclose(st.interp.evaluate_many(mix)[:, 0], direct, atol=1e-9)
             direct_b = w @ st.values_receiver[list(cell)]
-            assert np.allclose(st.interp_receiver.evaluate_many(mix), direct_b, atol=1e-9)
+            assert np.allclose(st.interp.evaluate_many(mix)[:, 1], direct_b, atol=1e-9)
 
 
 def test_value_function_invariants_on_builtins():
@@ -390,7 +423,7 @@ def test_one_stage_envelope_matches_exact_tie_point_hull():
         st = solve(spec).stage(1)
         xs = np.linspace(0.0, 1.0, 501)
         want = np.interp(xs, [p[0] for p in hull], [p[1] for p in hull])
-        got = st.interp_principal.evaluate_many(np.column_stack([xs, 1.0 - xs]))
+        got = st.interp.evaluate_many(np.column_stack([xs, 1.0 - xs]))[:, 0]
         assert np.abs(got - want).max() <= 1e-12
 
 
