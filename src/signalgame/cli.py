@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evaluator import NODE_CAP, TRAJECTORIES, NodeBudgetExceeded, exact_value, one_shot_deviation_check, simulate
-from .game import GameSpec, SpecValidationError, load_spec, validate_spec
+from .evaluator import TRAJECTORIES, exact_value, one_shot_deviation_check, simulate
+from .game import GameSpec, SpecValidationError, _horizon, load_spec, validate_spec
 from .geometry import EPS_EQUILIBRIUM, CandidateBudgetExceeded, CellArrangement, argcav, dedup_functionals
 from .solver import EquilibriumSolution, solve
 
@@ -45,7 +45,7 @@ SOLUTION_FORMAT = "signalgame-solution-v1"
 SWEEP_FORMAT = "signalgame-sweep-v1"
 ENVELOPE_FORMAT = "signalgame-envelope-v1"
 SIMULATION_FORMAT = "signalgame-simulation-v2"
-EVALUATION_FORMAT = "signalgame-evaluation-v2"
+EVALUATION_FORMAT = "signalgame-evaluation-v3"
 
 _COMMANDS = ("solve", "sweep", "evaluate", "simulate", "envelope")
 _BUILTINS = ("quickest_detection", "detector")
@@ -69,15 +69,12 @@ class RunConfig:
     trajectories: int = TRAJECTORIES
     depth: int | None = None
     out: str | None = None
-    node_cap: int = NODE_CAP
 
     def __post_init__(self):
         if self.command not in _COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.node_cap <= 0:
-            raise ConfigError("node_cap must be positive")
         if self.trajectories < 2:
             raise ConfigError("trajectories must be at least 2")
         if self.depth is not None and self.depth < 0:
@@ -111,9 +108,10 @@ def builtin_example(
         raise ConfigError(f"p must lie in (0, 1), got {p!r}")
     if not 0.0 < c < 1.0:
         raise ConfigError(f"c must lie in (0, 1), got {c!r}")
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    try:
+        horizon = _horizon(horizon)
+    except SpecValidationError as err:
+        raise ConfigError(str(err)) from None
     if name == "quickest_detection":
         states = ("1", "2")
         actions = ("declare_1", "declare_2")
@@ -337,7 +335,7 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     if cfg.command == "simulate":
-        report = simulate(solution, seed=cfg.seed, trajectories=cfg.trajectories, node_cap=cfg.node_cap)
+        report = simulate(solution, seed=cfg.seed, trajectories=cfg.trajectories)
         payload = {
             "format": SIMULATION_FORMAT,
             "trajectories": report.trajectories,
@@ -351,8 +349,8 @@ def run(cfg: RunConfig) -> int:
         return 0
 
     value_a, value_b = solution.values_at_prior()
-    exact_a, exact_b = exact_value(solution, node_cap=cfg.node_cap)
-    report = one_shot_deviation_check(solution, seed=cfg.seed, node_cap=cfg.node_cap)
+    exact_a, exact_b = exact_value(solution)
+    report = one_shot_deviation_check(solution, seed=cfg.seed)
     gap = max(abs(exact_a - value_a), abs(exact_b - value_b))
     payload = {
         "format": EVALUATION_FORMAT,
@@ -388,11 +386,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", help="game (or objective) description, JSON")
         if name != "envelope":
             cmd.add_argument("--builtin", choices=_BUILTINS, help="built-in example game")
-            cmd.add_argument("--p", type=float, default=RunConfig.p, help="chain jump/flip probability")
-            cmd.add_argument("--c", type=float, default=RunConfig.c, help="receiver stage cost")
-            cmd.add_argument("--horizon", type=int, default=RunConfig.horizon, help="number of stages")
-            cmd.add_argument("--node-cap", type=int, default=RunConfig.node_cap, dest="node_cap",
-                             help="reachable belief node budget")
+            # no argparse defaults, so that main can tell these were given
+            cmd.add_argument("--p", type=float,
+                             help=f"chain jump/flip probability (default {RunConfig.p})")
+            cmd.add_argument("--c", type=float, help=f"receiver stage cost (default {RunConfig.c})")
+            cmd.add_argument("--horizon", type=int,
+                             help=f"number of stages (default {RunConfig.horizon})")
         if name == "sweep":
             cmd.add_argument("--depth", type=int, help="stages below the horizon to export")
         if name in ("evaluate", "simulate"):
@@ -411,13 +410,16 @@ def main(argv=None) -> int:
         "input_path": args.input,
         "out": args.out,
     }
-    for name in ("builtin", "p", "c", "horizon", "seed", "trajectories", "depth", "node_cap"):
-        if hasattr(args, name):
+    for name in ("builtin", "p", "c", "horizon", "seed", "trajectories", "depth"):
+        if getattr(args, name, None) is not None:
             fields[name] = getattr(args, name)
     try:
+        stray = [f"--{name}" for name in ("p", "c", "horizon") if name in fields]
+        if args.input is not None and stray:
+            raise ConfigError(f"builtin parameters do not apply to --input: {', '.join(stray)}")
         cfg = RunConfig(**fields)
         return run(cfg)
-    except (ConfigError, SpecValidationError, NodeBudgetExceeded, CandidateBudgetExceeded) as err:
+    except (ConfigError, SpecValidationError, CandidateBudgetExceeded) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -3,8 +3,9 @@
 Three independent routes confirm the backward-induction values:
 
 * exact evaluation walks the reachable belief DAG (the principal's
-  splits always land on triangulation vertices, so the DAG is finite)
-  and accumulates expected payoffs exactly;
+  splits always land on triangulation vertices, so a stage has at most
+  as many nodes as the previous stage has vertices) and accumulates
+  expected payoffs exactly;
 * Monte Carlo simulation plays the policies on sampled state paths,
   a block of trajectories at a time, stage by stage, with one child
   RNG stream per block;
@@ -21,13 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import _signal_kernel
-from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, as_simplex_point, barycentric_indices
+from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, as_simplex_point
 from .solver import EquilibriumSolution
 
 __all__ = [
     "BeliefEdge",
     "BeliefNode",
-    "NodeBudgetExceeded",
     "SimulationReport",
     "DeviationReport",
     "reachable_tree",
@@ -35,17 +35,6 @@ __all__ = [
     "simulate",
     "one_shot_deviation_check",
 ]
-
-
-class NodeBudgetExceeded(RuntimeError):
-    """The reachable belief DAG outgrew the node budget."""
-
-    def __init__(self, nodes: int, stage: int):
-        self.nodes = nodes
-        self.stage = stage
-        super().__init__(
-            f"reachable belief DAG exceeded {nodes} nodes while expanding stage {stage}"
-        )
 
 
 @dataclass(eq=False)
@@ -73,57 +62,106 @@ class BeliefNode:
     reach_probability: float = 0.0
 
 
-# Defaults of the verifiers' resource and sample sizes, shared with the CLI.
-NODE_CAP = 1_000_000
+# Default Monte Carlo sample size, shared with the CLI.
 TRAJECTORIES = 100_000
 
 
-def _belief_key(stage: int, coords: np.ndarray) -> tuple:
-    return (stage, tuple(np.round(coords, 9) + 0.0))
+@dataclass(frozen=True)
+class _StageSplits:
+    """The principal's splits of one stage's candidate beliefs.
+
+    Stage 1 has one row, the prior; at a later stage, row v is the
+    previous stage's vertex v pushed through its action's kernel.
+    labels and weights (k, n) hold each row's barycentric split onto
+    the stage's triangulation: weights <= EPS_GEOM are dropped and the
+    rest renormalized, labels ascend, and dropped slots come last with
+    weight 0.  reached (k,) marks the rows on the path of play.
+    """
+
+    beliefs: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    reached: np.ndarray
 
 
-def reachable_tree(solution: EquilibriumSolution, node_cap: int = NODE_CAP) -> BeliefNode:
-    """Reachable belief DAG under the equilibrium policies.
+def _stage_splits(solution: EquilibriumSolution) -> list[_StageSplits]:
+    """One record per stage, up to the last stage that play reaches.
 
-    The DAG is built one stage at a time.  Nodes are memoized on
-    (stage, belief rounded to 9 decimals), so recombining paths share
-    children.  Values are exact expectations; reach_probability
-    accumulates over all paths into a node.  Raises NodeBudgetExceeded
-    when stage expansion would create more than node_cap nodes.
+    Every induced posterior is a triangulation vertex, so the next
+    stage's beliefs are indexed by this stage's vertex labels: a stage
+    has at most as many reached rows as the previous stage has vertices.
     """
     spec = solution.spec
-    if node_cap < 1:
-        raise NodeBudgetExceeded(0, 1)
-    root = BeliefNode(stage=1, belief=as_simplex_point(spec.prior), reach_probability=1.0)
-    layers = [[root]]
-    created = 1
-    for stage in range(1, spec.horizon + 1):
-        st = solution.stage(stage)
-        children: dict[tuple, BeliefNode] = {}
-        for node in layers[-1]:
-            ids, weights = barycentric_indices(st.triangulation, node.belief)
-            for label, w in zip(ids, weights):
+    beliefs = as_simplex_point(spec.prior)[None, :]
+    reached = np.ones(1, dtype=bool)
+    record = []
+    for t in range(1, spec.horizon + 1):
+        st = solution.stage(t)
+        tri = st.triangulation
+        points = np.clip(beliefs, 0.0, None)
+        points /= points.sum(axis=1, keepdims=True)
+        cells, lam = tri.locate_many(points)
+        labels = np.asarray(tri.simplices, dtype=np.intp)[cells]
+        kept = lam > EPS_GEOM
+        weights = np.where(kept, lam, 0.0)
+        weights /= weights.sum(axis=1, keepdims=True)
+        order = np.argsort(np.where(kept, labels, tri.n_vertices), axis=1, kind="stable")
+        rows = np.arange(len(order))[:, None]
+        labels, weights = labels[rows, order], weights[rows, order]
+        record.append(_StageSplits(beliefs, labels, weights, reached))
+        if t == spec.horizon:
+            break
+        sent = labels[reached][weights[reached] > 0.0]
+        reached = np.zeros(tri.n_vertices, dtype=bool)
+        reached[sent] = True
+        reached &= [u not in spec.terminating[t - 1] for u in st.vertex_actions]
+        if not reached.any():
+            break
+        # One stack of vector-matrix products per action against the
+        # kernel[:, u, :] view rounds like vertex @ kernel[:, u, :] row by
+        # row; a stack of gathered per-row kernels can differ in the last bit.
+        kernel = spec.kernels[t - 1]
+        actions = np.asarray(st.vertex_actions)
+        beliefs = np.empty((tri.n_vertices, kernel.shape[2]))
+        for u in set(st.vertex_actions):
+            pick = actions == u
+            beliefs[pick] = np.matmul(tri.vertices[pick, None, :], kernel[:, u, :])[:, 0, :]
+    return record
+
+
+def reachable_tree(solution: EquilibriumSolution) -> BeliefNode:
+    """Reachable belief DAG under the equilibrium policies.
+
+    A node is a (stage, vertex label) pair of _stage_splits: the child
+    of an edge is the next stage's row with the edge's label, so paths
+    that reach the same vertex share it.  Values are exact
+    expectations; reach_probability accumulates over all paths into a
+    node.
+    """
+    spec = solution.spec
+    record = _stage_splits(solution)
+    layers = [
+        {int(v): BeliefNode(stage=t, belief=rec.beliefs[v]) for v in np.flatnonzero(rec.reached)}
+        for t, rec in enumerate(record, start=1)
+    ]
+    root = layers[0][0]
+    root.reach_probability = 1.0
+    for t, (rec, layer) in enumerate(zip(record, layers), start=1):
+        st = solution.stage(t)
+        children = layers[t] if t < len(layers) else {}
+        for row, node in layer.items():
+            kept = rec.weights[row] > 0.0
+            for label, w in zip(rec.labels[row, kept].tolist(), rec.weights[row, kept].tolist()):
                 vertex = st.triangulation.vertices[label]
                 action = st.vertex_actions[label]
-                r_a = float(vertex @ spec.rewards_principal[stage - 1][:, action])
-                r_b = float(vertex @ spec.rewards_receiver[stage - 1][:, action])
-                child = None
-                if stage < spec.horizon and not spec.is_terminating(stage, action):
-                    coords = vertex @ spec.kernels[stage - 1][:, action, :]
-                    key = _belief_key(stage + 1, coords)
-                    child = children.get(key)
-                    if child is None:
-                        if created >= node_cap:
-                            raise NodeBudgetExceeded(created, stage + 1)
-                        child = children[key] = BeliefNode(stage=stage + 1, belief=coords)
-                        created += 1
-                    child.reach_probability += node.reach_probability * float(w)
-                node.edges.append(
-                    BeliefEdge(int(label), float(w), vertex, int(action), r_a, r_b, child)
-                )
-        layers.append(list(children.values()))
+                r_a = float(vertex @ spec.rewards_principal[t - 1][:, action])
+                r_b = float(vertex @ spec.rewards_receiver[t - 1][:, action])
+                child = children.get(label)
+                if child is not None:
+                    child.reach_probability += node.reach_probability * w
+                node.edges.append(BeliefEdge(label, w, vertex, action, r_a, r_b, child))
     for layer in reversed(layers):
-        for node in layer:
+        for node in layer.values():
             for edge in node.edges:
                 total_a, total_b = edge.reward_principal, edge.reward_receiver
                 if edge.child is not None:
@@ -134,29 +172,9 @@ def reachable_tree(solution: EquilibriumSolution, node_cap: int = NODE_CAP) -> B
     return root
 
 
-def _stage_layers(root: BeliefNode) -> list[list[BeliefNode]]:
-    """The DAG's nodes, one list per stage from the root's stage on.
-
-    Within a stage, nodes come in the order a stack-based depth-first
-    walk first pops them: parents in the order of the previous stage,
-    each parent's children in reverse edge order.  The deviation check
-    hands out its random experiments in this order.
-    """
-    layers = [[root]]
-    while True:
-        children: dict[int, BeliefNode] = {}
-        for node in layers[-1]:
-            for edge in reversed(node.edges):
-                if edge.child is not None:
-                    children.setdefault(id(edge.child), edge.child)
-        if not children:
-            return layers
-        layers.append(list(children.values()))
-
-
-def exact_value(solution: EquilibriumSolution, node_cap: int = NODE_CAP) -> tuple[float, float]:
+def exact_value(solution: EquilibriumSolution) -> tuple[float, float]:
     """Exact expected payoffs (principal, receiver) under the equilibrium."""
-    root = reachable_tree(solution, node_cap)
+    root = reachable_tree(solution)
     return root.value_principal, root.value_receiver
 
 
@@ -178,49 +196,8 @@ class SimulationReport:
 _SIM_BLOCK = 8192
 
 
-@dataclass(frozen=True)
-class _LayerTable:
-    """Sampling tables for one stage layer of k nodes with n states and
-    at most M messages per node.  msg_cum (k, n, M) holds the
-    cumulative signal rows padded with +inf, n_msg (k,) the message
-    counts, action (k, M) the receiver's action after each message and
-    child (k, M) the child's index in the next layer, or -1 where play
-    ends."""
-
-    msg_cum: np.ndarray
-    n_msg: np.ndarray
-    action: np.ndarray
-    child: np.ndarray
-
-
-def _layer_tables(layers: list[list[BeliefNode]]) -> list[_LayerTable]:
-    tables = []
-    for layer, next_layer in zip(layers, layers[1:] + [[]]):
-        index = {id(node): i for i, node in enumerate(next_layer)}
-        k, n = len(layer), layer[0].belief.size
-        width = max(len(node.edges) for node in layer)
-        msg_cum = np.full((k, n, width), np.inf)
-        n_msg = np.empty(k, dtype=np.intp)
-        action = np.zeros((k, width), dtype=np.intp)
-        child = np.full((k, width), -1, dtype=np.intp)
-        for i, node in enumerate(layer):
-            edges = node.edges
-            kernel = _signal_kernel(
-                node.belief,
-                np.array([e.probability for e in edges]),
-                np.array([e.posterior for e in edges]),
-            )
-            msg_cum[i, :, : len(edges)] = np.cumsum(kernel, axis=1)
-            n_msg[i] = len(edges)
-            action[i, : len(edges)] = [e.action for e in edges]
-            child[i, : len(edges)] = [-1 if e.child is None else index[id(e.child)] for e in edges]
-        tables.append(_LayerTable(msg_cum, n_msg, action, child))
-    return tables
-
-
 def _bisect_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise bisect_right of u[j] into the nondecreasing row cum[j];
-    +inf padding never counts."""
+    """Row-wise bisect_right of u[j] into the nondecreasing row cum[j]."""
     return (cum <= u[:, None]).sum(axis=1)
 
 
@@ -228,7 +205,6 @@ def simulate(
     solution: EquilibriumSolution,
     seed: int = 0,
     trajectories: int = TRAJECTORIES,
-    node_cap: int = NODE_CAP,
 ) -> SimulationReport:
     """Play the equilibrium policies on sampled state trajectories.
 
@@ -239,15 +215,28 @@ def simulate(
     trajectory is still in play or not.  A trajectory's draws thus
     depend only on its block and its position in it, so results are
     reproducible and independent of execution order.  All trajectories
-    of a block advance together, stage by stage, over per-layer tables
-    of the reachable belief DAG, so the same node_cap resource limit
-    applies.  Rewards are realized (true-state) stage rewards.
+    of a block advance together, stage by stage, over the rows of
+    _stage_splits: the message sent is the label of the next row.
+    Rewards are realized (true-state) stage rewards.
     """
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
     spec = solution.spec
-    root = reachable_tree(solution, node_cap)
-    tables = _layer_tables(_stage_layers(root))
+    record = _stage_splits(solution)
+    # Per stage: each row's signal rows cumulated over messages (k, n, M),
+    # its message count (k,) and message labels (k, M); the vertex actions;
+    # and, by label, whether play goes on to the next stage's row.
+    tables = []
+    for t, rec in enumerate(record, start=1):
+        tri = solution.stage(t).triangulation
+        kernel = _signal_kernel(rec.beliefs, rec.weights, tri.vertices[rec.labels])
+        tables.append((
+            np.cumsum(kernel, axis=2),
+            (rec.weights > 0.0).sum(axis=1),
+            rec.labels,
+            np.asarray(solution.stage(t).vertex_actions, dtype=np.intp),
+            record[t].reached if t < len(record) else np.zeros(tri.n_vertices, dtype=bool),
+        ))
     prior_cum = np.cumsum(as_simplex_point(spec.prior))
     # stage t's transition rows cumulated over next states: (n, A, n')
     trans_cum = [np.cumsum(kernel, axis=2) for kernel in spec.kernels]
@@ -260,18 +249,19 @@ def simulate(
         size = min(_SIM_BLOCK, trajectories - lo)
         live = np.arange(lo, lo + size)
         x = np.minimum(_bisect_rows(prior_cum[None, :], rng.random(size)), prior_cum.size - 1)
-        node = np.zeros(size, dtype=np.intp)
-        for stage, table in enumerate(tables, start=root.stage):
+        row = np.zeros(size, dtype=np.intp)
+        for stage, (msg_cum, n_msg, labels, actions, continues) in enumerate(tables, start=1):
             u0, u1 = rng.random((2, size))[:, live - lo]
-            m = np.minimum(_bisect_rows(table.msg_cum[node, x], u0), table.n_msg[node] - 1)
-            action = table.action[node, m]
+            # zero-weight messages come last, so the clamp keeps them unsent
+            m = np.minimum(_bisect_rows(msg_cum[row, x], u0), n_msg[row] - 1)
+            label = labels[row, m]
+            action = actions[label]
             totals_a[live] += spec.rewards_principal[stage - 1][x, action]
             totals_b[live] += spec.rewards_receiver[stage - 1][x, action]
-            node = table.child[node, m]
-            going = node >= 0
+            going = continues[label]
             if not going.any():
                 break
-            live, node, x, action, u1 = live[going], node[going], x[going], action[going], u1[going]
+            live, row, x, action, u1 = live[going], label[going], x[going], action[going], u1[going]
             cum = trans_cum[stage - 1]
             x = np.minimum(_bisect_rows(cum[x, action], u1), cum.shape[2] - 1)
     return SimulationReport(
@@ -311,7 +301,6 @@ def one_shot_deviation_check(
     probes_per_stage: int = 20,
     experiments_per_belief: int = 20,
     seed: int = 0,
-    node_cap: int = NODE_CAP,
 ) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
 
@@ -321,10 +310,11 @@ def one_shot_deviation_check(
     Principal: at every reachable belief and random probe, no
     alternative experiment (no split, full revelation, or one of
     experiments_per_belief sampled mean-preserving splits) may beat the
-    stage value.  Gains above EPS_EQUILIBRIUM are reported as
-    violations, stage by stage: vertices first, then probes in order,
-    each probe's no-split, full-revelation and sampled experiments in
-    that order.
+    stage value.  A stage's probes are its reachable beliefs in
+    ascending label order, then probes_per_stage random beliefs.  Gains
+    above EPS_EQUILIBRIUM are reported as violations, stage by stage:
+    vertices first, then probes in order, each probe's no-split,
+    full-revelation and sampled experiments in that order.
     """
     spec = solution.spec
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -341,7 +331,7 @@ def one_shot_deviation_check(
                 {"kind": kinds[j], "stage": t, "belief": beliefs[i].tolist(), "gain": float(gains[i, j])}
             )
 
-    layers = _stage_layers(reachable_tree(solution, node_cap))
+    record = _stage_splits(solution)
     count = experiments_per_belief
     principal_kinds = ("principal_null_split",) + ("principal_experiment",) * (count + 1)
     for t in range(1, spec.horizon + 1):
@@ -358,7 +348,7 @@ def one_shot_deviation_check(
         flag(("receiver_action", "receiver_bellman"), t, tri.vertices,
              np.column_stack([action_gain, bellman_gap]))
 
-        reachable = [node.belief for node in layers[t - 1]] if t <= len(layers) else []
+        reachable = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
         probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=probes_per_stage)])
         for lo in range(0, len(probes), _PROBE_BLOCK):
             chunk = probes[lo : lo + _PROBE_BLOCK]

@@ -345,15 +345,23 @@ def _signal_kernel(pi: np.ndarray, weights: np.ndarray, atoms: np.ndarray) -> np
     """Signal rows sigma(m | x) = weights[m] * atoms[m, x] / pi[x] that
     split pi into the weighted atoms.
 
-    States with pi[x] <= EPS_GEOM get uniform rows; the result is
-    clipped at zero and each row renormalized to sum to one.
+    Leading axes broadcast: pi (..., n), weights (..., M) and atoms
+    (..., M, n) give kernels (..., n, M).  States with pi[x] <= EPS_GEOM
+    get uniform rows over the messages of positive weight; messages of
+    zero weight get no mass.  The result is clipped at zero and each
+    row renormalized to sum to one.
     """
-    kernel = np.empty((pi.size, weights.size))
-    live = pi > EPS_GEOM
-    kernel[live] = weights * atoms[:, live].T / pi[live, None]
-    kernel[~live] = 1.0 / weights.size
+    pi = pi[..., :, None]
+    weights = weights[..., None, :]
+    sent = weights > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kernel = np.where(
+            pi > EPS_GEOM,
+            weights * np.swapaxes(atoms, -1, -2) / pi,
+            sent / sent.sum(axis=-1, keepdims=True),
+        )
     kernel = np.clip(kernel, 0.0, None)
-    kernel /= kernel.sum(axis=1, keepdims=True)
+    kernel /= kernel.sum(axis=-1, keepdims=True)
     return kernel
 
 

@@ -605,7 +605,11 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     count = math.comb(len(pool_w), n - 1)
     if count > CANDIDATE_CAP:
         raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
-    subsets = np.asarray(list(itertools.combinations(range(len(pool_w)), n - 1)), dtype=int)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(len(pool_w)), n - 1)),
+        dtype=np.intp,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
     points = [corners]
     if subsets.size:
         systems = np.empty((len(subsets), n, n))

@@ -42,9 +42,11 @@ def test_builtin_detector_matrices():
 
 
 def test_builtin_parameter_errors():
-    for bad in ({"p": 0.0}, {"p": 1.0}, {"c": -0.1}, {"c": 1.5}, {"horizon": 0}):
+    for bad in ({"p": 0.0}, {"p": 1.0}, {"c": -0.1}, {"c": 1.5}, {"horizon": 0},
+                {"horizon": 2.5}, {"horizon": True}, {"horizon": "3"}):
         with pytest.raises(ConfigError):
             builtin_example("detector", **bad)
+    assert builtin_example("detector", horizon=2.0).horizon == 2
     with pytest.raises(ConfigError):
         builtin_example("unknown_game")
 
@@ -75,11 +77,18 @@ def test_main_reports_config_errors(capsys):
     code = main(["sweep", "--builtin", "detector", "--horizon", "3", "--depth", "9"])
     assert code == 2
     assert "depth" in capsys.readouterr().err
-    for command in ("evaluate", "simulate"):
-        code = main([command, "--builtin", "detector", "--node-cap", "2"])
+    # the reachable belief DAG is bounded by the vertex counts; no node budget
+    for command in ("solve", "sweep", "evaluate", "simulate"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--builtin", "detector", "--node-cap", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --node-cap" in capsys.readouterr().err
+    # builtin parameters do not apply to a game file
+    for flag, value in (("--p", "0.9"), ("--c", "0.3"), ("--horizon", "7")):
+        code = main(["solve", "--input", "game.json", flag, value])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "exceeded 2 nodes" in err
+        assert err.startswith("error:") and flag in err
     code = main(["evaluate", "--builtin", "detector", "--seed", "-1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error:")
@@ -187,7 +196,7 @@ def test_evaluate_payload_and_exit_code(tmp_path):
     ])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["format"] == "signalgame-evaluation-v2"
+    assert payload["format"] == "signalgame-evaluation-v3"
     assert payload["violations"] == []
     assert payload["value_gap"] <= 1e-9
     assert payload["max_receiver_gain"] <= 1e-9

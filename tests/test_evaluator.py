@@ -10,9 +10,9 @@ from signalgame.cli import builtin_example
 from signalgame.evaluator import (
     _PROBE_BLOCK,
     _SIM_BLOCK,
-    NodeBudgetExceeded,
     SimulationReport,
     _sample_inducible,
+    _stage_splits,
     exact_value,
     one_shot_deviation_check,
     reachable_tree,
@@ -97,12 +97,59 @@ def test_exact_value_matches_backward_induction():
         assert v[1] == pytest.approx(want[1], abs=1e-9)
 
 
-def test_node_budget_guard():
-    sol = solve(builtin_example("detector", 0.2, 0.15, 12))
-    with pytest.raises(NodeBudgetExceeded) as err:
-        reachable_tree(sol, node_cap=3)
-    assert err.value.nodes >= 3
-    assert 1 <= err.value.stage <= 12
+def _random_game(seed, n, nu, horizon):
+    # stationary game; action u0 terminates at odd seeds
+    rng = np.random.default_rng(seed)
+    return GameSpec(
+        horizon=horizon,
+        states=(tuple(f"x{i}" for i in range(n)),) * horizon,
+        actions=(tuple(f"u{i}" for i in range(nu)),) * horizon,
+        terminating=(frozenset({0} if seed % 2 else ()),) * horizon,
+        kernels=(rng.dirichlet(np.ones(n), size=(n, nu)),) * (horizon - 1),
+        rewards_principal=(rng.uniform(-1, 1, (n, nu)),) * horizon,
+        rewards_receiver=(rng.uniform(-1, 1, (n, nu)),) * horizon,
+        prior=rng.dirichlet(np.ones(n)),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        builtin_example("quickest_detection", 0.2, 0.1, 12),
+        builtin_example("detector", 0.2, 0.15, 12),
+        _random_game(0, 2, 3, 10),
+        _random_game(1, 2, 2, 10),
+        _random_game(2, 3, 2, 3),
+        _random_game(3, 3, 3, 3),
+        _random_game(4, 4, 2, 2),
+    ],
+    ids=["quickest_detection", "detector", "random-2a", "random-2b", "random-3a", "random-3b",
+         "random-4"],
+)
+def test_dag_stage_is_bounded_by_previous_stage_vertices(spec):
+    sol = solve(spec)
+    record = _stage_splits(sol)
+    layers = [[reachable_tree(sol)]]
+    while True:
+        parents = {}  # child node id -> the stage-t vertex labels leading to it
+        children = {}
+        for node in layers[-1]:
+            for e in node.edges:
+                if e.child is not None:
+                    parents.setdefault(id(e.child), set()).add(e.label)
+                    children[id(e.child)] = e.child
+        if not children:
+            break
+        t = layers[-1][0].stage
+        # each child follows one vertex, and no vertex leads to two children
+        assert all(len(labels) == 1 for labels in parents.values())
+        assert len({min(labels) for labels in parents.values()}) == len(children)
+        assert len(children) <= sol.stage(t).triangulation.n_vertices
+        layers.append(list(children.values()))
+    assert len(layers) == len(record)
+    for rec, layer in zip(record, layers):
+        want = sorted(map(tuple, rec.beliefs[rec.reached].tolist()))
+        assert sorted(tuple(node.belief.tolist()) for node in layer) == want
 
 
 def test_simulate_reproducible_and_seed_sensitive():

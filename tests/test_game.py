@@ -272,6 +272,24 @@ def test_signal_kernel_matches_per_state_loop():
         assert np.array_equal(_signal_kernel(pi, weights, atoms), want)
 
 
+def test_signal_kernel_broadcasts_over_zero_padded_rows():
+    # rows padded with zero-weight messages, stacked: each row's kernel is
+    # the unpadded call's, and the padding messages get no mass
+    rng = np.random.default_rng(11)
+    n, width, rows = 3, 4, 40
+    pis = np.empty((rows, n))
+    weights = np.zeros((rows, width))
+    atoms = rng.dirichlet(np.ones(n), size=(rows, width))
+    want = np.zeros((rows, n, width))
+    for i in range(rows):
+        k = int(rng.integers(1, width + 1))
+        atoms[i, :k, rng.random(n) < 0.3] = 0.0  # some states carry no mass
+        weights[i, :k] = rng.dirichlet(np.ones(k))
+        pis[i] = weights[i, :k] @ atoms[i, :k]
+        want[i, :, :k] = _signal_kernel(pis[i], weights[i, :k], atoms[i, :k])
+    assert np.array_equal(_signal_kernel(pis, weights, atoms), want)
+
+
 def test_split_experiment_rejects_non_inducible():
     measure = SupportMeasure([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -114,7 +114,7 @@ CASES = _cases()
 # case -> (exit status, sha256 of the artifact, artifact length in bytes)
 GOLDENS = {
     "detector-evaluate": (
-        0, "a40f5dddaf98207b61fd6e68aa3676f2d2207fe5fef5569358b4c5c7eb8493dc", 333,
+        0, "6bf4dbcc80b28ecc8ec63d9a2dad4aaa987769b16b9d62ec32d62dd176aba2a4", 333,
     ),
     "detector-simulate": (
         0, "a52cc2853febbcb21686bb5952995aa0f54140449ced2fa7c888a2de8582fbb8", 215,
@@ -126,7 +126,7 @@ GOLDENS = {
         0, "92e8f07df42584ee7142d8dc48c5ed69d5945bc4d31761698fc6afcfc6d57f8c", 1693,
     ),
     "game3-evaluate": (
-        0, "ad3cd69e8fc2a2cca6d22e3aca80b702afc6d358988eb1538e62cdf233e419e2", 411,
+        0, "9a5288b0e09a66ffd77b47800fa84b765be15366dcbe8daea70f70a127031a9b", 411,
     ),
     "game3-simulate": (
         0, "2f479f25d3366897f4c456552378c806aa5029d00d5b5859dafd18d05d59dd39", 221,
@@ -135,7 +135,7 @@ GOLDENS = {
         0, "70c3a084bee63390d155ac04744d01760bf09081b43fa289138038c46636000b", 17084,
     ),
     "game_random-evaluate": (
-        0, "b025a11e899cde846787d7c8db5cd9ccefedaabd73e68470831c3cd2d48b6cf7", 393,
+        0, "90b434c6250d77bc4e32bccc5649e5c4005bd2fd8d44a00efbb1da82292ba507", 393,
     ),
     "objective2-envelope": (
         0, "ceac697d3c45594c20f7cc9217d777e8fe56497bd997682d7b1ae7ea4197bc9b", 232,
@@ -144,7 +144,7 @@ GOLDENS = {
         0, "20feb89de7f29605220759aaae7bf1c9bb61df3615ff2afb6a2ef1fa4d3229bd", 788,
     ),
     "quickest_detection-evaluate": (
-        0, "4d440a8b2af84bfcd59c5ab603fd62a57f8f6c1e773f54f520f9f1373302622c", 413,
+        0, "ee9233e816687d28b5c63d776f6aac0e185e3c8d5d8e5d3f2911c7122d4772e6", 413,
     ),
     "quickest_detection-simulate": (
         0, "0e57b08fd07b7a8c5d1d1121a21f111464b771d6cac6668ce4d95dde254d3198", 221,
