@@ -55,16 +55,25 @@ class ConfigError(ValueError):
     """Raised for unusable run configurations or builtin parameters."""
 
 
+# builtin_example's chain parameters and their defaults.
+_BUILTIN_PARAMS = {"p": 0.2, "c": 0.1, "horizon": 14}
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation: the command plus its inputs and knobs."""
+    """One CLI invocation: the command plus its inputs and knobs.
+
+    p, c and horizon parameterize a builtin game: a builtin run fills
+    in builtin_example's defaults for the ones left None, and a run on
+    an input file refuses any of them.
+    """
 
     command: str
     input_path: str | None = None
     builtin: str | None = None
-    p: float = 0.2
-    c: float = 0.1
-    horizon: int = 14
+    p: float | None = None
+    c: float | None = None
+    horizon: int | None = None
     seed: int = 0
     trajectories: int = TRAJECTORIES
     depth: int | None = None
@@ -84,10 +93,21 @@ class RunConfig:
                 raise ConfigError("envelope needs --input with a piecewise objective")
         elif (self.input_path is None) == (self.builtin is None):
             raise ConfigError("specify exactly one of --input or --builtin")
+        given = [name for name in _BUILTIN_PARAMS if getattr(self, name) is not None]
+        if self.input_path is not None and given:
+            stray = ", ".join(f"--{name}" for name in given)
+            raise ConfigError(f"builtin parameters do not apply to --input: {stray}")
+        if self.builtin is not None:
+            for name, default in _BUILTIN_PARAMS.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, default)
 
 
 def builtin_example(
-    name: str, p: float = RunConfig.p, c: float = RunConfig.c, horizon: int = RunConfig.horizon
+    name: str,
+    p: float = _BUILTIN_PARAMS["p"],
+    c: float = _BUILTIN_PARAMS["c"],
+    horizon: int = _BUILTIN_PARAMS["horizon"],
 ) -> GameSpec:
     """Construct one of the two built-in detection games.
 
@@ -386,12 +406,13 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--input", help="game (or objective) description, JSON")
         if name != "envelope":
             cmd.add_argument("--builtin", choices=_BUILTINS, help="built-in example game")
-            # no argparse defaults, so that main can tell these were given
+            # no argparse defaults, so that RunConfig can tell these were given
             cmd.add_argument("--p", type=float,
-                             help=f"chain jump/flip probability (default {RunConfig.p})")
-            cmd.add_argument("--c", type=float, help=f"receiver stage cost (default {RunConfig.c})")
+                             help=f"chain jump/flip probability (default {_BUILTIN_PARAMS['p']})")
+            cmd.add_argument("--c", type=float,
+                             help=f"receiver stage cost (default {_BUILTIN_PARAMS['c']})")
             cmd.add_argument("--horizon", type=int,
-                             help=f"number of stages (default {RunConfig.horizon})")
+                             help=f"number of stages (default {_BUILTIN_PARAMS['horizon']})")
         if name == "sweep":
             cmd.add_argument("--depth", type=int, help="stages below the horizon to export")
         if name in ("evaluate", "simulate"):
@@ -414,9 +435,6 @@ def main(argv=None) -> int:
         if getattr(args, name, None) is not None:
             fields[name] = getattr(args, name)
     try:
-        stray = [f"--{name}" for name in ("p", "c", "horizon") if name in fields]
-        if args.input is not None and stray:
-            raise ConfigError(f"builtin parameters do not apply to --input: {', '.join(stray)}")
         cfg = RunConfig(**fields)
         return run(cfg)
     except (ConfigError, SpecValidationError, CandidateBudgetExceeded) as err:

@@ -15,7 +15,6 @@ float array with rows [w_0 ... w_{n-1}, b].
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 # Tolerance table: every numeric tolerance of the package, one per role.
 # Point coincidence, zero mass, and stochastic-row sums.
@@ -71,10 +70,14 @@ class GeometryDomainError(ValueError):
 
 
 # Most (n-1)-subsets candidate_vertices may solve.  The largest stage of
-# the tests and benchmarks needs 752,151.  At 4 states the enumeration
-# peaks near 375 bytes per subset (721 MB traced for 1,923,825), so the
-# cap bounds it below 1 GB.
+# the tests and benchmarks needs 752,151.  Subsets are solved in blocks
+# of _CANDIDATE_BLOCK, so enumeration memory stays near one block's
+# systems (15 MiB traced) whatever the count, and the cap bounds time:
+# 2,000,000 subsets take 2 to 3 s at 3 and 4 states on a 2-vCPU Xeon
+# virtual machine.
 CANDIDATE_CAP = 2_000_000
+# Subsets candidate_vertices solves per batch of linear systems.
+_CANDIDATE_BLOCK = 1 << 15
 
 
 class CandidateBudgetExceeded(RuntimeError):
@@ -137,26 +140,43 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(points.T[::-1])
 
 
-def _dedup_sorted(points: np.ndarray) -> list[int]:
+def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     """Indices of rows to keep, merging rows within EPS_GEOM in the sup norm.
 
-    Points must be lexicographically sorted; the kept representative of
-    each cluster is the lex-smallest one.  Only rows whose first
-    coordinates are within EPS_GEOM can merge, so a sorted window keeps
-    the scan near-linear.
+    Points must be lexicographically sorted.  Row i is kept unless an
+    earlier kept row j has x0_j >= x0_i - EPS_GEOM and max|p_j - p_i| <=
+    EPS_GEOM, so the kept representative of each cluster is the
+    lex-smallest one.  The relation is not transitive: of a chain
+    a~b~c with a and c apart, a and c are kept.  Exact duplicates are
+    adjacent and collapse to the first of their run.  A k-d tree finds
+    the near pairs among the rows whose first coordinate is within
+    EPS_GEOM of a lex neighbour's, and only those pairs are walked.
     """
-    kept: list[int] = []
-    kept_first: list[float] = []
-    for i in range(len(points)):
-        row = points[i]
-        lo = bisect.bisect_left(kept_first, row[0] - EPS_GEOM)
-        for j in range(lo, len(kept)):
-            if np.max(np.abs(points[kept[j]] - row)) <= EPS_GEOM:
-                break
-        else:
-            kept.append(i)
-            kept_first.append(float(row[0]))
-    return kept
+    if len(points) < 2:
+        return np.arange(len(points))
+    first = np.flatnonzero(np.concatenate([[True], (points[1:] != points[:-1]).any(axis=1)]))
+    rows = points[first]
+    # If rows j < i are within EPS_GEOM, so are the first coordinates of
+    # every lex-adjacent pair from j to i (the rows are sorted, and
+    # rounding is monotone): only rows with such a neighbour can merge.
+    close = np.diff(rows[:, 0]) <= EPS_GEOM
+    if not close.any():
+        return first
+    near_first = np.flatnonzero(np.append(close, False) | np.insert(close, 0, False))
+    # The tree only narrows the search; the predicate itself is applied
+    # below with the same float arithmetic as a row-by-row scan.
+    tree = cKDTree(rows[near_first], balanced_tree=False)
+    earlier, later = near_first[tree.query_pairs(2.0 * EPS_GEOM, p=np.inf, output_type="ndarray").T]
+    near = (np.max(np.abs(rows[earlier] - rows[later]), axis=1) <= EPS_GEOM) & (
+        rows[earlier, 0] >= rows[later, 0] - EPS_GEOM
+    )
+    earlier, later = earlier[near], later[near]
+    order = np.lexsort((earlier, later))
+    keep = np.ones(len(rows), dtype=bool)
+    for j, i in zip(earlier[order].tolist(), later[order].tolist()):
+        if keep[j]:
+            keep[i] = False
+    return first[keep]
 
 
 def _cluster_rows(rows: np.ndarray) -> list[list[int]]:
@@ -576,10 +596,10 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     """Vertices of the cell arrangement cut out on the simplex.
 
     Solves every (n-1)-subset of {arrangement functionals} united with
-    the simplex facet equalities, together with the sum-to-one row;
-    near-singular subsets are skipped as non-transversal.  The corners
-    always appear.  Rows come back lexicographically sorted and deduped
-    at EPS_GEOM.  Raises CandidateBudgetExceeded, before enumerating,
+    the simplex facet equalities, together with the sum-to-one row, one
+    block of _CANDIDATE_BLOCK subsets at a time; near-singular subsets
+    are skipped as non-transversal.  The corners always appear.  Rows
+    come back lexicographically sorted and deduped at EPS_GEOM.  Raises CandidateBudgetExceeded, before enumerating,
     when there are more than CANDIDATE_CAP subsets.
     """
     n = arrangement.n_states
@@ -605,17 +625,19 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     count = math.comb(len(pool_w), n - 1)
     if count > CANDIDATE_CAP:
         raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
-    subsets = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(len(pool_w)), n - 1)),
-        dtype=np.intp,
-        count=count * (n - 1),
-    ).reshape(count, n - 1)
+    combos = itertools.combinations(range(len(pool_w)), n - 1)
     points = [corners]
-    if subsets.size:
-        systems = np.empty((len(subsets), n, n))
+    for start in range(0, count, _CANDIDATE_BLOCK):
+        size = min(_CANDIDATE_BLOCK, count - start)
+        subsets = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, size)),
+            dtype=np.intp,
+            count=size * (n - 1),
+        ).reshape(size, n - 1)
+        systems = np.empty((size, n, n))
         systems[:, : n - 1, :] = pool_w[subsets]
         systems[:, n - 1, :] = 1.0
-        rhs = np.empty((len(subsets), n))
+        rhs = np.empty((size, n))
         rhs[:, : n - 1] = -pool_b[subsets]
         rhs[:, n - 1] = 1.0
         dets = np.abs(np.linalg.det(systems))

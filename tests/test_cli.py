@@ -70,6 +70,24 @@ def test_run_config_validation():
     assert cfg.horizon == 14 and cfg.p == 0.2
 
 
+def test_run_config_refuses_builtin_parameters_with_an_input(tmp_path):
+    path = tmp_path / "game.json"
+    save_spec(builtin_example("detector", 0.2, 0.15, 2), path)
+    out = tmp_path / "solution.json"
+    with pytest.raises(ConfigError, match=r"do not apply to --input: --p, --horizon$"):
+        run(RunConfig(command="solve", input_path=str(path), horizon=7, p=0.9, out=str(out)))
+    assert not out.exists()
+    for name, value in (("p", 0.9), ("c", 0.3), ("horizon", 7)):
+        with pytest.raises(ConfigError, match=f"--{name}"):
+            RunConfig(command="evaluate", input_path=str(path), **{name: value})
+    # the builtin defaults fill in only for a builtin game
+    cfg = RunConfig(command="solve", input_path=str(path))
+    assert (cfg.p, cfg.c, cfg.horizon) == (None, None, None)
+    assert run(RunConfig(command="solve", input_path=str(path), out=str(out))) == 0
+    cfg = RunConfig(command="solve", builtin="quickest_detection", c=0.3)
+    assert (cfg.p, cfg.c, cfg.horizon) == (0.2, 0.3, 14)
+
+
 def test_main_reports_config_errors(capsys):
     code = main(["solve", "--builtin", "quickest_detection", "--p", "1.5"])
     assert code == 2

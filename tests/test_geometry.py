@@ -1,13 +1,20 @@
+import bisect
+import itertools
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from test_goldens import GAME_3
 
+from signalgame import geometry
+from signalgame.game import spec_from_dict
 from signalgame.geometry import (
     CANDIDATE_CAP,
+    EPS_DEGENERATE,
     EPS_GEOM,
+    EPS_MEMBER,
     CandidateBudgetExceeded,
     CellArrangement,
     GeometryDomainError,
@@ -24,6 +31,7 @@ from signalgame.geometry import (
     simplex_grid,
     validate_triangulation,
 )
+from signalgame.solver import solve
 
 
 def _unit_triangulation(n):
@@ -428,3 +436,192 @@ def test_validate_triangulation_detects_problems():
     )
     ok, problems = validate_triangulation(overlap)
     assert not ok
+
+
+def _dedup_sorted_loop(points):
+    """The greedy row-by-row scan, kept as the bit-exact reference for _dedup_sorted."""
+    kept: list[int] = []
+    kept_first: list[float] = []
+    for i in range(len(points)):
+        row = points[i]
+        lo = bisect.bisect_left(kept_first, row[0] - EPS_GEOM)
+        for j in range(lo, len(kept)):
+            if np.max(np.abs(points[kept[j]] - row)) <= EPS_GEOM:
+                break
+        else:
+            kept.append(i)
+            kept_first.append(float(row[0]))
+    return kept
+
+
+def _assert_dedup_matches_loop(points, dedup=None):
+    points = np.asarray(points, dtype=float)
+    kept = (dedup or geometry._dedup_sorted)(points)
+    assert np.array_equal(np.asarray(kept, dtype=np.intp), np.asarray(_dedup_sorted_loop(points), dtype=np.intp))
+    return list(kept)
+
+
+def _lex_sorted(points):
+    points = np.asarray(points, dtype=float)
+    return points[np.lexsort(points.T[::-1])]
+
+
+def test_dedup_sorted_small_cases():
+    assert _assert_dedup_matches_loop(np.empty((0, 3))) == []
+    assert _assert_dedup_matches_loop([[0.2, 0.8]]) == [0]
+    # exact duplicates keep the first of each run
+    rows = [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]
+    assert _assert_dedup_matches_loop(rows) == [0, 2]
+    # a chain a~b~c with a and c apart keeps a and c
+    step = 0.8 * EPS_GEOM
+    chain = [[0.0, 0.5 + k * step, 0.5 - k * step] for k in range(3)]
+    assert _assert_dedup_matches_loop(chain) == [0, 2]
+    # near rows that are not lex neighbours: r is p moved by under EPS_GEOM,
+    # and q sorts between them
+    p, q = [0.3, 0.2, 0.5], [0.3, 0.6, 0.1]
+    r = [0.3 + 0.4 * EPS_GEOM, 0.2 + 0.4 * EPS_GEOM, 0.5 - 0.8 * EPS_GEOM]
+    assert _assert_dedup_matches_loop([p, q, r]) == [0, 1]
+
+
+def test_dedup_sorted_first_coordinate_gaps_at_the_tolerance():
+    # First coordinates EPS_GEOM apart, give or take two ulps.  Near zero
+    # the scan's window x0_j >= x0_i - EPS_GEOM can exclude a row within
+    # EPS_GEOM of x0_j, and the kept set must follow the window.
+    bases = [0.0, 0.25, 1.0 / 3.0, *np.random.default_rng(31).random(20) * 5e-13]
+    window_only = 0
+    for base in bases:
+        edge = base + EPS_GEOM
+        gaps = [edge]
+        for _ in range(2):
+            gaps = [np.nextafter(gaps[0], -np.inf)] + gaps + [np.nextafter(gaps[-1], np.inf)]
+        for x0 in gaps:
+            window_only += bool(abs(x0 - base) <= EPS_GEOM and base < x0 - EPS_GEOM)
+            rows = _lex_sorted([[base, 0.5, 0.5 - base], [x0, 0.5, 0.5 - base]])
+            _assert_dedup_matches_loop(rows)
+            # with a third row inside both windows
+            mid = [0.5 * (base + x0), 0.5, 0.5 - base]
+            _assert_dedup_matches_loop(_lex_sorted([rows[0], mid, rows[1]]))
+    assert window_only > 0
+
+
+def test_dedup_sorted_facet_rows():
+    # 2,000 rows on the x0 = 0 facet, where every first coordinate ties,
+    # in clusters of near and exact copies
+    rng = np.random.default_rng(23)
+    base = np.repeat(rng.random(50), 40)
+    x1 = base + rng.uniform(-1.5, 1.5, size=2000) * EPS_GEOM
+    x1[::7] = base[::7]
+    rows = _lex_sorted(np.column_stack([np.zeros(2000), x1, 1.0 - x1]))
+    kept = _assert_dedup_matches_loop(rows)
+    assert 100 < len(kept) < 400
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dedup_sorted_random_clouds(n):
+    rng = np.random.default_rng(100 + n)
+    for trial in range(5):
+        base = rng.dirichlet(np.ones(n), size=300)
+        base[:40, 0] = 0.0
+        copies = np.repeat(base, rng.integers(1, 5, size=len(base)), axis=0)
+        scale = (0.3, 1.0, 1.5, 3.0, 1.0)[trial]
+        noise = rng.uniform(-scale, scale, size=copies.shape) * EPS_GEOM
+        noise[rng.random(len(copies)) < 0.2] = 0.0
+        _assert_dedup_matches_loop(_lex_sorted(copies + noise))
+
+
+def test_dedup_sorted_matches_the_loop_on_a_solve(monkeypatch):
+    seen = []
+    fast = geometry._dedup_sorted
+
+    def checked(points):
+        seen.append(len(points))
+        return _assert_dedup_matches_loop(points, fast)
+
+    monkeypatch.setattr(geometry, "_dedup_sorted", checked)
+    solve(spec_from_dict(GAME_3))
+    assert len(seen) >= 4 and max(seen) > 100
+
+
+def _candidate_vertices_one_shot(arrangement):
+    """candidate_vertices with every subset solved in one batch and the loop dedup."""
+    n = arrangement.n_states
+    fs = dedup_functionals(arrangement.functionals).reshape(-1, n + 1)
+    corners = np.eye(n)
+    pool_w = np.vstack([fs[:, :-1], corners])
+    pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
+    count = math.comb(len(pool_w), n - 1)
+    subsets = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(len(pool_w)), n - 1)),
+        dtype=np.intp,
+        count=count * (n - 1),
+    ).reshape(count, n - 1)
+    points = [corners]
+    systems = np.empty((len(subsets), n, n))
+    systems[:, : n - 1, :] = pool_w[subsets]
+    systems[:, n - 1, :] = 1.0
+    rhs = np.empty((len(subsets), n))
+    rhs[:, : n - 1] = -pool_b[subsets]
+    rhs[:, n - 1] = 1.0
+    dets = np.abs(np.linalg.det(systems))
+    scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+    transversal = dets > EPS_DEGENERATE * np.maximum(scale, 1e-30)
+    if transversal.any():
+        sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
+        inside = sols.min(axis=1) >= -EPS_MEMBER
+        if inside.any():
+            pts = np.clip(sols[inside], 0.0, None)
+            pts /= pts.sum(axis=1, keepdims=True)
+            points.append(pts)
+    allpts = np.vstack(points)
+    allpts = allpts[np.lexsort(allpts.T[::-1])]
+    return allpts[_dedup_sorted_loop(allpts)]
+
+
+def _concurrent_arrangement(n, pieces, seed):
+    """Pairwise differences of random affine pieces on a coarse grid of weights.
+
+    Three differences of three pieces meet where the pieces tie, so many
+    subsets solve to the same or nearly the same point.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(-8, 9, size=(pieces, n + 1)) / 8.0
+    diffs = [rows[i] - rows[j] for i, j in itertools.combinations(range(pieces), 2)]
+    return CellArrangement(n, dedup_functionals(diffs))
+
+
+def _subset_count(arrangement):
+    n = arrangement.n_states
+    return math.comb(len(dedup_functionals(arrangement.functionals)) + n, n - 1)
+
+
+@pytest.mark.parametrize("n, pieces", [(3, 8), (4, 6)])
+def test_candidate_vertices_blocks_match_one_batch(monkeypatch, n, pieces):
+    arrangement = _concurrent_arrangement(n, pieces, seed=n)
+    count = _subset_count(arrangement)
+    want = _candidate_vertices_one_shot(arrangement)
+    # below one block, exactly one block, one block + 1, several blocks
+    for block in (count + 7, count, count - 1, max(1, count // 5)):
+        monkeypatch.setattr(geometry, "_CANDIDATE_BLOCK", block)
+        got = candidate_vertices(arrangement)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), block
+
+
+def test_candidate_vertices_default_blocks_match_one_batch():
+    arrangement = _concurrent_arrangement(3, 32, seed=9)
+    assert _subset_count(arrangement) > 3 * geometry._CANDIDATE_BLOCK
+    got = candidate_vertices(arrangement)
+    assert np.array_equal(got.view(np.int64), _candidate_vertices_one_shot(arrangement).view(np.int64))
+
+
+def test_candidate_vertices_memory_does_not_grow_with_subsets():
+    # C(123, 3) = 302,621 subsets at 4 states; solved in one batch they
+    # peak above 100 MiB traced, in blocks near 14 MiB
+    arrangement = CellArrangement(4, np.random.default_rng(1).normal(size=(119, 5)))
+    assert _subset_count(arrangement) == 302_621
+    tracemalloc.start()
+    try:
+        candidate_vertices(arrangement)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
