@@ -30,8 +30,15 @@ import numpy as np
 
 from .evaluator import TRAJECTORIES, exact_value, one_shot_deviation_check, simulate
 from .game import GameSpec, SpecValidationError, _horizon, load_spec, validate_spec
-from .geometry import EPS_EQUILIBRIUM, CandidateBudgetExceeded, CellArrangement, argcav, dedup_functionals
-from .solver import EquilibriumSolution, solve
+from .geometry import (
+    EPS_EQUILIBRIUM,
+    CandidateBudgetExceeded,
+    CellArrangement,
+    GeometryDomainError,
+    argcav,
+    dedup_functionals,
+)
+from .solver import EnvelopeDivergence, EquilibriumSolution, solve
 
 __all__ = [
     "ConfigError",
@@ -437,7 +444,13 @@ def main(argv=None) -> int:
     try:
         cfg = RunConfig(**fields)
         return run(cfg)
-    except (ConfigError, SpecValidationError, CandidateBudgetExceeded) as err:
+    except (
+        ConfigError,
+        SpecValidationError,
+        CandidateBudgetExceeded,
+        GeometryDomainError,
+        EnvelopeDivergence,
+    ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import _signal_kernel
-from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, as_simplex_point
+from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, GeometryDomainError, as_simplex_point
 from .solver import EquilibriumSolution
 
 __all__ = [
@@ -72,10 +72,10 @@ class _StageSplits:
 
     Stage 1 has one row, the prior; at a later stage, row v is the
     previous stage's vertex v pushed through its action's kernel.
-    labels and weights (k, n) hold each row's barycentric split onto
-    the stage's triangulation: weights <= EPS_GEOM are dropped and the
-    rest renormalized, labels ascend, and dropped slots come last with
-    weight 0.  reached (k,) marks the rows on the path of play.
+    labels and weights (k, n) are the rows' Triangulation.split_many
+    onto the stage's triangulation: weights <= EPS_GEOM are dropped and
+    the rest renormalized, labels ascend, and dropped slots come last
+    with weight 0.  reached (k,) marks the rows on the path of play.
     """
 
     beliefs: np.ndarray
@@ -100,14 +100,10 @@ def _stage_splits(solution: EquilibriumSolution) -> list[_StageSplits]:
         tri = st.triangulation
         points = np.clip(beliefs, 0.0, None)
         points /= points.sum(axis=1, keepdims=True)
-        cells, lam = tri.locate_many(points)
-        labels = np.asarray(tri.simplices, dtype=np.intp)[cells]
-        kept = lam > EPS_GEOM
-        weights = np.where(kept, lam, 0.0)
-        weights /= weights.sum(axis=1, keepdims=True)
-        order = np.argsort(np.where(kept, labels, tri.n_vertices), axis=1, kind="stable")
-        rows = np.arange(len(order))[:, None]
-        labels, weights = labels[rows, order], weights[rows, order]
+        try:
+            labels, weights = tri.split_many(points)
+        except GeometryDomainError as err:
+            raise GeometryDomainError(f"stage {t}: {err}") from err
         record.append(_StageSplits(beliefs, labels, weights, reached))
         if t == spec.horizon:
             break

@@ -69,12 +69,15 @@ class GeometryDomainError(ValueError):
     """Raised when an input is outside the geometric domain of an operation."""
 
 
-# Most (n-1)-subsets candidate_vertices may solve.  The largest stage of
-# the tests and benchmarks needs 752,151.  Subsets are solved in blocks
-# of _CANDIDATE_BLOCK, so enumeration memory stays near one block's
-# systems (15 MiB traced) whatever the count, and the cap bounds time:
-# 2,000,000 subsets take 2 to 3 s at 3 and 4 states on a 2-vCPU Xeon
-# virtual machine.
+# Most (n-1)-subsets of the deduped pool candidate_vertices may count.
+# The largest stage of the tests and benchmarks counts 752,151 and,
+# after dropping the rows whose zero set misses the simplex, solves
+# 482,653.  Subsets are solved in blocks of _CANDIDATE_BLOCK, so
+# enumeration memory stays near one block's systems (15 MiB traced)
+# whatever the count.  The cap bounds time on the full pool, because
+# pruning may keep every row: 2,000,000 subsets of rows that all cross
+# the simplex take about 1.5 s at 3 and 4 states on a 2-vCPU Xeon virtual
+# machine.
 CANDIDATE_CAP = 2_000_000
 # Subsets candidate_vertices solves per batch of linear systems.
 _CANDIDATE_BLOCK = 1 << 15
@@ -309,26 +312,56 @@ class Triangulation:
     def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and barycentric weights for each query point.
 
-        Points on shared faces resolve to the first feasible cell in
-        listing order.  Raises GeometryDomainError when a cell has fewer
-        than n_states vertices or a point is not covered by any cell.
+        Cells are walked in listing order, each tested only on the
+        points that no earlier cell holds, so a point on shared faces
+        resolves to the first feasible cell and the work stops once
+        every point is placed.  Memory stays near one (P, n) array.
+        Raises GeometryDomainError when a cell has fewer than n_states
+        vertices or a point is not covered by any cell (naming the first
+        such point).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if not self.simplices:
             raise GeometryDomainError("triangulation has no cells")
         if not self._uniform_full_dim:
             raise GeometryDomainError("point location needs full-dimensional cells")
-        bary = np.einsum("cij,pj->pci", self._cell_inverses, pts)
-        with np.errstate(invalid="ignore"):
-            feasible = (bary >= -EPS_MEMBER).all(axis=2)
-        if not feasible.any(axis=1).all():
-            missing = pts[~feasible.any(axis=1)][0]
-            raise GeometryDomainError(f"point {missing} is not covered by any cell")
-        cell_idx = feasible.argmax(axis=1)
-        lam = bary[np.arange(len(pts)), cell_idx]
+        cell_idx = np.zeros(len(pts), dtype=np.intp)
+        lam = np.empty(pts.shape)
+        todo = np.arange(len(pts))
+        with np.errstate(invalid="ignore"):  # a degenerate cell's NaN weights are infeasible
+            for c, inv in enumerate(self._cell_inverses):
+                if not todo.size:
+                    break
+                # The same rounding as einsum("cij,pj->pci") over every cell, which
+                # the solve artifacts' bits rest on; pts @ inv.T or one flattened
+                # (C*n, n) einsum can differ in the last bit.
+                bary = np.einsum("ij,pj->pi", inv, pts[todo])
+                hit = (bary >= -EPS_MEMBER).all(axis=1)
+                placed = todo[hit]
+                cell_idx[placed] = c
+                lam[placed] = bary[hit]
+                todo = todo[~hit]
+        if todo.size:
+            raise GeometryDomainError(f"point {pts[todo[0]]} is not covered by any cell")
         lam = np.clip(lam, 0.0, None)
         lam /= lam.sum(axis=1, keepdims=True)
         return cell_idx, lam
+
+    def split_many(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Barycentric split of each point onto vertex labels: (labels, weights), each (P, n).
+
+        Weights <= EPS_GEOM are dropped and the rest renormalized.  A
+        row's labels ascend over its kept weights; dropped slots come
+        last with weight 0.
+        """
+        cells, lam = self.locate_many(points)
+        labels = np.asarray(self.simplices, dtype=np.intp)[cells]
+        kept = lam > EPS_GEOM
+        weights = np.where(kept, lam, 0.0)
+        weights /= weights.sum(axis=1, keepdims=True)
+        order = np.argsort(np.where(kept, labels, self.n_vertices), axis=1, kind="stable")
+        rows = np.arange(len(order))[:, None]
+        return labels[rows, order], weights[rows, order]
 
 
 def _by_column(fn, values: np.ndarray, axis: int) -> np.ndarray:
@@ -537,21 +570,15 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
 def barycentric_indices(t: Triangulation, omega) -> tuple[np.ndarray, np.ndarray]:
     """Vertex indices and weights expressing omega in its containing cell.
 
-    Weights below EPS_GEOM are dropped and the rest renormalized, so the
-    returned atoms all carry strictly positive mass.
+    The kept slots of one row of Triangulation.split_many: indices
+    ascend, and every returned atom carries strictly positive mass.
     """
     point = as_simplex_point(omega)
     if point.size != t.n_states:
         raise GeometryDomainError("point dimension does not match the triangulation")
-    cells, lam = t.locate_many(point[None, :])
-    cell = t.simplices[cells[0]]
-    weights = np.asarray(lam[0], dtype=float)
-    keep = weights > EPS_GEOM
-    ids = np.asarray(cell, dtype=int)[keep]
-    weights = weights[keep]
-    weights = weights / weights.sum()
-    order = np.argsort(ids)
-    return ids[order], weights[order]
+    labels, weights = t.split_many(point[None, :])
+    kept = weights[0] > 0.0
+    return labels[0, kept], weights[0, kept]
 
 
 def barycentric(t: Triangulation, omega) -> SupportMeasure:
@@ -598,9 +625,17 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     Solves every (n-1)-subset of {arrangement functionals} united with
     the simplex facet equalities, together with the sum-to-one row, one
     block of _CANDIDATE_BLOCK subsets at a time; near-singular subsets
-    are skipped as non-transversal.  The corners always appear.  Rows
-    come back lexicographically sorted and deduped at EPS_GEOM.  Raises CandidateBudgetExceeded, before enumerating,
-    when there are more than CANDIDATE_CAP subsets.
+    are skipped as non-transversal.  For n >= 3, functionals whose zero
+    set misses the simplex are left out of the pool first: those whose
+    corner values f(e_i) = w_i + b all lie on one side of zero by more
+    than 2 * n * EPS_MEMBER * max(1, max_i |f(e_i)|).  A solution within
+    EPS_MEMBER of the simplex keeps such a functional that far from
+    zero, so every subset using one fails the membership test anyway;
+    the kept subsets are solved in the same order, so the points are
+    bit for bit those of the full pool.  The corners always appear.
+    Rows come back lexicographically sorted and deduped at EPS_GEOM.
+    Raises CandidateBudgetExceeded, before enumerating, when the full
+    deduped pool has more than CANDIDATE_CAP subsets.
     """
     n = arrangement.n_states
     if n == 1:
@@ -619,12 +654,17 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
         pts = np.column_stack([ps, 1.0 - ps])
         return pts[_dedup_sorted(pts)]
 
+    count = math.comb(len(fs) + n, n - 1)
+    if count > CANDIDATE_CAP:
+        raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
+    at_corners = fs[:, :-1] + fs[:, -1:]
+    margin = 2 * n * EPS_MEMBER * np.maximum(1.0, np.abs(at_corners).max(axis=1))
+    crosses = (at_corners.min(axis=1) <= margin) & (at_corners.max(axis=1) >= -margin)
+    fs = fs[crosses]
     pool_w = np.vstack([fs[:, :-1], corners])
     pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
 
     count = math.comb(len(pool_w), n - 1)
-    if count > CANDIDATE_CAP:
-        raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
     combos = itertools.combinations(range(len(pool_w)), n - 1)
     points = [corners]
     for start in range(0, count, _CANDIDATE_BLOCK):

@@ -25,6 +25,7 @@ from .geometry import (
     EPS_TIE,
     CandidateBudgetExceeded,
     CellArrangement,
+    GeometryDomainError,
     Triangulation,
     VertexInterpolant,
     argcav,
@@ -33,6 +34,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "EnvelopeDivergence",
     "StageObjective",
     "StageSolution",
     "EquilibriumSolution",
@@ -41,6 +43,10 @@ __all__ = [
     "stage_backup",
     "solve",
 ]
+
+
+class EnvelopeDivergence(RuntimeError):
+    """A stage's concave envelope disagrees with its objective at a vertex."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,20 +216,24 @@ def stage_backup(spec: GameSpec, stage: int, next_solution: StageSolution | None
 
     Concavifies the tie-broken principal objective and reads both
     players' vertex values and the receiver's actions off the vertices.
-    A CandidateBudgetExceeded from the enumeration names the stage.
+    A CandidateBudgetExceeded or GeometryDomainError names the stage,
+    and so does the EnvelopeDivergence raised when the envelope and the
+    stage objective disagree at a vertex.
     """
     _check_next_solution(spec, stage, next_solution)
-    objective = _build_objective(spec, stage, next_solution)
     try:
+        objective = _build_objective(spec, stage, next_solution)
         envelope = argcav(lambda points: objective.tie_broken_values(points)[0], objective.arrangement)
+        tri = envelope.triangulation
+        actions, psi, values_b = receiver_best(*objective.q_many(tri.vertices))
     except CandidateBudgetExceeded as err:
         raise CandidateBudgetExceeded(err.functionals, err.n_states, err.subsets, err.cap, stage) from None
-    tri = envelope.triangulation
-    actions, psi, values_b = receiver_best(*objective.q_many(tri.vertices))
+    except GeometryDomainError as err:
+        raise GeometryDomainError(f"stage {stage}: {err}") from err
     diverged = np.abs(psi - envelope.values) > EPS_EQUILIBRIUM * np.maximum(1.0, np.abs(psi))
     if diverged.any():
         i = int(diverged.argmax())
-        raise RuntimeError(
+        raise EnvelopeDivergence(
             f"stage {stage}: envelope value diverges from the stage objective "
             f"at vertex {i} ({float(envelope.values[i])!r} vs {float(psi[i])!r})"
         )

@@ -10,7 +10,7 @@ from signalgame.cli import (
     main,
     run,
 )
-from signalgame import geometry
+from signalgame import geometry, solver
 from signalgame.evaluator import simulate
 from signalgame.game import save_spec
 from signalgame.solver import solve
@@ -139,6 +139,40 @@ def test_main_reports_candidate_budget(tmp_path, capsys, monkeypatch):
         assert err.startswith("error: stage 2: candidate enumeration over ")
         assert " functionals in 3 states needs " in err
         assert err.endswith(" subsets, over the cap of 1\n")
+
+
+def test_main_reports_geometry_failures_with_the_stage(tmp_path, capsys):
+    # A near-tie game whose stage-2 envelope misses the corner [0, 1, 0]:
+    # a neighbouring cell is 8e-9 wide, so the corner's weight in it is
+    # -1.6e-8, and stage 1 cannot locate the corner it maps there.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "horizon": 3,
+        "states": ["x0", "x1", "x2"],
+        "actions": ["u0", "u1"],
+        "terminating": [],
+        "kernel": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+                   [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+        "rewards_A": [[-0.999999999, 0.0], [1e-09, 1.000000002], [-0.9999999999, 1e-08]],
+        "rewards_B": [[-0.999999999, 2e-09], [1e-08, 1.00000001], [1.00000001, 1.000000002]],
+        "prior": [0.12017222434295911, 0.6999616207688908, 0.1798661548881502],
+    }))
+    for command in ("solve", "evaluate", "simulate"):
+        assert main([command, "--input", str(game)]) == 2
+        assert capsys.readouterr().err == "error: stage 1: point [0. 1. 0.] is not covered by any cell\n"
+
+
+def test_main_reports_envelope_divergence(monkeypatch, capsys):
+    original = solver.argcav
+
+    def shifted(psi, arrangement):
+        envelope = original(psi, arrangement)
+        return geometry.VertexInterpolant(envelope.triangulation, envelope.values + 1e-6)
+
+    monkeypatch.setattr(solver, "argcav", shifted)
+    assert main(["solve", "--builtin", "detector", "--horizon", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 3: envelope value diverges from the stage objective at vertex 0 (")
 
 
 def test_solve_payload_contains_last_stage_table(tmp_path):

@@ -19,7 +19,14 @@ from signalgame.evaluator import (
     simulate,
 )
 from signalgame.game import GameSpec, _signal_kernel
-from signalgame.geometry import EPS_EQUILIBRIUM, EPS_GEOM, EPS_MEMBER, as_simplex_point
+from signalgame.geometry import (
+    EPS_EQUILIBRIUM,
+    EPS_GEOM,
+    EPS_MEMBER,
+    GeometryDomainError,
+    Triangulation,
+    as_simplex_point,
+)
 from signalgame.solver import EquilibriumSolution, solve
 
 
@@ -232,6 +239,16 @@ def test_deviation_check_flags_wrong_receiver_action():
     flagged = [v for v in report.violations if v["kind"] == "receiver_action"]
     assert any(abs(v["belief"][0] - 1.0) <= 1e-9 and v["stage"] == 2 for v in flagged)
     assert report.max_receiver_gain == pytest.approx(1.0, abs=1e-9)
+
+
+def test_split_record_names_the_stage_of_an_uncovered_belief():
+    sol = solve(builtin_example("detector", 0.2, 0.15, 2))
+    # stage 2 covers only the half x0 <= 1/2 of the simplex
+    half = Triangulation(np.array([[0.0, 1.0], [0.5, 0.5]]), ((0, 1),))
+    stages = (sol.stage(1), dataclasses.replace(sol.stage(2), triangulation=half))
+    bad = EquilibriumSolution(spec=sol.spec, stages=stages)
+    with pytest.raises(GeometryDomainError, match=r"^stage 2: point \[.*\] is not covered by any cell$"):
+        exact_value(bad)
 
 
 def test_deviation_check_flags_lowered_principal_value():

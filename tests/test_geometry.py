@@ -1,8 +1,11 @@
 import bisect
+import importlib.util
 import itertools
 import math
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +35,8 @@ from signalgame.geometry import (
     validate_triangulation,
 )
 from signalgame.solver import solve
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _unit_triangulation(n):
@@ -149,6 +154,130 @@ def test_locate_many_rejects_lower_dimensional_cells():
         tri.locate_many(np.array([[0.5, 0.5, 0.0]]))
     with pytest.raises(GeometryDomainError, match="full-dimensional"):
         VertexInterpolant(tri, np.zeros(3)).evaluate_many(np.array([[0.5, 0.5, 0.0]]))
+
+
+def _locate_many_all_cells(tri, points):
+    """locate_many as one einsum over every cell, kept as the bit-exact reference."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    bary = np.einsum("cij,pj->pci", tri._cell_inverses, pts)
+    with np.errstate(invalid="ignore"):
+        feasible = (bary >= -EPS_MEMBER).all(axis=2)
+    if not feasible.any(axis=1).all():
+        missing = pts[~feasible.any(axis=1)][0]
+        raise GeometryDomainError(f"point {missing} is not covered by any cell")
+    cell_idx = feasible.argmax(axis=1)
+    lam = np.clip(bary[np.arange(len(pts)), cell_idx], 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    return cell_idx, lam
+
+
+def _assert_same_location(got, want):
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
+
+
+def _simplex_dense_specs(monkeypatch):
+    """The games of bench/workloads.py's simplex-dense workload, loaded without writing to bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    games = workloads.WORKLOADS["simplex-dense"].games
+    return [spec_from_dict(workloads.random_game(*game.generated)) for game in games]
+
+
+def test_locate_many_matches_the_all_cells_reference_on_the_simplex_dense_solves(monkeypatch):
+    sizes = []
+    walk = Triangulation.locate_many
+
+    def checked(tri, points):
+        got = walk(tri, points)
+        _assert_same_location(got, _locate_many_all_cells(tri, points))
+        sizes.append(len(got[0]))
+        return got
+
+    monkeypatch.setattr(Triangulation, "locate_many", checked)
+    for spec in _simplex_dense_specs(monkeypatch):
+        solve(spec)
+    assert len(sizes) > 30 and max(sizes) > 100_000
+
+
+def _min_of_pieces_triangulation(n, pieces, seed):
+    """Triangulation of the concave envelope of a min of random affine pieces."""
+    rows = np.random.default_rng(seed).normal(size=(pieces, n + 1))
+    diffs = [rows[i] - rows[j] for i, j in itertools.combinations(range(pieces), 2)]
+    env = argcav(lambda points: _values(rows, points).min(axis=1), CellArrangement(n, dedup_functionals(diffs)))
+    return env.triangulation
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_locate_many_matches_the_reference_on_shared_faces(n):
+    tri = _min_of_pieces_triangulation(n, 7, seed=n)
+    verts = tri.vertices
+    first, second = np.array(
+        [edge for cell in tri.simplices for edge in itertools.combinations(cell, 2)]
+    ).T
+    pts = np.vstack([verts, (verts[first] + verts[second]) / 2, (verts[first] + 2 * verts[second]) / 3])
+    got = tri.locate_many(pts)
+    _assert_same_location(got, _locate_many_all_cells(tri, pts))
+    # the listing order decides: each vertex lands in the first cell that has it
+    owners = [min(c for c, cell in enumerate(tri.simplices) if v in cell) for v in range(tri.n_vertices)]
+    assert got[0][: tri.n_vertices].tolist() == owners
+    assert len(tri.simplices) > 4 and max(map(owners.count, set(owners))) > 1
+
+
+def test_locate_many_names_the_first_uncovered_point_like_the_reference():
+    # the corner cells of the midpoint subdivision, without the middle one
+    verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]])
+    tri = Triangulation(verts, ((0, 3, 4), (1, 3, 5), (2, 4, 5)))
+    covered = np.array([[0.8, 0.1, 0.1], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
+    for uncovered in ([[0.3, 0.3, 0.4], [1 / 3, 1 / 3, 1 / 3]], [[0.4, 0.3, 0.3], [np.nan, 0.5, 0.5]]):
+        pts = np.vstack([covered, uncovered, covered])
+        with pytest.raises(GeometryDomainError) as got:
+            tri.locate_many(pts)
+        with pytest.raises(GeometryDomainError) as want:
+            _locate_many_all_cells(tri, pts)
+        assert str(got.value) == str(want.value) == f"point {pts[3]} is not covered by any cell"
+    _assert_same_location(tri.locate_many(covered), _locate_many_all_cells(tri, covered))
+
+
+def test_locate_many_memory_stays_near_one_points_array():
+    # 14 cells fanned from the corner e0 over the edge from e1 to e2
+    ts = np.linspace(0.0, 1.0, 15)
+    verts = np.vstack([[1.0, 0.0, 0.0], np.column_stack([np.zeros(15), 1.0 - ts, ts])])
+    tri = Triangulation(verts, tuple((0, k, k + 1) for k in range(1, 15)))
+    pts = np.random.default_rng(5).dirichlet(np.ones(3), size=100_000)
+    tri.locate_many(pts[:1])  # the cell inverses are cached outside the trace
+    tracemalloc.start()
+    try:
+        got = tri.locate_many(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # all cells' weights at once, (100,000, 14, 3) floats, are 33.6 MB
+    assert peak < 16 * 2**20
+    _assert_same_location(got, _locate_many_all_cells(tri, pts))
+
+
+def test_split_many_rows():
+    tri = _min_of_pieces_triangulation(3, 7, seed=3)
+    pts = np.vstack([tri.vertices, np.random.default_rng(2).dirichlet(np.ones(3), size=200)])
+    labels, weights = tri.split_many(pts)
+    assert labels.shape == weights.shape == pts.shape
+    kept = weights > 0.0
+    # kept slots first, with ascending labels; dropped slots carry weight 0
+    assert np.all(kept[:, :-1] >= kept[:, 1:])
+    assert np.all(np.where(kept[:, 1:], np.diff(labels, axis=1) > 0, True))
+    assert np.all(kept.sum(axis=1)[: tri.n_vertices] == 1)
+    assert np.allclose(weights.sum(axis=1), 1.0)
+    assert np.allclose(np.einsum("pk,pkj->pj", weights, tri.vertices[labels]), pts, atol=1e-12)
+    # barycentric_indices is the kept part of one row, after as_simplex_point
+    for p in pts[:: 10]:
+        ids, w = barycentric_indices(tri, p)
+        row_labels, row_weights = tri.split_many(as_simplex_point(p)[None, :])
+        kept = row_weights[0] > 0.0
+        assert np.array_equal(ids, row_labels[0, kept]) and np.array_equal(w, row_weights[0, kept])
 
 
 def test_barycentric_mean_recovers_point():
@@ -625,3 +754,33 @@ def test_candidate_vertices_memory_does_not_grow_with_subsets():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n, crossing, missing", [(3, 40, 300), (4, 20, 60)])
+def test_candidate_vertices_skips_rows_that_miss_the_simplex(monkeypatch, n, crossing, missing):
+    rng = np.random.default_rng(20 + n)
+    # rows through random interior points cross the simplex
+    w = rng.uniform(-1.0, 1.0, size=(crossing, n))
+    through = np.column_stack([w, -np.einsum("ij,ij->i", w, rng.dirichlet(np.ones(n), size=crossing))])
+    # rows whose corner values w_i + b are all at least 1 away from zero
+    w = rng.uniform(-1.0, 1.0, size=(missing, n))
+    apart = np.column_stack([w, rng.choice([-1.0, 1.0], missing) * rng.uniform(2.0, 5.0, missing)])
+    # inside the margin: tangent at the corner e0, and crossing EPS_MEMBER / 2
+    # outside the facet x0 = 0, whose points are clipped onto it
+    tangent = np.append(np.r_[0.0, np.ones(n - 1)], 0.0)
+    outside = np.append(np.eye(n)[0], 0.5 * EPS_MEMBER)
+    # beyond the margin: crossing 1e-8 outside the same facet
+    beyond = np.append(np.eye(n)[0], 1e-8)
+    rows = np.vstack([through[: crossing // 2], apart, tangent, through[crossing // 2 :], outside, beyond])
+    arrangement = CellArrangement(n, rows)
+    pool = len(dedup_functionals(rows))
+    assert pool == crossing + missing + 3
+    want = _candidate_vertices_one_shot(arrangement)
+    # the row EPS_MEMBER / 2 outside adds points, clipped onto the facet
+    assert len(_candidate_vertices_one_shot(CellArrangement(n, np.delete(rows, -2, axis=0)))) < len(want)
+    solved = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: solved.append(len(a)) or det(a))
+    got = candidate_vertices(arrangement)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert sum(solved) == math.comb(crossing + 2 + n, n - 1) < math.comb(pool + n, n - 1)
