@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import _signal_kernel
-from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, GeometryDomainError, as_simplex_point
+from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, GeometryDomainError, _renormalize, as_simplex_point
 from .solver import EquilibriumSolution
 
 __all__ = [
@@ -98,10 +98,8 @@ def _stage_splits(solution: EquilibriumSolution) -> list[_StageSplits]:
     for t in range(1, spec.horizon + 1):
         st = solution.stage(t)
         tri = st.triangulation
-        points = np.clip(beliefs, 0.0, None)
-        points /= points.sum(axis=1, keepdims=True)
         try:
-            labels, weights = tri.split_many(points)
+            labels, weights = tri.split_many(_renormalize(beliefs))
         except GeometryDomainError as err:
             raise GeometryDomainError(f"stage {t}: {err}") from err
         record.append(_StageSplits(beliefs, labels, weights, reached))
@@ -290,14 +288,13 @@ class DeviationReport:
 # decides the shape of each RNG call: another size would give other
 # experiments for the same seed.
 _PROBE_BLOCK = 256
+# Random probe beliefs per stage, and sampled experiments per probe.
+# Fixed like _PROBE_BLOCK: they decide the draws, and so the artifacts.
+_PROBES_PER_STAGE = 20
+_EXPERIMENTS_PER_BELIEF = 20
 
 
-def one_shot_deviation_check(
-    solution: EquilibriumSolution,
-    probes_per_stage: int = 20,
-    experiments_per_belief: int = 20,
-    seed: int = 0,
-) -> DeviationReport:
+def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
 
     Receiver: at every triangulation vertex the stored action must
@@ -305,9 +302,9 @@ def one_shot_deviation_check(
     it (Bellman consistency); receiver_checked counts these vertices.
     Principal: at every reachable belief and random probe, no
     alternative experiment (no split, full revelation, or one of
-    experiments_per_belief sampled mean-preserving splits) may beat the
+    _EXPERIMENTS_PER_BELIEF sampled mean-preserving splits) may beat the
     stage value.  A stage's probes are its reachable beliefs in
-    ascending label order, then probes_per_stage random beliefs.  Gains
+    ascending label order, then _PROBES_PER_STAGE random beliefs.  Gains
     above EPS_EQUILIBRIUM are reported as violations, stage by stage:
     vertices first, then probes in order, each probe's no-split,
     full-revelation and sampled experiments in that order.
@@ -328,7 +325,7 @@ def one_shot_deviation_check(
             )
 
     record = _stage_splits(solution)
-    count = experiments_per_belief
+    count = _EXPERIMENTS_PER_BELIEF
     principal_kinds = ("principal_null_split",) + ("principal_experiment",) * (count + 1)
     for t in range(1, spec.horizon + 1):
         st = solution.stage(t)
@@ -345,7 +342,7 @@ def one_shot_deviation_check(
              np.column_stack([action_gain, bellman_gap]))
 
         reachable = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
-        probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=probes_per_stage)])
+        probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=_PROBES_PER_STAGE)])
         for lo in range(0, len(probes), _PROBE_BLOCK):
             chunk = probes[lo : lo + _PROBE_BLOCK]
             atoms, weights, owner, kept = _sample_inducible(rng, chunk, count)
@@ -411,6 +408,5 @@ def _sample_inducible(
     kept = shrink > 0.0
     rows = used & kept[..., None]
     p, c, _ = np.nonzero(rows)
-    shifted = np.clip(probes[p] + shrink[p, c, None] * delta[rows], 0.0, None)
-    shifted /= shifted.sum(axis=1, keepdims=True)
+    shifted = _renormalize(probes[p] + shrink[p, c, None] * delta[rows])
     return shifted, weights[rows], p * count + c, kept

@@ -19,7 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import EPS_GEOM, EPS_MEMBER, GeometryDomainError, SupportMeasure, as_simplex_point
+from .geometry import (
+    EPS_GEOM,
+    EPS_MEMBER,
+    GeometryDomainError,
+    SupportMeasure,
+    _renormalize,
+    as_simplex_point,
+    as_simplex_points,
+)
 
 __all__ = [
     "SpecValidationError",
@@ -177,8 +185,11 @@ class Belief:
 class Experiment:
     """Signal kernel sigma(message | state): rows are states.
 
-    labels optionally names the messages, e.g. with the triangulation
-    vertex indices they induce under an equilibrium policy.
+    Each row must pass as_simplex_points (finite, nonnegative within
+    EPS_GEOM, summing to one within EPS_GEOM per message) and is stored
+    clipped and renormalized.  labels optionally names the messages,
+    e.g. with the triangulation vertex indices they induce under an
+    equilibrium policy.
     """
 
     kernel: np.ndarray
@@ -186,17 +197,12 @@ class Experiment:
 
     def __post_init__(self):
         k = np.asarray(self.kernel, dtype=float)
-        if k.ndim != 2 or k.shape[0] == 0 or k.shape[1] == 0:
+        if k.ndim != 2 or k.size == 0:
             raise ValueError(f"experiment kernel must be a nonempty matrix, got shape {k.shape}")
-        if not np.all(np.isfinite(k)):
-            raise ValueError("experiment kernel must be finite")
-        if k.min() < -EPS_GEOM:
-            raise ValueError(f"experiment kernel has negative entry {k.min():.3e}")
-        rows = k.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > EPS_GEOM:
-            raise ValueError("experiment kernel rows must sum to one")
-        k = np.clip(k, 0.0, None)
-        k /= k.sum(axis=1, keepdims=True)
+        try:
+            k = as_simplex_points(k)
+        except GeometryDomainError as err:
+            raise GeometryDomainError(f"experiment kernel {err}") from None
         object.__setattr__(self, "kernel", k)
         if self.labels is not None:
             labels = tuple(int(i) for i in self.labels)
@@ -221,8 +227,10 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
     """Numeric invariants of a structurally well-formed specification.
 
     Checks label uniqueness, finite rewards, stochastic kernel slices
-    (rows sum to one within EPS_GEOM, entries nonnegative within EPS_GEOM),
-    a prior on the simplex, and in-range terminating action indices.
+    (each row, indexed (state, action), passes as_simplex_points: finite,
+    nonnegative within EPS_GEOM, summing to one within EPS_GEOM per next
+    state), a prior on the simplex, and in-range terminating action
+    indices.
     Returns (ok, problems) without raising.
     """
     problems = []
@@ -245,14 +253,13 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
                 problems.append(f"stage {t}: non-finite {name} reward")
         if t < spec.horizon:
             kern = spec.kernels[t - 1]
-            if not np.all(np.isfinite(kern)):
-                problems.append(f"stage {t}: non-finite kernel")
-            elif kern.size:
-                if kern.min() < -EPS_GEOM:
-                    problems.append(f"stage {t}: negative kernel entry {kern.min():.3e}")
-                rows = kern.sum(axis=2)
-                if np.max(np.abs(rows - 1.0)) > EPS_GEOM:
-                    problems.append(f"stage {t}: kernel rows must sum to one")
+            if kern.size:
+                try:
+                    as_simplex_points(kern)
+                except GeometryDomainError as err:
+                    problems.append(
+                        f"stage {t}: kernel rows must be finite, nonnegative and sum to one: {err}"
+                    )
     try:
         as_simplex_point(spec.prior)
     except GeometryDomainError as err:
@@ -348,8 +355,7 @@ def _signal_kernel(pi: np.ndarray, weights: np.ndarray, atoms: np.ndarray) -> np
     Leading axes broadcast: pi (..., n), weights (..., M) and atoms
     (..., M, n) give kernels (..., n, M).  States with pi[x] <= EPS_GEOM
     get uniform rows over the messages of positive weight; messages of
-    zero weight get no mass.  The result is clipped at zero and each
-    row renormalized to sum to one.
+    zero weight get no mass.  The result goes through _renormalize.
     """
     pi = pi[..., :, None]
     weights = weights[..., None, :]
@@ -360,9 +366,7 @@ def _signal_kernel(pi: np.ndarray, weights: np.ndarray, atoms: np.ndarray) -> np
             weights * np.swapaxes(atoms, -1, -2) / pi,
             sent / sent.sum(axis=-1, keepdims=True),
         )
-    kernel = np.clip(kernel, 0.0, None)
-    kernel /= kernel.sum(axis=-1, keepdims=True)
-    return kernel
+    return _renormalize(kernel)
 
 
 def _nesting_depth(obj) -> int:

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 # Tolerance table: every numeric tolerance of the package, one per role.
-# Point coincidence, zero mass, and stochastic-row sums.
+# Point coincidence, zero mass, and simplex rows (beliefs, vertices, atoms,
+# experiment and kernel rows; per coordinate, in as_simplex_points).
 EPS_GEOM = 1e-12
 # Relative degeneracy: non-transversal subsets, collinear chain points.
 EPS_DEGENERATE = 1e-12
@@ -33,7 +33,7 @@ EPS_DEGENERATE = 1e-12
 EPS_TIE = 1e-9
 # Equilibrium identities: value gap, deviation gains, Bellman residuals, backups.
 EPS_EQUILIBRIUM = 1e-9
-# Membership and measure slack: points in cells, kernels, weights, means.
+# Membership and measure slack: points in cells, weights, means.
 EPS_MEMBER = 1e-9
 # Functional and facet equality: dedup, hull facet clusters, affine fits.
 EPS_FUNCTIONAL = 1e-9
@@ -54,6 +54,7 @@ __all__ = [
     "VertexInterpolant",
     "CellArrangement",
     "as_simplex_point",
+    "as_simplex_points",
     "simplex_grid",
     "validate_triangulation",
     "barycentric",
@@ -99,26 +100,49 @@ class CandidateBudgetExceeded(RuntimeError):
         )
 
 
-def as_simplex_point(coords) -> np.ndarray:
-    """Validate coordinates as a point of the standard simplex.
+def _renormalize(rows: np.ndarray) -> np.ndarray:
+    """rows clipped at zero, then divided by their sums along the last axis."""
+    rows = np.clip(rows, 0.0, None)
+    rows /= rows.sum(axis=-1, keepdims=True)
+    return rows
 
-    Coordinates must be finite, nonnegative within EPS_GEOM, and sum to
-    one within EPS_GEOM per coordinate.  The returned array is clipped
-    to [0, 1] and renormalized so downstream arithmetic sees an exact
-    point.
+
+def as_simplex_points(rows) -> np.ndarray:
+    """Validate each row (last axis) of an array as a point of the standard simplex.
+
+    Every row must be finite, nonnegative within EPS_GEOM, and sum to
+    one within EPS_GEOM per coordinate (EPS_GEOM times the row length).
+    A GeometryDomainError names the first bad row, by its index over
+    the leading axes.  The returned rows are clipped at zero and
+    renormalized, so downstream arithmetic sees exact points.
     """
+    x = np.asarray(rows, dtype=float)
+    if x.ndim < 2 or x.size == 0:
+        raise GeometryDomainError(f"expected a nonempty array of point rows, got shape {x.shape}")
+    finite = np.isfinite(x).all(axis=-1)
+    with np.errstate(invalid="ignore"):
+        lowest = x.min(axis=-1)
+        totals = x.sum(axis=-1)
+    bad = ~finite | (lowest < -EPS_GEOM) | (np.abs(totals - 1.0) > EPS_GEOM * x.shape[-1])
+    if bad.any():
+        at = np.unravel_index(int(bad.argmax()), bad.shape)
+        if not finite[at]:
+            problem = "coordinates must be finite"
+        elif lowest[at] < -EPS_GEOM:
+            problem = f"negative coordinate {lowest[at]:.3e} below tolerance -{EPS_GEOM:.1e}"
+        else:
+            problem = f"coordinates sum to {float(totals[at])!r}, expected 1"
+        row = int(at[0]) if len(at) == 1 else tuple(int(i) for i in at)
+        raise GeometryDomainError(f"row {row}: {problem}")
+    return _renormalize(x)
+
+
+def as_simplex_point(coords) -> np.ndarray:
+    """as_simplex_points of one point, given as a nonempty 1-d coordinate vector."""
     x = np.asarray(coords, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise GeometryDomainError(f"expected a 1-d coordinate vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise GeometryDomainError("coordinates must be finite")
-    if x.min() < -EPS_GEOM:
-        raise GeometryDomainError(f"negative coordinate {x.min():.3e} below tolerance -{EPS_GEOM:.1e}")
-    total = float(x.sum())
-    if abs(total - 1.0) > EPS_GEOM * x.size:
-        raise GeometryDomainError(f"coordinates sum to {total!r}, expected 1")
-    x = np.clip(x, 0.0, None)
-    return x / x.sum()
+    return as_simplex_points(x[None, :])[0]
 
 
 def simplex_grid(n_states: int, resolution: int) -> np.ndarray:
@@ -209,7 +233,7 @@ class SupportMeasure:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise GeometryDomainError("support points must form a nonempty 2-d array")
-        pts = np.vstack([as_simplex_point(row) for row in pts])
+        pts = as_simplex_points(pts)
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (pts.shape[0],) or not np.all(np.isfinite(w)):
             raise GeometryDomainError("weights shape does not match the support")
@@ -243,7 +267,7 @@ class Triangulation:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] == 0:
             raise GeometryDomainError("vertices must form a nonempty 2-d array")
-        verts = np.vstack([as_simplex_point(row) for row in verts])
+        verts = as_simplex_points(verts)
         cells = []
         for cell in self.simplices:
             cell = tuple(int(i) for i in cell)
@@ -343,9 +367,7 @@ class Triangulation:
                 todo = todo[~hit]
         if todo.size:
             raise GeometryDomainError(f"point {pts[todo[0]]} is not covered by any cell")
-        lam = np.clip(lam, 0.0, None)
-        lam /= lam.sum(axis=1, keepdims=True)
-        return cell_idx, lam
+        return cell_idx, _renormalize(lam)
 
     def split_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric split of each point onto vertex labels: (labels, weights), each (P, n).
@@ -475,6 +497,9 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
     face, via small LPs), and that cell volumes add up to the simplex
     volume.  Returns (ok, list of human-readable problems).
     """
+    # the package's one user of scipy.optimize, whose import takes ~0.2 s
+    from scipy.optimize import linprog
+
     problems: list[str] = []
     verts = t.vertices
     n = t.n_states
@@ -603,17 +628,17 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     of f pulled back, shaped like f.cell_pieces, and the pulled-back
     cell facets of f, deduped (constants dropped).  Raises
     GeometryDomainError if the kernel can carry a source simplex point
-    outside the domain of f.
+    outside the domain of f: some kernel row fails as_simplex_points
+    (EPS_GEOM per coordinate).  The kernel is used as given, without
+    renormalizing its rows.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[1] != f.triangulation.n_states:
         raise GeometryDomainError("kernel target does not match the interpolant domain")
-    if (
-        not np.all(np.isfinite(kernel))
-        or kernel.min() < -EPS_MEMBER
-        or np.max(np.abs(kernel.sum(axis=1) - 1.0)) > EPS_MEMBER
-    ):
-        raise GeometryDomainError("kernel sends the simplex outside the target simplex")
+    try:
+        as_simplex_points(kernel)
+    except GeometryDomainError as err:
+        raise GeometryDomainError(f"kernel sends the simplex outside the target simplex: {err}") from None
     pieces = _pull_rows(kernel, f.cell_pieces)
     boundary = dedup_functionals(_pull_rows(kernel, f.triangulation.boundary_functionals))
     return pieces, boundary
@@ -687,9 +712,7 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
             sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
             inside = sols.min(axis=1) >= -EPS_MEMBER
             if inside.any():
-                pts = np.clip(sols[inside], 0.0, None)
-                pts /= pts.sum(axis=1, keepdims=True)
-                points.append(pts)
+                points.append(_renormalize(sols[inside]))
     allpts = np.vstack(points)
     allpts = allpts[_lex_order(allpts)]
     return allpts[_dedup_sorted(allpts)]
@@ -747,7 +770,11 @@ def _face_facets(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[i
             (ids[int(np.argmin(local[:, 0]))],),
             (ids[int(np.argmax(local[:, 0]))],),
         ]
-    hull = ConvexHull(local)
+    try:
+        hull = ConvexHull(local)
+    except QhullError as err:
+        first = str(err).strip().splitlines()[0]
+        raise GeometryDomainError(f"hull of the {k}-face on candidates {ids} failed: {first}") from None
     extremes = set(hull.vertices.tolist())
     facets = []
     for group in _cluster_rows(hull.equations):

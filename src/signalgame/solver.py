@@ -28,6 +28,7 @@ from .geometry import (
     GeometryDomainError,
     Triangulation,
     VertexInterpolant,
+    _renormalize,
     argcav,
     as_simplex_point,
     pullback_affine,
@@ -76,9 +77,7 @@ class StageObjective:
         for u, kernel in enumerate(self.kernels):
             if kernel is None:
                 continue
-            mapped = np.clip(pts @ kernel, 0.0, None)
-            mapped /= mapped.sum(axis=1, keepdims=True)
-            q[:, :, u] += self.next_values.evaluate_many(mapped).T
+            q[:, :, u] += self.next_values.evaluate_many(_renormalize(pts @ kernel)).T
         return q[0], q[1]
 
     def q_single(self, belief) -> tuple[np.ndarray, np.ndarray]:

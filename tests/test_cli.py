@@ -162,6 +162,31 @@ def test_main_reports_geometry_failures_with_the_stage(tmp_path, capsys):
         assert capsys.readouterr().err == "error: stage 1: point [0. 1. 0.] is not covered by any cell\n"
 
 
+def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
+    # A near-tie game with a stage-2 upper-hull face whose candidates qhull
+    # finds flat when it triangulates the face in its own plane.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "horizon": 3,
+        "states": ["x0", "x1", "x2"],
+        "actions": ["u0", "u1", "u2"],
+        "terminating": [],
+        "kernel": [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                   [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]],
+        "rewards_A": [[1.000000001, -0.999999999, 1.000000002], [1.00000001, 0.0, 1e-09],
+                      [1e-08, 1e-10, 0.0]],
+        "rewards_B": [[1e-08, 1e-10, -0.9999999999], [-0.99999999, 1e-08, 1.0],
+                      [1e-09, -0.999999999, 1.0]],
+        "prior": [0.1730801624849889, 0.4461758819705392, 0.38074395554447193],
+    }))
+    for command in ("solve", "evaluate", "simulate"):
+        assert main([command, "--input", str(game)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stage 2: hull of the 2-face on candidates (")
+        assert "Initial simplex is flat" in err and err.count("\n") == 1
+
+
 def test_main_reports_envelope_divergence(monkeypatch, capsys):
     original = solver.argcav
 

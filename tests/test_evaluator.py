@@ -534,7 +534,9 @@ def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
         return original(rng, probes, count)
 
     monkeypatch.setattr(evaluator, "_sample_inducible", recorded)
-    report = one_shot_deviation_check(sol, probes_per_stage=2 * _PROBE_BLOCK + 3, experiments_per_belief=2)
+    monkeypatch.setattr(evaluator, "_PROBES_PER_STAGE", 2 * _PROBE_BLOCK + 3)
+    monkeypatch.setattr(evaluator, "_EXPERIMENTS_PER_BELIEF", 2)
+    report = one_shot_deviation_check(sol)
     assert report.ok
     # every stage: two full chunks, then the rest with the reachable beliefs
     assert sizes[:3] == [_PROBE_BLOCK, _PROBE_BLOCK, sizes[2]] and 3 < sizes[2] < _PROBE_BLOCK

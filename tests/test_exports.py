@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,3 +29,13 @@ def test_package_exports_are_the_module_exports():
         assert getattr(signalgame, name) is getattr(
             importlib.import_module(f"signalgame.{owner}"), name
         )
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only the validate_triangulation oracle uses scipy.optimize, whose
+    # import would add most of the time of `import signalgame`.
+    src = str(Path(signalgame.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, signalgame; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

@@ -136,6 +136,34 @@ def test_validate_spec_row_sum_tolerance_is_tight():
     assert not ok
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_rows_sum_to_one_within_eps_geom_per_coordinate(n):
+    # One rule for experiment and transition kernel rows: within EPS_GEOM
+    # per coordinate, so EPS_GEOM * n for a row of length n.
+    def spec_with(kernel):
+        return GameSpec(
+            horizon=2,
+            states=(tuple(f"x{i}" for i in range(n)),) * 2,
+            actions=(("u",),) * 2,
+            terminating=(frozenset(),) * 2,
+            kernels=(kernel,),
+            rewards_principal=(np.zeros((n, 1)),) * 2,
+            rewards_receiver=(np.zeros((n, 1)),) * 2,
+            prior=np.full(n, 1.0 / n),
+        )
+
+    rows = np.full((n, n), 1.0 / n)
+    rows[-1, -1] += 0.5 * n * EPS_GEOM
+    assert Experiment(rows).kernel.shape == (n, n)
+    assert validate_spec(spec_with(rows[:, None, :])) == (True, [])
+    rows[-1, -1] += 1.5 * n * EPS_GEOM
+    with pytest.raises(ValueError, match=rf"^experiment kernel row {n - 1}: coordinates sum to "):
+        Experiment(rows)
+    ok, problems = validate_spec(spec_with(rows[:, None, :]))
+    assert not ok and len(problems) == 1
+    assert "sum to one" in problems[0] and f"row ({n - 1}, 0): coordinates sum to " in problems[0]
+
+
 def test_experiment_validation():
     e = Experiment([[0.8, 0.2], [0.4, 0.6]])
     assert e.kernel.shape == (2, 2)

@@ -26,6 +26,7 @@ from signalgame.geometry import (
     VertexInterpolant,
     argcav,
     as_simplex_point,
+    as_simplex_points,
     barycentric,
     barycentric_indices,
     candidate_vertices,
@@ -66,6 +67,60 @@ def test_as_simplex_point_rejects_bad_input():
         as_simplex_point([np.nan, 1.0])
     with pytest.raises(GeometryDomainError):
         as_simplex_point([[0.5, 0.5]])
+
+
+def _as_simplex_point_reference(coords):
+    """The one-point validation that Triangulation and SupportMeasure once looped over."""
+    x = np.asarray(coords, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise GeometryDomainError(f"expected a 1-d coordinate vector, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise GeometryDomainError("coordinates must be finite")
+    if x.min() < -EPS_GEOM:
+        raise GeometryDomainError(f"negative coordinate {x.min():.3e} below tolerance -{EPS_GEOM:.1e}")
+    total = float(x.sum())
+    if abs(total - 1.0) > EPS_GEOM * x.size:
+        raise GeometryDomainError(f"coordinates sum to {total!r}, expected 1")
+    x = np.clip(x, 0.0, None)
+    return x / x.sum()
+
+
+def test_as_simplex_points_matches_the_per_row_loop_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n in range(2, 6):
+        rows = rng.dirichlet(np.ones(n), size=400)
+        rows[::3, rng.integers(n)] = 0.0  # facet points, whose clip matters
+        rows /= rows.sum(axis=1, keepdims=True)
+        rows[::5] = np.eye(n)[rng.integers(n, size=len(rows[::5]))]
+        rows += rng.choice([-1e-13, 0.0, 1e-13], size=rows.shape)
+        loop = np.vstack([_as_simplex_point_reference(row) for row in rows])
+        assert np.array_equal(as_simplex_points(rows).view(np.int64), loop.view(np.int64))
+        assert np.array_equal(Triangulation(rows, ()).vertices.view(np.int64), loop.view(np.int64))
+        one = np.vstack([as_simplex_point(row) for row in rows])
+        assert np.array_equal(one.view(np.int64), loop.view(np.int64))
+
+
+def test_as_simplex_points_names_the_first_bad_row():
+    rows = np.full((5, 3), 1.0 / 3.0)
+    rows[4] = [np.nan, 0.5, 0.5]
+    rows[3] = [0.5, 0.5, 0.5]
+    with pytest.raises(GeometryDomainError, match=r"^row 3: coordinates sum to 1\.5, expected 1$"):
+        as_simplex_points(rows)
+    rows[2] = [1.5, -0.5, 0.0]
+    with pytest.raises(GeometryDomainError, match=r"^row 2: negative coordinate -5\.000e-01 below"):
+        as_simplex_points(rows)
+    rows[1, 0] = np.inf
+    with pytest.raises(GeometryDomainError, match=r"^row 1: coordinates must be finite$"):
+        as_simplex_points(rows)
+    # rows of a higher-dimensional array are named by their leading indices
+    kernel = np.full((2, 3, 2), 0.5)
+    kernel[1, 2] = [0.5, 0.6]
+    kernel[1, 0] = [0.7, 0.6]
+    with pytest.raises(GeometryDomainError, match=r"^row \(1, 0\): coordinates sum to "):
+        as_simplex_points(kernel)
+    for shape in [(0, 3), (3,), ()]:
+        with pytest.raises(GeometryDomainError, match="nonempty array of point rows"):
+            as_simplex_points(np.zeros(shape))
 
 
 def test_simplex_grid_counts_and_contents():
@@ -120,6 +175,17 @@ def test_affine_map_and_pullback():
         pullback_affine(f, 2.0 * kernel)
     with pytest.raises(GeometryDomainError):
         pullback_affine(f, kernel[:, :2])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_pullback_affine_kernel_rows_sum_to_one_within_eps_geom_per_coordinate(n):
+    f = VertexInterpolant(_unit_triangulation(n), np.arange(n, dtype=float))
+    kernel = np.full((2, n), 1.0 / n)
+    kernel[1, -1] += 0.5 * n * EPS_GEOM
+    pullback_affine(f, kernel)
+    kernel[1, -1] += 1.5 * n * EPS_GEOM
+    with pytest.raises(GeometryDomainError, match=r"outside the target simplex: row 1: coordinates sum to "):
+        pullback_affine(f, kernel)
 
 
 def test_support_measure_validation_and_mean():

@@ -68,3 +68,22 @@ def test_readme_lists_the_table():
     }
     table = {name: getattr(geometry, name) for name in _table_lines()}
     assert documented == table
+
+
+def test_rows_are_clipped_only_in_renormalize():
+    # Every clip-and-renormalize of simplex rows is geometry._renormalize.
+    sites = []
+
+    def visit(node, owner, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Attribute, ast.Name)) and "clip" in (
+                getattr(child, "attr", None),
+                getattr(child, "id", None),
+            ):
+                sites.append((path.name, owner))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            visit(child, inner, path)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), None, path)
+    assert sites == [("geometry.py", "_renormalize")]
