@@ -23,7 +23,7 @@ import numpy as np
 
 from .game import _signal_kernel
 from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, GeometryDomainError, _renormalize, as_simplex_point
-from .solver import EquilibriumSolution
+from .solver import EquilibriumSolution, _tie_set
 
 __all__ = [
     "BeliefEdge",
@@ -297,9 +297,11 @@ _EXPERIMENTS_PER_BELIEF = 20
 def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
 
-    Receiver: at every triangulation vertex the stored action must
-    attain the best action value and the stored stage value must equal
-    it (Bellman consistency); receiver_checked counts these vertices.
+    Receiver: at every triangulation vertex the stored action must lie
+    in receiver_best's tie set (within EPS_TIE of the best action value)
+    and the stored stage value must equal that best value (Bellman
+    consistency); receiver_checked counts these vertices, and
+    max_receiver_gain is the largest shortfall of a stored action.
     Principal: at every reachable belief and random probe, no
     alternative experiment (no split, full revelation, or one of
     _EXPERIMENTS_PER_BELIEF sampled mean-preserving splits) may beat the
@@ -317,9 +319,12 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     max_gain_r = 0.0
     max_gain_p = 0.0
 
-    def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray) -> None:
-        # gains[i, j] is the gain of deviation kinds[j] at beliefs[i]
-        for i, j in zip(*np.divmod(np.flatnonzero(gains > EPS_EQUILIBRIUM), len(kinds))):
+    def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad=None) -> None:
+        # gains[i, j] is the gain of deviation kinds[j] at beliefs[i]; bad
+        # marks the violations, by default the gains above EPS_EQUILIBRIUM
+        if bad is None:
+            bad = gains > EPS_EQUILIBRIUM
+        for i, j in zip(*np.divmod(np.flatnonzero(bad), len(kinds))):
             violations.append(
                 {"kind": kinds[j], "stage": t, "belief": beliefs[i].tolist(), "gain": float(gains[i, j])}
             )
@@ -334,12 +339,14 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
 
         _, q_b = st.objective.q_many(tri.vertices)
         top = q_b.max(axis=1)
-        action_gain = top - q_b[np.arange(tri.n_vertices), list(st.vertex_actions)]
+        stored = (np.arange(tri.n_vertices), list(st.vertex_actions))
+        action_gain = top - q_b[stored]
         bellman_gap = np.abs(np.asarray(st.values_receiver, dtype=float) - top)
         receiver_checked += tri.n_vertices
         max_gain_r = max([max_gain_r, *action_gain.tolist()])
         flag(("receiver_action", "receiver_bellman"), t, tri.vertices,
-             np.column_stack([action_gain, bellman_gap]))
+             np.column_stack([action_gain, bellman_gap]),
+             np.column_stack([~_tie_set(q_b, top)[stored], bellman_gap > EPS_EQUILIBRIUM]))
 
         reachable = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
         probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=_PROBES_PER_STAGE)])

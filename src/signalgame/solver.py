@@ -14,7 +14,7 @@ splits the belief onto those vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +92,11 @@ class StageObjective:
         return psi, top_b
 
 
+def _tie_set(q_receiver: np.ndarray, top_b: np.ndarray) -> np.ndarray:
+    """(k, n_actions) mask of the actions within EPS_TIE of each row's best value top_b."""
+    return q_receiver >= top_b[:, None] - EPS_TIE
+
+
 def receiver_best(q_principal, q_receiver) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The receiver's tie-broken best response, one row per belief.
 
@@ -106,7 +111,7 @@ def receiver_best(q_principal, q_receiver) -> tuple[np.ndarray, np.ndarray, np.n
     if q_a.shape != q_b.shape or q_a.ndim != 2 or q_a.size == 0:
         raise ValueError("need two nonempty action value arrays of the same (k, n_actions) shape")
     top_b = q_b.max(axis=1)
-    tied = np.where(q_b >= top_b[:, None] - EPS_TIE, q_a, -np.inf)
+    tied = np.where(_tie_set(q_b, top_b), q_a, -np.inf)
     action = tied.argmax(axis=1)
     return action, tied[np.arange(len(action)), action], top_b
 
@@ -246,8 +251,33 @@ def stage_backup(spec: GameSpec, stage: int, next_solution: StageSolution | None
     )
 
 
+def _stage_key(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> tuple:
+    """The exact bytes of everything stage_backup reads for this stage."""
+    arrays = [spec.rewards_principal[stage - 1], spec.rewards_receiver[stage - 1]]
+    if stage < spec.horizon:
+        arrays.append(spec.kernels[stage - 1])
+    simplices = None
+    if next_solution is not None:
+        tri = next_solution.triangulation
+        simplices = tri.simplices
+        arrays += [tri.vertices, next_solution.values_principal, next_solution.values_receiver]
+    return (
+        stage == spec.horizon,
+        spec.terminating[stage - 1],
+        simplices,
+        *((a.shape, a.tobytes()) for a in arrays),
+    )
+
+
 def solve(spec: GameSpec) -> EquilibriumSolution:
     """Backward induction over all stages.
+
+    A stage whose inputs (terminal flag, terminating set, rewards,
+    kernel, and the next stage's triangulation and values) match an
+    already solved stage byte for byte reuses that backup, renumbered;
+    anything short of an exact match is solved afresh.  The memo lives
+    for one call, so a stationary game pays one backup per distinct
+    stage input.
 
     Raises SpecValidationError when the specification fails its
     numeric invariants.
@@ -255,9 +285,15 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
     ok, problems = validate_spec(spec)
     if not ok:
         raise SpecValidationError(problems)
+    memo: dict[tuple, StageSolution] = {}
     solved: list[StageSolution] = []
     nxt: StageSolution | None = None
     for t in range(spec.horizon, 0, -1):
-        nxt = stage_backup(spec, t, nxt)
+        key = _stage_key(spec, t, nxt)
+        hit = memo.get(key)
+        if hit is None:
+            nxt = memo[key] = stage_backup(spec, t, nxt)
+        else:
+            nxt = replace(hit, stage=t)
         solved.append(nxt)
     return EquilibriumSolution(spec=spec, stages=tuple(reversed(solved)))

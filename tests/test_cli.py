@@ -187,6 +187,28 @@ def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
         assert "Initial simplex is flat" in err and err.count("\n") == 1
 
 
+def test_evaluate_accepts_a_stored_action_on_the_tie_set_edge(tmp_path):
+    # At belief [1, 0] the receiver's u1 is 1.000000082740371e-09 below u0:
+    # receiver_best admits it (q >= top - EPS_TIE), so the deviation check
+    # must not flag it, although the shortfall rounds above EPS_EQUILIBRIUM.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "horizon": 1,
+        "states": ["x0", "x1"],
+        "actions": ["u0", "u1"],
+        "terminating": [],
+        "rewards_A": [[0.0, 1.0], [0.0, 0.0]],
+        "rewards_B": [[1.000000001, 1.0], [0.0, 1.0]],
+        "prior": [0.5, 0.5],
+    }))
+    out = tmp_path / "eval.json"
+    assert main(["evaluate", "--input", str(game), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["violations"] == []
+    assert payload["max_receiver_gain"] == 1.000000082740371e-09
+    assert payload["value_gap"] < 1e-9
+
+
 def test_main_reports_envelope_divergence(monkeypatch, capsys):
     original = solver.argcav
 

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from test_geometry import _simplex_dense_specs
+from test_goldens import GAME_3
 from signalgame.cli import builtin_example
-from signalgame.game import GameSpec, SpecValidationError, bayes_update, push_forward
+from signalgame.game import GameSpec, SpecValidationError, bayes_update, push_forward, spec_from_dict
 from signalgame import solver
 from signalgame.geometry import (
     Triangulation,
@@ -453,3 +456,130 @@ def test_receiver_bellman_identity_on_grid():
                         val += sol.stage(t + 1).value_receiver(nxt)
                     best = max(best, val)
                 assert got == pytest.approx(best, abs=1e-9)
+
+
+# The binary-long bench games: (name, p, c).
+_BINARY_LONG = (("quickest_detection", 0.2, 0.1), ("detector", 0.2, 0.15))
+
+
+def _reference_stages(spec):
+    """The plain backward loop: one stage_backup per stage, no memo."""
+    stages, nxt = [], None
+    for t in range(spec.horizon, 0, -1):
+        nxt = stage_backup(spec, t, nxt)
+        stages.append(nxt)
+    return stages[::-1]
+
+
+def _assert_same_stages(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.stage == b.stage
+        assert a.triangulation.simplices == b.triangulation.simplices
+        assert a.vertex_actions == b.vertex_actions
+        for x, y in (
+            (a.triangulation.vertices, b.triangulation.vertices),
+            (a.values_principal, b.values_principal),
+            (a.values_receiver, b.values_receiver),
+        ):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _counted_backups(monkeypatch):
+    """Stages passed to solver.stage_backup, in call order."""
+    calls = []
+    original = solver.stage_backup
+
+    def counted(spec, stage, next_solution=None):
+        calls.append(stage)
+        return original(spec, stage, next_solution)
+
+    monkeypatch.setattr(solver, "stage_backup", counted)
+    return calls
+
+
+def _distinct_solutions(sol):
+    return len({
+        (s.triangulation.vertices.tobytes(), s.values_principal.tobytes(),
+         s.values_receiver.tobytes(), s.vertex_actions)
+        for s in sol.stages
+    })
+
+
+@pytest.mark.parametrize("horizon", [14, 40, 100, 1000])
+@pytest.mark.parametrize("name, p, c", _BINARY_LONG)
+def test_stage_memo_matches_the_plain_backup_loop_on_builtins(name, p, c, horizon):
+    spec = builtin_example(name, p, c, horizon)
+    _assert_same_stages(solve(spec).stages, _reference_stages(spec))
+
+
+def test_stage_memo_matches_the_plain_backup_loop_on_dense_games(monkeypatch):
+    for spec in [*_simplex_dense_specs(monkeypatch), spec_from_dict(GAME_3)]:
+        _assert_same_stages(solve(spec).stages, _reference_stages(spec))
+
+
+def test_stage_memo_backs_up_each_distinct_stage_input_once(monkeypatch):
+    calls = _counted_backups(monkeypatch)
+    quickest, detector = (builtin_example(name, p, c, 100) for name, p, c in _BINARY_LONG)
+    solve(quickest)
+    assert calls == list(range(100, 0, -1))
+    del calls[:]
+    sol = solve(detector)
+    # Period 4 from stage 99 down; stage 96 reproduces the horizon
+    # stage's solution from other inputs, and stage 95 sees stage 99's.
+    assert calls == [100, 99, 98, 97, 96]
+    assert _distinct_solutions(sol) == 4
+    # The memo lives for one solve: a second solve backs up again.
+    del calls[:]
+    solve(detector)
+    assert calls == [100, 99, 98, 97, 96]
+
+
+def test_stage_memo_hits_share_the_backup_renumbered():
+    sol = solve(builtin_example("detector", 0.2, 0.15, 100))
+    for t in range(1, 96):
+        st, hit = sol.stage(t), sol.stage(t + 4)
+        assert st.stage == t
+        assert st.triangulation is hit.triangulation
+        assert st.values_principal is hit.values_principal
+        assert st.values_receiver is hit.values_receiver
+        assert st.objective is hit.objective
+    assert sol.stage(96).triangulation is not sol.stage(100).triangulation
+
+
+def test_stage_memo_misses_on_a_one_ulp_reward_change(monkeypatch):
+    spec = builtin_example("detector", 0.2, 0.15, 12)
+    calls = _counted_backups(monkeypatch)
+    solve(spec)
+    assert 3 not in calls
+    rewards = list(spec.rewards_principal)
+    rewards[2] = rewards[2].copy()
+    rewards[2][0, 1] = np.nextafter(rewards[2][0, 1], np.inf)
+    bumped = dataclasses.replace(spec, rewards_principal=tuple(rewards))
+    del calls[:]
+    sol = solve(bumped)
+    assert 3 in calls
+    _assert_same_stages(sol.stages, _reference_stages(bumped))
+
+
+def test_stage_memo_misses_on_a_different_kernel(monkeypatch):
+    spec = builtin_example("detector", 0.2, 0.15, 12)
+    other = builtin_example("detector", 0.3, 0.15, 12)
+    kernels = list(spec.kernels)
+    kernels[2] = other.kernels[2]
+    changed = dataclasses.replace(spec, kernels=tuple(kernels))
+    calls = _counted_backups(monkeypatch)
+    sol = solve(changed)
+    assert 3 in calls
+    _assert_same_stages(sol.stages, _reference_stages(changed))
+
+
+@pytest.mark.parametrize("name, p, c, backups", [(*_BINARY_LONG[0], 158), (*_BINARY_LONG[1], 5)])
+def test_long_horizon_solve_backs_up_only_distinct_stage_inputs(monkeypatch, name, p, c, backups):
+    calls = _counted_backups(monkeypatch)
+    sol = solve(builtin_example(name, p, c, 10_000))
+    assert len(sol.stages) == 10_000 and sol.stage(1).stage == 1
+    # One backup per distinct stage solution, plus the one backup whose
+    # input is the repeating solution itself: that input first closes
+    # the cycle (quickest_detection's fixed point, detector's period 4).
+    assert len(calls) == backups == _distinct_solutions(sol) + 1
