@@ -25,6 +25,7 @@ from .geometry import (
     GeometryDomainError,
     SupportMeasure,
     _renormalize,
+    _simplex_row_faults,
     as_simplex_point,
     as_simplex_points,
 )
@@ -223,6 +224,25 @@ class Experiment:
         return pi @ self.kernel
 
 
+def _failing_stages(arrays: tuple[np.ndarray, ...], faults) -> set[int]:
+    """Indices of the nonempty arrays in which faults(stack) marks an entry.
+
+    Arrays of one shape are stacked and checked in one call, so the cost
+    is one array pass per distinct shape, not one call per stage.
+    faults maps a stack of shape (k, *shape) to a boolean array whose
+    first axis indexes the stack.
+    """
+    by_shape: dict[tuple[int, ...], list[int]] = {}
+    for i, a in enumerate(arrays):
+        if a.size:
+            by_shape.setdefault(a.shape, []).append(i)
+    failing = set()
+    for idx in by_shape.values():
+        marks = faults(np.stack([arrays[i] for i in idx]))
+        failing.update(np.asarray(idx)[marks.reshape(len(idx), -1).any(axis=1)].tolist())
+    return failing
+
+
 def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
     """Numeric invariants of a structurally well-formed specification.
 
@@ -234,6 +254,11 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
     Returns (ok, problems) without raising.
     """
     problems = []
+    bad_kernels = _failing_stages(spec.kernels, lambda k: _simplex_row_faults(k)[0])
+    bad_rewards = {
+        name: _failing_stages(rewards, lambda r: ~np.isfinite(r))
+        for name, rewards in (("principal", spec.rewards_principal), ("receiver", spec.rewards_receiver))
+    }
     for t in range(1, spec.horizon + 1):
         states, acts = spec.states[t - 1], spec.actions[t - 1]
         if not states:
@@ -247,19 +272,16 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
         for idx in spec.terminating[t - 1]:
             if not 0 <= idx < len(acts):
                 problems.append(f"stage {t}: terminating action index {idx} out of range")
-        for name, r in (("principal", spec.rewards_principal[t - 1]),
-                        ("receiver", spec.rewards_receiver[t - 1])):
-            if not np.all(np.isfinite(r)):
+        for name, bad in bad_rewards.items():
+            if t - 1 in bad:
                 problems.append(f"stage {t}: non-finite {name} reward")
-        if t < spec.horizon:
-            kern = spec.kernels[t - 1]
-            if kern.size:
-                try:
-                    as_simplex_points(kern)
-                except GeometryDomainError as err:
-                    problems.append(
-                        f"stage {t}: kernel rows must be finite, nonnegative and sum to one: {err}"
-                    )
+        if t - 1 in bad_kernels:
+            try:
+                as_simplex_points(spec.kernels[t - 1])
+            except GeometryDomainError as err:
+                problems.append(
+                    f"stage {t}: kernel rows must be finite, nonnegative and sum to one: {err}"
+                )
     try:
         as_simplex_point(spec.prior)
     except GeometryDomainError as err:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -71,16 +71,17 @@ class GeometryDomainError(ValueError):
 
 
 # Most (n-1)-subsets of the deduped pool candidate_vertices may count.
-# The largest stage of the tests and benchmarks counts 752,151 and,
-# after dropping the rows whose zero set misses the simplex, solves
-# 482,653.  Subsets are solved in blocks of _CANDIDATE_BLOCK, so
-# enumeration memory stays near one block's systems (15 MiB traced)
-# whatever the count.  The cap bounds time on the full pool, because
-# pruning may keep every row: 2,000,000 subsets of rows that all cross
-# the simplex take about 1.5 s at 3 and 4 states on a 2-vCPU Xeon virtual
-# machine.
+# The largest stage of the tests and benchmarks counts 752,151; after
+# dropping the rows whose zero set misses the simplex it enumerates
+# 482,653, and after dropping the subsets whose vertex provably misses
+# the simplex it solves 130,230.  Subsets are enumerated in blocks of
+# _CANDIDATE_BLOCK, so enumeration memory stays near one block's systems
+# (15 MiB traced) whatever the count.  The cap bounds time on the full
+# pool, because pruning may keep every subset: 2,000,000 subsets of rows
+# that all cross the simplex take about 1.5 s at 3 and 4 states on a
+# 2-vCPU Xeon virtual machine.
 CANDIDATE_CAP = 2_000_000
-# Subsets candidate_vertices solves per batch of linear systems.
+# Subsets candidate_vertices enumerates and filters per batch of linear systems.
 _CANDIDATE_BLOCK = 1 << 15
 
 
@@ -107,6 +108,20 @@ def _renormalize(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _simplex_row_faults(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """as_simplex_points' tests of every row (last axis) of a float array.
+
+    Returns (bad, finite, lowest, totals), each over the leading axes:
+    bad marks the rows that fail, and the other three say why.
+    """
+    finite = np.isfinite(x).all(axis=-1)
+    with np.errstate(invalid="ignore"):
+        lowest = x.min(axis=-1)
+        totals = x.sum(axis=-1)
+    bad = ~finite | (lowest < -EPS_GEOM) | (np.abs(totals - 1.0) > EPS_GEOM * x.shape[-1])
+    return bad, finite, lowest, totals
+
+
 def as_simplex_points(rows) -> np.ndarray:
     """Validate each row (last axis) of an array as a point of the standard simplex.
 
@@ -119,11 +134,7 @@ def as_simplex_points(rows) -> np.ndarray:
     x = np.asarray(rows, dtype=float)
     if x.ndim < 2 or x.size == 0:
         raise GeometryDomainError(f"expected a nonempty array of point rows, got shape {x.shape}")
-    finite = np.isfinite(x).all(axis=-1)
-    with np.errstate(invalid="ignore"):
-        lowest = x.min(axis=-1)
-        totals = x.sum(axis=-1)
-    bad = ~finite | (lowest < -EPS_GEOM) | (np.abs(totals - 1.0) > EPS_GEOM * x.shape[-1])
+    bad, finite, lowest, totals = _simplex_row_faults(x)
     if bad.any():
         at = np.unravel_index(int(bad.argmax()), bad.shape)
         if not finite[at]:
@@ -644,6 +655,82 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     return pieces, boundary
 
 
+def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Which subsets' linear systems provably solve outside the simplex.
+
+    Pool row s has weights w_s (norms[s] = |w_s|_2) and corner values
+    at_corners[s] = F_s = w_s + b_s.  The system of an (n-1)-subset S
+    has the rows w_s (right side -b_s) and the ones row (right side 1),
+    so its solution has F_S x = 0 and sum(x) = 1: x = c / sum(c), where
+    c_k = (-1)^(n-1+k) det(F_S without column k) and sum(c) = det [F_S; 1]
+    is the system's determinant.  The minors come from a Laplace
+    expansion along the rows (for n = 3, c is the cross product).  A
+    subset is flagged only when the closed form puts a coordinate below
+    -EPS_MEMBER - slack, so the LAPACK solution fails the membership
+    test too; subsets near singular are never flagged.
+    """
+    m = subsets.shape[1]
+    n = m + 1
+    values = np.ascontiguousarray(at_corners.T)
+    # minors[cols]: determinant of the subsets' first r rows on columns
+    # cols, expanded along row r - 1 (starting a sum at 0.0 is exact)
+    minors = {(j,): values[j][subsets[:, 0]] for j in range(n)}
+    for r in range(1, m):
+        row = [values[j][subsets[:, r]] for j in range(n)]
+        grown = {}
+        for cols in itertools.combinations(range(n), r + 1):
+            det = 0.0
+            for i, j in enumerate(cols):
+                term = row[j] * minors[cols[:i] + cols[i + 1 :]]
+                det = det - term if (r + i) % 2 else det + term
+            grown[cols] = det
+        minors = grown
+    c = []
+    for k in range(n):
+        minor = minors[tuple(j for j in range(n) if j != k)]
+        c.append(-minor if (m + k) % 2 else minor)
+    total = sum(c)
+    # Error bound.  With u the unit roundoff, g(p) = p u / (1 - p u) and
+    # scale = sqrt(n) prod_s |w_s|_2 (the product of the system's row norms):
+    # pool rows come from dedup_functionals (max |w| = 1) or are corners, so
+    # every system row a has |a|_2 >= 1 and |a|_1 <= n, and a row that
+    # crosses the simplex has corner values within 2 of zero (plus its
+    # tiny margin), so |F_s|_1 <= 2n.
+    # (1) LAPACK.  GEPP gives (A + dA) x~ = r with |dA|_inf <= g(3n) (1 +
+    #     2 (n^2 - n) 2^(n-1)) |A|_inf (Higham, Accuracy and Stability of
+    #     Numerical Algorithms, 2nd ed., Thm 9.4 and Lemma 9.6, growth
+    #     factor <= 2^(n-1)), and |A|_inf <= n.  By Hadamard's inequality a
+    #     cofactor is at most scale over its row's norm, so |A^-1|_inf <=
+    #     n scale / |det A|.  As x~ - x = -A^-1 dA x~, |x~ - x|_inf <= eta
+    #     |x~|_inf with eta <= g(3n) (1 + (n^2 - n) 2^n) n^2 scale / |det A|.
+    # (2) Closed form.  Each product summed into c^_k or sum(c^) carries at
+    #     most p = (n-1) + (n-2) + (n-1)(n-2)/2 + (n-1) roundings (forming
+    #     F, the products, the expansion's sums, the final sum), and the
+    #     absolute products add up to at most prod_s |F_s|_1 <= (2n)^(n-1)
+    #     scale.  So c^ and sum(c^) are off by at most e = g(p) (2n)^(n-1)
+    #     scale, and c^/sum(c^) - c/sum(c) = (c^ - c + x (sum(c) - sum(c^)))
+    #     / sum(c^) gives |x^_k - x_k| <= e (1 + |x_k|) / |sum(c^)|.
+    # With bound = K u scale, K = 2 (3 n^3 (1 + (n^2 - n) 2^n) + p (2n)^(n-1))
+    # and rel = bound / |sum(c^)| <= 1/4, both parts together are below
+    # 0.6 rel, so |sum(c) - sum(c^)| < |sum(c^)| / 7, eta < 1/6, and
+    # |x^ - x|_inf + |x~ - x|_inf <= rel (1 + |x^|_inf) = slack, with room
+    # for the division's rounding.  Subsets with rel > 1/4 (sum(c^) near
+    # zero) are never flagged: the determinant test decides them.
+    p = (n - 1) * (n - 2) // 2 + 3 * n - 4
+    growth = 2 * (3 * n**3 * (1 + (n * n - n) * 2**n) + p * (2 * n) ** (n - 1))
+    bound = growth * (np.finfo(float).eps / 2) * math.sqrt(n)
+    for r in range(m):
+        bound = bound * norms[subsets[:, r]]
+    size_of_total = np.abs(total)
+    settled = 4.0 * bound < size_of_total
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = [ck / total for ck in c]
+        lowest = reduce(np.minimum, x)
+        largest = reduce(np.maximum, [np.abs(xk) for xk in x])
+        slack = bound / size_of_total * (1.0 + largest)
+        return settled & (lowest < -EPS_MEMBER - slack)
+
+
 def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     """Vertices of the cell arrangement cut out on the simplex.
 
@@ -655,9 +742,12 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     corner values f(e_i) = w_i + b all lie on one side of zero by more
     than 2 * n * EPS_MEMBER * max(1, max_i |f(e_i)|).  A solution within
     EPS_MEMBER of the simplex keeps such a functional that far from
-    zero, so every subset using one fails the membership test anyway;
-    the kept subsets are solved in the same order, so the points are
-    bit for bit those of the full pool.  The corners always appear.
+    zero, so every subset using one fails the membership test anyway.
+    Each block then drops the subsets whose closed-form vertex lies
+    outside the simplex by more than EPS_MEMBER plus a bound on both
+    its rounding and LAPACK's (_solves_off_simplex).  The kept subsets
+    are solved in the same order, one matrix at a time, so the points
+    are bit for bit those of the full pool.  The corners always appear.
     Rows come back lexicographically sorted and deduped at EPS_GEOM.
     Raises CandidateBudgetExceeded, before enumerating, when the full
     deduped pool has more than CANDIDATE_CAP subsets.
@@ -688,6 +778,8 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     fs = fs[crosses]
     pool_w = np.vstack([fs[:, :-1], corners])
     pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
+    pool_at_corners = np.vstack([at_corners[crosses], corners])
+    pool_norms = np.linalg.norm(pool_w, axis=1)
 
     count = math.comb(len(pool_w), n - 1)
     combos = itertools.combinations(range(len(pool_w)), n - 1)
@@ -699,6 +791,10 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
             dtype=np.intp,
             count=size * (n - 1),
         ).reshape(size, n - 1)
+        subsets = subsets[~_solves_off_simplex(pool_at_corners, pool_norms, subsets)]
+        size = len(subsets)
+        if size == 0:
+            continue
         systems = np.empty((size, n, n))
         systems[:, : n - 1, :] = pool_w[subsets]
         systems[:, n - 1, :] = 1.0

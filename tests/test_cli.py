@@ -10,7 +10,7 @@ from signalgame.cli import (
     main,
     run,
 )
-from signalgame import geometry, solver
+from signalgame import cli, geometry, solver
 from signalgame.evaluator import simulate
 from signalgame.game import save_spec
 from signalgame.solver import solve
@@ -115,6 +115,26 @@ def test_main_reports_config_errors(capsys):
         main(["solve", "--builtin", "detector", "--tie-tol", "1e-6"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --tie-tol" in capsys.readouterr().err
+
+
+def test_main_validates_an_input_game_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    for module in (cli, solver):
+        original = module.validate_spec
+        monkeypatch.setattr(module, "validate_spec", lambda spec, f=original: calls.append(1) or f(spec))
+    spec = builtin_example("detector", 0.2, 0.15, 3)
+    good = tmp_path / "game.json"
+    save_spec(spec, good)
+    for command in ("solve", "evaluate", "simulate"):
+        calls.clear()
+        assert main([command, "--input", str(good), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == 1, command
+    data = json.loads(good.read_text())
+    data["prior"] = [0.7, 0.7]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["solve", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: prior: row 0: coordinates sum to 1.4, expected 1\n"
 
 
 def test_main_reports_candidate_budget(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from signalgame import game
+from signalgame.cli import builtin_example
 from signalgame.game import (
     Belief,
     Experiment,
@@ -117,6 +121,65 @@ def test_validate_spec_diagnostics():
     ok, problems = validate_spec(spec3)
     assert not ok
     assert len(problems) >= 3
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(game, name)
+    monkeypatch.setattr(game, name, lambda *a: calls.append(a) or original(*a))
+    return calls
+
+
+def test_validate_spec_checks_each_kernel_shape_in_one_pass(monkeypatch):
+    spec = builtin_example("detector", 0.2, 0.15, 20_000)
+    kernels = list(spec.kernels)
+    bad = kernels[12_344].copy()
+    bad[1, 0] = [0.8, 0.3]
+    kernels[12_344] = bad
+    bad_spec = dataclasses.replace(spec, kernels=tuple(kernels))
+    passes = _counting(monkeypatch, "_simplex_row_faults")
+    per_stage = _counting(monkeypatch, "as_simplex_points")
+    assert validate_spec(spec) == (True, [])
+    assert len(passes) <= len({k.shape for k in spec.kernels}) == 1
+    assert not per_stage
+    # only the failing stage is checked on its own, for its message
+    assert validate_spec(bad_spec) == (False, [
+        "stage 12345: kernel rows must be finite, nonnegative and sum to one: "
+        "row (1, 0): coordinates sum to 1.1, expected 1"
+    ])
+    assert len(per_stage) == 1
+
+
+def test_validate_spec_reports_problems_stage_by_stage():
+    sizes = [2, 3, 3, 2, 3, 2]
+    horizon = len(sizes)
+    rng = np.random.default_rng(3)
+    kernels = [rng.dirichlet(np.ones(sizes[t + 1]), size=(sizes[t], 2)) for t in range(horizon - 1)]
+    kernels[3][1, 0] = [0.5, 0.25, 0.5]
+    kernels[1][2, 1] = [1.5, -0.5, 0.0]
+    kernels[4][0, 1] = [np.nan, 1.0]
+    rewards_b = [np.zeros((s, 2)) for s in sizes]
+    rewards_b[2][1, 1] = np.inf
+    actions = [("u", "v")] * horizon
+    actions[1] = ("u", "u")
+    spec = GameSpec(
+        horizon=horizon,
+        states=tuple(tuple(f"x{i}" for i in range(s)) for s in sizes),
+        actions=tuple(actions),
+        terminating=(frozenset(),) * horizon,
+        kernels=tuple(kernels),
+        rewards_principal=tuple(np.zeros((s, 2)) for s in sizes),
+        rewards_receiver=tuple(rewards_b),
+        prior=[0.5, 0.5],
+    )
+    rows = "kernel rows must be finite, nonnegative and sum to one"
+    assert validate_spec(spec) == (False, [
+        "stage 2: duplicate action labels",
+        f"stage 2: {rows}: row (2, 1): negative coordinate -5.000e-01 below tolerance -1.0e-12",
+        "stage 3: non-finite receiver reward",
+        f"stage 4: {rows}: row (1, 0): coordinates sum to 1.25, expected 1",
+        f"stage 5: {rows}: row (0, 1): coordinates must be finite",
+    ])
 
 
 def test_validate_spec_row_sum_tolerance_is_tight():

@@ -849,4 +849,137 @@ def test_candidate_vertices_skips_rows_that_miss_the_simplex(monkeypatch, n, cro
     monkeypatch.setattr(np.linalg, "det", lambda a: solved.append(len(a)) or det(a))
     got = candidate_vertices(arrangement)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    assert sum(solved) == math.comb(crossing + 2 + n, n - 1) < math.comb(pool + n, n - 1)
+    # of the subsets of crossing rows and facets, only those whose closed-form
+    # vertex is not provably outside the simplex reach det and solve
+    kept = {3: 548, 4: 845}[n]
+    assert sum(solved) == kept < math.comb(crossing + 2 + n, n - 1) < math.comb(pool + n, n - 1)
+
+
+def _rows_through(point, weights):
+    """Rows [w, b] whose zero sets pass through point, one per row of weights."""
+    weights = np.atleast_2d(weights)
+    return np.column_stack([weights, -(weights @ point)])
+
+
+def _crossing_rows(n, count, rng):
+    """Rows through random interior points of the simplex."""
+    w = rng.uniform(-1.0, 1.0, size=(count, n))
+    return np.column_stack([w, -np.einsum("ij,ij->i", w, rng.dirichlet(np.ones(n), size=count))])
+
+
+def _outside(n, depth):
+    """A point of the plane sum(x) = 1 whose coordinate 0 is -depth."""
+    return np.r_[-depth, np.full(n - 1, (1.0 + depth) / (n - 1))]
+
+
+def _nearly_parallel_rows(n, rng):
+    # pencils of rows through points inside, on, and EPS_MEMBER / 2,
+    # EPS_MEMBER, 2 EPS_MEMBER and 1e-8 outside the facet x0 = 0; the rows
+    # of a pencil differ by angles down to 1e-10, so their systems are
+    # ill-conditioned and the closed form and LAPACK disagree in low digits
+    rows = []
+    for depth in (-0.1, 0.0, 0.5 * EPS_MEMBER, EPS_MEMBER, 2.0 * EPS_MEMBER, 1e-8):
+        point = _outside(n, depth)
+        w = rng.uniform(-1.0, 1.0, size=n)
+        for angle in (1e-4, 1e-7, 1e-10):
+            rows.append(_rows_through(point, [w, w + angle * rng.uniform(-1.0, 1.0, size=n)]))
+        rows.append(_rows_through(point, rng.uniform(-1.0, 1.0, size=(n - 3, n))))
+    return np.vstack(rows + [_crossing_rows(n, 6, rng)])
+
+
+def _facet_rows(n, rng):
+    # rows meeting EPS_MEMBER / 2, EPS_MEMBER and 2 EPS_MEMBER outside each
+    # facet x_k = 0 (the first are kept and clipped, the last dropped), with
+    # the membership boundary itself approached from both sides
+    depths = [0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 2.0]
+    rows = [np.append(np.eye(n)[k], d * EPS_MEMBER) for k in range(n) for d in depths]
+    return np.vstack(rows + [_crossing_rows(n, 12 if n == 3 else 6, rng)])
+
+
+def _corner_rows(n, rng):
+    # rows concurrent at the corner e0, exactly and within 1e-12, and a row
+    # through the corner along the facet x1 = 0
+    corner = np.eye(n)[0]
+    rows = [_rows_through(corner, rng.uniform(-1.0, 1.0, size=(5, n)))]
+    for shift in (1e-12, -1e-12):
+        rows.append(_rows_through(corner + shift * np.r_[-1.0, np.ones(n - 1) / (n - 1)],
+                                  rng.uniform(-1.0, 1.0, size=(2, n))))
+    rows.append(_rows_through(corner, np.eye(n)[1] + 1e-13))
+    return np.vstack(rows + [_crossing_rows(n, 8 if n == 3 else 5, rng)])
+
+
+def _degenerate_rows(n, rng):
+    """Two near-singular subsets, |det| / scale just above and just below EPS_DEGENERATE.
+
+    Each is a pair of rows a few 1e-13 apart in angle, through one interior
+    point, that dedup_functionals keeps apart: their weights straddle a
+    rounding boundary of its 9-decimal keys.  At 4 states a third row
+    through the same point completes the subset.  The pairs come first,
+    and dedup keeps input order.
+    """
+    rows = []
+    for a, point in ((7e-13, [0.2, 0.3, 0.5]), (3e-13, [0.5, 0.2, 0.3])):
+        if n == 4:
+            a, point = 10 * a, np.r_[point[0], 0.6 * np.array(point[1:]), 0.4 * sum(point[1:])]
+        w = np.zeros((2, n))
+        w[:, 0] = 1.0
+        w[:, 1] = -0.4000000005 + np.array([a, -a])
+        w[:, 2] = -0.5999999995 - np.array([a, -a])
+        if n == 4:
+            w[:, 2] += 0.3
+            w[:, 3] = -0.3
+        rows.append(_rows_through(np.asarray(point), w))
+        if n == 4:
+            rows.append(_rows_through(np.asarray(point), [0.3, -1.0, 0.9, -0.2]))
+    return np.vstack(rows + [_crossing_rows(n, 12 if n == 3 else 6, rng)])
+
+
+def _system_ratio(pool, subset):
+    """|det| / (product of row norms) of candidate_vertices' system for subset."""
+    n = pool.shape[1] - 1
+    system = np.vstack([pool[list(subset), :-1], np.ones(n)])
+    return abs(np.linalg.det(system)) / np.prod(np.linalg.norm(system, axis=1))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "build", [_nearly_parallel_rows, _facet_rows, _corner_rows, _degenerate_rows],
+    ids=["nearly_parallel", "facet", "corner", "degenerate"],
+)
+def test_candidate_vertices_subset_prefilter_is_bit_exact(n, build):
+    rows = build(n, np.random.default_rng(40 + n))
+    arrangement = CellArrangement(n, rows)
+    if build is _degenerate_rows:
+        pool = dedup_functionals(rows)
+        step = n - 1
+        above, below = _system_ratio(pool, range(step)), _system_ratio(pool, range(step, 2 * step))
+        assert EPS_DEGENERATE < above < 2 * EPS_DEGENERATE
+        assert 0.5 * EPS_DEGENERATE < below < EPS_DEGENERATE
+    want = _candidate_vertices_one_shot(arrangement)
+    got = candidate_vertices(arrangement)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_candidate_vertices_subset_prefilter_is_bit_exact_on_a_near_tie_game():
+    # the 3-state near-tie game whose stage-1 solve cannot locate the corner
+    # [0, 1, 0] (tests/test_cli.py); every arrangement met before that
+    game = spec_from_dict({
+        "horizon": 3,
+        "states": ["x0", "x1", "x2"],
+        "actions": ["u0", "u1"],
+        "terminating": [],
+        "kernel": [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+                   [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+        "rewards_A": [[-0.999999999, 0.0], [1e-09, 1.000000002], [-0.9999999999, 1e-08]],
+        "rewards_B": [[-0.999999999, 2e-09], [1e-08, 1.00000001], [1.00000001, 1.000000002]],
+        "prior": [0.12017222434295911, 0.6999616207688908, 0.1798661548881502],
+    })
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "candidate_vertices", lambda a: seen.append(a) or candidate_vertices(a))
+        with pytest.raises(GeometryDomainError, match="not covered by any cell"):
+            solve(game)
+    assert len(seen) >= 2
+    for arrangement in seen:
+        want = _candidate_vertices_one_shot(arrangement)
+        assert np.array_equal(candidate_vertices(arrangement).view(np.int64), want.view(np.int64))
