@@ -198,7 +198,7 @@ def _stage_table(solution: EquilibriumSolution, t: int) -> dict:
         "states": list(solution.spec.states[t - 1]),
         "actions": list(labels),
         "vertices": vertices,
-        "simplices": [[int(i) for i in cell] for cell in st.triangulation.simplices],
+        "simplices": st.triangulation.simplices.tolist(),
     }
 
 
@@ -313,7 +313,7 @@ def _envelope_payload(data: dict) -> dict:
         "states": n,
         "vertices": [[float(x) for x in v] for v in envelope.triangulation.vertices],
         "values": [float(v) for v in envelope.values],
-        "simplices": [[int(i) for i in cell] for cell in envelope.triangulation.simplices],
+        "simplices": envelope.triangulation.simplices.tolist(),
     }
 
 

@@ -14,6 +14,7 @@ target distribution over posteriors.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -329,7 +330,7 @@ def induced_distribution(belief, experiment: Experiment) -> SupportMeasure:
     """Distribution over posteriors induced by an experiment.
 
     Messages with probability <= EPS_GEOM are dropped; posteriors that
-    agree after rounding to 12 decimals are merged with their
+    agree after rounding to the decimals of EPS_GEOM are merged with their
     probability-weighted average (which preserves the mean exactly).
     Atoms come back lexicographically sorted.
     """
@@ -338,11 +339,12 @@ def induced_distribution(belief, experiment: Experiment) -> SupportMeasure:
         raise ValueError("belief dimension does not match the experiment")
     probs = pi @ experiment.kernel
     merged: dict[tuple, list] = {}
+    decimals = int(-math.log10(EPS_GEOM))
     for m in range(experiment.n_messages):
         if probs[m] <= EPS_GEOM:
             continue
         post = (pi * experiment.kernel[:, m]) / probs[m]
-        key = tuple(np.round(post, 12) + 0.0)
+        key = tuple(np.round(post, decimals) + 0.0)
         slot = merged.setdefault(key, [0.0, np.zeros(pi.size)])
         slot[0] += probs[m]
         slot[1] += probs[m] * post

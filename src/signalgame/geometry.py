@@ -269,26 +269,42 @@ class SupportMeasure:
 
 @dataclass(frozen=True, eq=False)
 class Triangulation:
-    """Vertices on the simplex plus cells given as vertex index tuples."""
+    """Vertices on the simplex plus one (C, n) np.intp array of cell vertex labels.
+
+    Validated once at construction: each cell has n_states distinct
+    labels of existing vertices, so it is full-dimensional.  A ragged or
+    non-integer cell list raises GeometryDomainError.
+    """
 
     vertices: np.ndarray
-    simplices: tuple[tuple[int, ...], ...]
+    simplices: np.ndarray
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[0] == 0:
             raise GeometryDomainError("vertices must form a nonempty 2-d array")
         verts = as_simplex_points(verts)
-        cells = []
-        for cell in self.simplices:
-            cell = tuple(int(i) for i in cell)
-            if len(set(cell)) != len(cell):
-                raise GeometryDomainError(f"cell {cell} repeats a vertex")
-            if not cell or min(cell) < 0 or max(cell) >= verts.shape[0]:
-                raise GeometryDomainError(f"cell {cell} references a missing vertex")
-            cells.append(cell)
+        n = verts.shape[1]
+        try:
+            cells = np.asarray(self.simplices)
+        except ValueError:
+            raise GeometryDomainError("cells must form a (C, n) array, got a ragged list") from None
+        if cells.size == 0:
+            cells = cells.reshape(0, n).astype(np.intp)
+        if cells.dtype.kind not in "iu":
+            raise GeometryDomainError(f"cell labels must be integers, got dtype {cells.dtype}")
+        if cells.ndim != 2 or cells.shape[1] != n:
+            raise GeometryDomainError(f"cells must be full-dimensional, {n} labels each; got shape {cells.shape}")
+        cells = cells.astype(np.intp)
+        ordered = np.sort(cells, axis=1)
+        for bad, problem in (
+            ((ordered[:, 1:] == ordered[:, :-1]).any(axis=1), "repeats a vertex"),
+            ((ordered[:, 0] < 0) | (ordered[:, -1] >= len(verts)), "references a missing vertex"),
+        ):
+            if bad.any():
+                raise GeometryDomainError(f"cell {tuple(cells[bad.argmax()].tolist())} {problem}")
         object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "simplices", tuple(cells))
+        object.__setattr__(self, "simplices", cells)
 
     @property
     def n_vertices(self) -> int:
@@ -303,17 +319,11 @@ class Triangulation:
         return self.n_states - 1
 
     @cached_property
-    def _uniform_full_dim(self) -> bool:
-        n = self.n_states
-        return bool(self.simplices) and all(len(c) == n for c in self.simplices)
-
-    @cached_property
     def _cell_inverses(self) -> np.ndarray:
         # Column j of each cell matrix is vertex j; barycentric weights of
         # omega in the cell are inverse @ omega (columns sum to one, so the
         # weights automatically sum to one on the simplex).
-        n = self.n_states
-        mats = np.stack([self.vertices[list(c)].T for c in self.simplices])
+        mats = self.vertices[self.simplices].transpose(0, 2, 1)
         invs = np.full_like(mats, np.nan)
         for i in range(mats.shape[0]):
             try:
@@ -324,12 +334,10 @@ class Triangulation:
 
     def _checked_inverses(self) -> np.ndarray:
         """The cell inverses, checked to exist for every cell."""
-        if not self._uniform_full_dim:
-            raise GeometryDomainError("affine pieces need full-dimensional cells")
         invs = self._cell_inverses
         degenerate = ~np.isfinite(invs).all(axis=(1, 2))
         if degenerate.any():
-            cell = self.simplices[int(np.argmax(degenerate))]
+            cell = tuple(self.simplices[int(np.argmax(degenerate))].tolist())
             raise GeometryDomainError(f"cell {cell} is affinely degenerate")
         return invs
 
@@ -351,15 +359,10 @@ class Triangulation:
         points that no earlier cell holds, so a point on shared faces
         resolves to the first feasible cell and the work stops once
         every point is placed.  Memory stays near one (P, n) array.
-        Raises GeometryDomainError when a cell has fewer than n_states
-        vertices or a point is not covered by any cell (naming the first
-        such point).
+        Raises GeometryDomainError when a point is not covered by any
+        cell (naming the first such point).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if not self.simplices:
-            raise GeometryDomainError("triangulation has no cells")
-        if not self._uniform_full_dim:
-            raise GeometryDomainError("point location needs full-dimensional cells")
         cell_idx = np.zeros(len(pts), dtype=np.intp)
         lam = np.empty(pts.shape)
         todo = np.arange(len(pts))
@@ -388,7 +391,7 @@ class Triangulation:
         last with weight 0.
         """
         cells, lam = self.locate_many(points)
-        labels = np.asarray(self.simplices, dtype=np.intp)[cells]
+        labels = self.simplices[cells]
         kept = lam > EPS_GEOM
         weights = np.where(kept, lam, 0.0)
         weights /= weights.sum(axis=1, keepdims=True)
@@ -433,11 +436,11 @@ class VertexInterpolant:
         """Values at each row of points: shape (P,), or (P, k) for k columns."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri = self.triangulation
-        if tri.n_states == 2 and tri._uniform_full_dim:
+        if tri.n_states == 2:
             xs, ys = self._interp_xy
             return _by_column(lambda col: np.interp(pts[:, 0], xs, col), ys, axis=-1)
         cells, lam = tri.locate_many(pts)
-        corners = np.asarray(tri.simplices, dtype=int)[cells]
+        corners = tri.simplices[cells]
         return _by_column(lambda col: np.einsum("pi,pi->p", lam, col[corners]), self.values, axis=-1)
 
     def __call__(self, omega) -> float | np.ndarray:
@@ -448,7 +451,7 @@ class VertexInterpolant:
     def cell_pieces(self) -> np.ndarray:
         """Rows of each cell's linear piece in cell order: (C, n+1), or (k, C, n+1) for k columns."""
         invs = self.triangulation._checked_inverses().transpose(0, 2, 1)
-        cells = np.asarray(self.triangulation.simplices)
+        cells = self.triangulation.simplices
         weights = _by_column(lambda col: np.matmul(invs, col[cells][..., None])[..., 0], self.values, axis=0)
         return np.concatenate([weights, np.zeros(weights.shape[:-1] + (1,))], axis=-1)
 
@@ -522,17 +525,18 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
         if i < j:
             problems.append(f"vertices {i} and {j} coincide")
 
-    if not t.simplices:
+    if len(t.simplices) == 0:
         problems.append("no cells: the simplex is not covered")
         return False, problems
 
     if n == 1:
         return (len(problems) == 0), problems
 
+    cells = t.simplices.tolist()
     total_volume = 0.0
     degenerate = set()
-    for ci, cell in enumerate(t.simplices):
-        pts = verts[list(cell)]
+    for ci, cell in enumerate(cells):
+        pts = verts[cell]
         if len(cell) > n:
             problems.append(f"cell {ci} has {len(cell)} vertices in dimension {n - 1}")
             degenerate.add(ci)
@@ -553,17 +557,17 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
     # combination of their shared vertices.  Representations are unique for
     # affinely independent cells, so it suffices to maximize the weight put
     # on non-shared vertices over the intersection.
-    for ai in range(len(t.simplices)):
+    for ai in range(len(cells)):
         if ai in degenerate:
             continue
-        for bi in range(ai + 1, len(t.simplices)):
+        for bi in range(ai + 1, len(cells)):
             if bi in degenerate:
                 continue
-            cell_a, cell_b = t.simplices[ai], t.simplices[bi]
+            cell_a, cell_b = cells[ai], cells[bi]
             if set(cell_a) == set(cell_b):
                 problems.append(f"cells {ai} and {bi} are identical")
                 continue
-            pa, pb = verts[list(cell_a)], verts[list(cell_b)]
+            pa, pb = verts[cell_a], verts[cell_b]
             if np.any(pa.min(axis=0) > pb.max(axis=0) + tol) or np.any(
                 pb.min(axis=0) > pa.max(axis=0) + tol
             ):
@@ -833,9 +837,8 @@ def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
             else:
                 break
         keep.append(i)
-    verts = cands[keep]
-    cells = tuple((i, i + 1) for i in range(len(keep) - 1))
-    tri = Triangulation(verts, cells)
+    labels = np.arange(len(keep))
+    tri = Triangulation(cands[keep], np.column_stack([labels[:-1], labels[1:]]))
     return VertexInterpolant(tri, vals[keep])
 
 
@@ -850,7 +853,7 @@ def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         raise GeometryDomainError("degenerate lifted hull for a non-affine objective")
     corners = np.eye(n)
     corner_vals = np.column_stack([corners[:, :-1], np.ones(n)]) @ coef
-    tri = Triangulation(corners, (tuple(range(n)),))
+    tri = Triangulation(corners, np.arange(n)[None, :])
     return VertexInterpolant(tri, corner_vals)
 
 
@@ -903,7 +906,7 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     d = n - 1
     if len(cands) == n:
         # Corners only: the envelope is the affine interpolant.
-        return VertexInterpolant(Triangulation(cands, (tuple(range(n)),)), vals)
+        return VertexInterpolant(Triangulation(cands, np.arange(n)[None, :]), vals)
     proj = cands[:, :-1]
     lifted = np.column_stack([proj, vals])
     try:
@@ -922,18 +925,15 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         members &= extremes
         face = tuple(sorted(members))
         cells.update(_pull_face(face, proj, d))
-    used = sorted(set(itertools.chain.from_iterable(cells)))
-    remap = {v: i for i, v in enumerate(used)}
-    tri = Triangulation(
-        cands[used],
-        tuple(sorted(tuple(remap[v] for v in cell) for cell in cells)),
-    )
+    # An increasing relabel keeps the sorted cell order.
+    simplices = np.array(sorted(cells), dtype=np.intp)
+    used, labels = np.unique(simplices, return_inverse=True)
+    tri = Triangulation(cands[used], labels.reshape(simplices.shape))
     # Cheap coverage audit: projected cells must tile the simplex.
-    vol = 0.0
-    for cell in tri.simplices:
-        pts = tri.vertices[list(cell)]
-        edges = pts[1:] - pts[0]
-        vol += abs(math.sqrt(max(np.linalg.det(edges @ edges.T), 0.0))) / math.factorial(d)
+    corners = tri.vertices[tri.simplices]
+    edges = corners[:, 1:] - corners[:, :1]
+    gram_dets = np.linalg.det(edges @ edges.transpose(0, 2, 1))
+    vol = float(np.sqrt(np.maximum(gram_dets, 0.0)).sum()) / math.factorial(d)
     target = math.sqrt(n) / math.factorial(d)
     if abs(vol - target) > EPS_TILING * target:
         raise GeometryDomainError("upper-hull faces failed to tile the simplex")
@@ -962,7 +962,7 @@ def argcav(psi, arrangement: CellArrangement) -> VertexInterpolant:
         raise GeometryDomainError("objective returned non-finite values")
     n = arrangement.n_states
     if n == 1:
-        tri = Triangulation(np.ones((1, 1)), ((0,),))
+        tri = Triangulation(np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp))
         return VertexInterpolant(tri, vals)
     if n == 2:
         return _chain_envelope(cands, vals)

@@ -256,15 +256,12 @@ def _stage_key(spec: GameSpec, stage: int, next_solution: StageSolution | None) 
     arrays = [spec.rewards_principal[stage - 1], spec.rewards_receiver[stage - 1]]
     if stage < spec.horizon:
         arrays.append(spec.kernels[stage - 1])
-    simplices = None
     if next_solution is not None:
         tri = next_solution.triangulation
-        simplices = tri.simplices
-        arrays += [tri.vertices, next_solution.values_principal, next_solution.values_receiver]
+        arrays += [tri.simplices, tri.vertices, next_solution.values_principal, next_solution.values_receiver]
     return (
         stage == spec.horizon,
         spec.terminating[stage - 1],
-        simplices,
         *((a.shape, a.tobytes()) for a in arrays),
     )
 

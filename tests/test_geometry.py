@@ -213,13 +213,29 @@ def test_locate_many_outside_raises():
         tri.locate_many(np.array([[0.1, 0.9]]))
 
 
-def test_locate_many_rejects_lower_dimensional_cells():
-    # a 3-state triangulation whose cells are edges, not triangles
-    tri = Triangulation(np.eye(3), ((0, 1), (1, 2)))
-    with pytest.raises(GeometryDomainError, match="full-dimensional"):
+@pytest.mark.parametrize(
+    "cells, match",
+    [
+        (((0, 1), (1, 2)), "full-dimensional"),  # edges, not triangles, in 3 states
+        (((-1, 1, 2),), "missing vertex"),
+        (((0, 1, 3),), "missing vertex"),
+        (((0, 1, 1),), "repeats a vertex"),
+        (((0, 1, 2), (1, 2)), "ragged"),
+        (((0.0, 1.0, 2.0),), "integers"),
+    ],
+    ids=["lower-dimensional", "label-minus-one", "label-V", "repeated", "ragged", "float"],
+)
+def test_triangulation_rejects_invalid_cells(cells, match):
+    with pytest.raises(GeometryDomainError, match=match):
+        Triangulation(np.eye(3), cells)
+
+
+@pytest.mark.parametrize("cells", [np.empty((0, 3), dtype=np.intp), ()], ids=["array", "tuple"])
+def test_triangulation_accepts_an_empty_cell_array(cells):
+    tri = Triangulation(np.eye(3), cells)
+    assert tri.simplices.shape == (0, 3) and tri.simplices.dtype == np.intp
+    with pytest.raises(GeometryDomainError, match="not covered"):
         tri.locate_many(np.array([[0.5, 0.5, 0.0]]))
-    with pytest.raises(GeometryDomainError, match="full-dimensional"):
-        VertexInterpolant(tri, np.zeros(3)).evaluate_many(np.array([[0.5, 0.5, 0.0]]))
 
 
 def _locate_many_all_cells(tri, points):
@@ -504,7 +520,7 @@ def test_argcav_concave_min_is_kept():
     env = argcav(psi, CellArrangement(2, dedup_functionals([rows[0] - rows[1]])))
     assert np.allclose(env.triangulation.vertices, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
     assert np.allclose(env.values, [0.0, 0.5, 0.0])
-    assert env.triangulation.simplices == ((0, 1), (1, 2))
+    assert env.triangulation.simplices.tolist() == [[0, 1], [1, 2]]
 
 
 def test_argcav_convex_max_flattens():

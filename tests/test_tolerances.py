@@ -87,3 +87,35 @@ def test_rows_are_clipped_only_in_renormalize():
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), None, path)
     assert sites == [("geometry.py", "_renormalize")]
+
+
+def _decimals_argument(call: ast.Call):
+    """The decimals argument of a round(x, d), np.round(x, d) or x.round(d) call, or None."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "round":
+        position = 1
+    elif isinstance(func, ast.Attribute) and func.attr in ("round", "around"):
+        on_module = isinstance(func.value, ast.Name) and func.value.id in ("np", "numpy")
+        position = 1 if on_module else 0
+    else:
+        return None
+    for kw in call.keywords:
+        if kw.arg in ("decimals", "ndigits"):
+            return kw.value
+    return call.args[position] if len(call.args) > position else None
+
+
+def test_no_literal_rounding_decimals():
+    # Rounding to d decimals merges values within 10**-d: a tolerance, so
+    # d must come from the table (as dedup_functionals derives it).
+    literals = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            arg = _decimals_argument(node)
+            if isinstance(arg, ast.UnaryOp):
+                arg = arg.operand
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, (int, float)):
+                literals.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not literals
