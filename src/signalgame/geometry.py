@@ -27,7 +27,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 # Point coincidence, zero mass, and simplex rows (beliefs, vertices, atoms,
 # experiment and kernel rows; per coordinate, in as_simplex_points).
 EPS_GEOM = 1e-12
-# Relative degeneracy: non-transversal subsets, collinear chain points.
+# Relative degeneracy: non-transversal subsets, collinear chain points, flat cells.
 EPS_DEGENERATE = 1e-12
 # Receiver indifference: slack for argmax tie sets.
 EPS_TIE = 1e-9
@@ -267,13 +267,20 @@ class SupportMeasure:
         return self.weights @ self.points
 
 
+def _flat_cells(corners: np.ndarray) -> np.ndarray:
+    """Mask of the flat cells of a (C, n, n) stack of vertex rows: |det| <= EPS_DEGENERATE
+    * prod_j |v_j - v_0|, relative to the edges so that a 1e-9-sized corner cell is kept."""
+    edges = np.linalg.norm(corners[:, 1:] - corners[:, :1], axis=2)
+    return np.abs(np.linalg.det(corners)) <= EPS_DEGENERATE * edges.prod(axis=1)
+
+
 @dataclass(frozen=True, eq=False)
 class Triangulation:
     """Vertices on the simplex plus one (C, n) np.intp array of cell vertex labels.
 
     Validated once at construction: each cell has n_states distinct
-    labels of existing vertices, so it is full-dimensional.  A ragged or
-    non-integer cell list raises GeometryDomainError.
+    labels of existing vertices and is not flat (_flat_cells), so it is
+    invertible.  A ragged or non-integer cell list raises GeometryDomainError.
     """
 
     vertices: np.ndarray
@@ -303,6 +310,9 @@ class Triangulation:
         ):
             if bad.any():
                 raise GeometryDomainError(f"cell {tuple(cells[bad.argmax()].tolist())} {problem}")
+        flat = _flat_cells(verts[cells])
+        if flat.any():
+            raise GeometryDomainError(f"cell {tuple(cells[flat.argmax()].tolist())} is affinely degenerate")
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "simplices", cells)
 
@@ -324,21 +334,9 @@ class Triangulation:
         # omega in the cell are inverse @ omega (columns sum to one, so the
         # weights automatically sum to one on the simplex).
         mats = self.vertices[self.simplices].transpose(0, 2, 1)
-        invs = np.full_like(mats, np.nan)
+        invs = np.empty_like(mats)
         for i in range(mats.shape[0]):
-            try:
-                invs[i] = np.linalg.inv(mats[i])
-            except np.linalg.LinAlgError:
-                pass
-        return invs
-
-    def _checked_inverses(self) -> np.ndarray:
-        """The cell inverses, checked to exist for every cell."""
-        invs = self._cell_inverses
-        degenerate = ~np.isfinite(invs).all(axis=(1, 2))
-        if degenerate.any():
-            cell = tuple(self.simplices[int(np.argmax(degenerate))].tolist())
-            raise GeometryDomainError(f"cell {cell} is affinely degenerate")
+            invs[i] = np.linalg.inv(mats[i])
         return invs
 
     @cached_property
@@ -348,7 +346,7 @@ class Triangulation:
         Row j of a cell inverse is the barycentric coordinate of its
         vertex j: zero exactly on the opposite facet's hyperplane.
         """
-        invs = self._checked_inverses()
+        invs = self._cell_inverses
         raw = invs.reshape(-1, invs.shape[2])
         return dedup_functionals(np.column_stack([raw, np.zeros(len(raw))]))
 
@@ -366,19 +364,18 @@ class Triangulation:
         cell_idx = np.zeros(len(pts), dtype=np.intp)
         lam = np.empty(pts.shape)
         todo = np.arange(len(pts))
-        with np.errstate(invalid="ignore"):  # a degenerate cell's NaN weights are infeasible
-            for c, inv in enumerate(self._cell_inverses):
-                if not todo.size:
-                    break
-                # The same rounding as einsum("cij,pj->pci") over every cell, which
-                # the solve artifacts' bits rest on; pts @ inv.T or one flattened
-                # (C*n, n) einsum can differ in the last bit.
-                bary = np.einsum("ij,pj->pi", inv, pts[todo])
-                hit = (bary >= -EPS_MEMBER).all(axis=1)
-                placed = todo[hit]
-                cell_idx[placed] = c
-                lam[placed] = bary[hit]
-                todo = todo[~hit]
+        for c, inv in enumerate(self._cell_inverses):
+            if not todo.size:
+                break
+            # The same rounding as einsum("cij,pj->pci") over every cell, which
+            # the solve artifacts' bits rest on; pts @ inv.T or one flattened
+            # (C*n, n) einsum can differ in the last bit.
+            bary = np.einsum("ij,pj->pi", inv, pts[todo])
+            hit = (bary >= -EPS_MEMBER).all(axis=1)
+            placed = todo[hit]
+            cell_idx[placed] = c
+            lam[placed] = bary[hit]
+            todo = todo[~hit]
         if todo.size:
             raise GeometryDomainError(f"point {pts[todo[0]]} is not covered by any cell")
         return cell_idx, _renormalize(lam)
@@ -427,16 +424,29 @@ class VertexInterpolant:
         object.__setattr__(self, "values", vals)
 
     @cached_property
-    def _interp_xy(self) -> tuple[np.ndarray, np.ndarray]:
+    def _interp_xy(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """A 2-state interpolant's sorted first coordinates and values for np.interp.
+
+        None unless the cells chain the vertices across the segment: they are
+        the V - 1 consecutive pairs in first-coordinate order, and the end
+        vertices lie within EPS_GEOM of 0 and 1.
+        """
         xs = self.triangulation.vertices[:, 0]
         order = np.argsort(xs)
-        return xs[order], self.values[order]
+        low, high = np.sort(np.argsort(order)[self.triangulation.simplices], axis=1).T
+        chained = (
+            np.array_equal(np.sort(low), np.arange(len(xs) - 1))
+            and np.array_equal(high, low + 1)
+            and xs[order[0]] <= EPS_GEOM
+            and xs[order[-1]] >= 1.0 - EPS_GEOM
+        )
+        return (xs[order], self.values[order]) if chained else None
 
     def evaluate_many(self, points) -> np.ndarray:
         """Values at each row of points: shape (P,), or (P, k) for k columns."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         tri = self.triangulation
-        if tri.n_states == 2:
+        if tri.n_states == 2 and self._interp_xy is not None:
             xs, ys = self._interp_xy
             return _by_column(lambda col: np.interp(pts[:, 0], xs, col), ys, axis=-1)
         cells, lam = tri.locate_many(pts)
@@ -450,7 +460,7 @@ class VertexInterpolant:
     @cached_property
     def cell_pieces(self) -> np.ndarray:
         """Rows of each cell's linear piece in cell order: (C, n+1), or (k, C, n+1) for k columns."""
-        invs = self.triangulation._checked_inverses().transpose(0, 2, 1)
+        invs = self.triangulation._cell_inverses.transpose(0, 2, 1)
         cells = self.triangulation.simplices
         weights = _by_column(lambda col: np.matmul(invs, col[cells][..., None])[..., 0], self.values, axis=0)
         return np.concatenate([weights, np.zeros(weights.shape[:-1] + (1,))], axis=-1)
@@ -537,21 +547,16 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
     degenerate = set()
     for ci, cell in enumerate(cells):
         pts = verts[cell]
-        if len(cell) > n:
-            problems.append(f"cell {ci} has {len(cell)} vertices in dimension {n - 1}")
+        # (n-1)! times the cell's volume: |det| of the vertex rows is the
+        # projected volume's multiple, and unlike a Gram determinant it
+        # keeps its relative accuracy on a sliver.
+        spanned = abs(float(np.linalg.det(pts))) * math.sqrt(n)
+        edge_scale = float(np.prod(np.linalg.norm(pts[1:] - pts[0], axis=1)))
+        if spanned <= EPS_ORACLE * max(edge_scale, 1e-30):
+            problems.append(f"cell {ci} is affinely degenerate")
             degenerate.add(ci)
             continue
-        if len(cell) >= 2:
-            edges = pts[1:] - pts[0]
-            gram = edges @ edges.T
-            det = float(np.linalg.det(gram))
-            edge_scale = float(np.prod(np.linalg.norm(edges, axis=1)))
-            if det <= (EPS_ORACLE * max(edge_scale, 1e-30)) ** 2:
-                problems.append(f"cell {ci} is affinely degenerate")
-                degenerate.add(ci)
-                continue
-            if len(cell) == n:
-                total_volume += math.sqrt(det) / math.factorial(n - 1)
+        total_volume += spanned / math.factorial(n - 1)
 
     # Pairwise face-to-face: any point common to two cells must be a convex
     # combination of their shared vertices.  Representations are unique for
@@ -818,6 +823,25 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     return allpts[_dedup_sorted(allpts)]
 
 
+def _upper_chain(x: np.ndarray, y: np.ndarray, scale: float) -> list[int]:
+    """Indices of the upper convex chain of points (x, y) sorted by x (Andrew's monotone chain).
+
+    A point within EPS_DEGENERATE * scale (cross product) of the chord of
+    its neighbours, or below it, is dropped.
+    """
+    keep: list[int] = []
+    for i in range(len(x)):
+        while len(keep) >= 2:
+            a, b = keep[-2], keep[-1]
+            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
+            if cross >= -EPS_DEGENERATE * scale:
+                keep.pop()
+            else:
+                break
+        keep.append(i)
+    return keep
+
+
 def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     """Upper concave envelope on a segment via a monotone chain.
 
@@ -825,18 +849,7 @@ def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     points are dropped, so vertices are exactly the envelope kinks plus
     the two endpoints.
     """
-    p = cands[:, 0]
-    tol_area = EPS_DEGENERATE * max(1.0, float(np.ptp(vals)))
-    keep: list[int] = []
-    for i in range(len(p)):
-        while len(keep) >= 2:
-            a, b = keep[-2], keep[-1]
-            cross = (p[b] - p[a]) * (vals[i] - vals[a]) - (vals[b] - vals[a]) * (p[i] - p[a])
-            if cross >= -tol_area:
-                keep.pop()  # middle point on or below the chord
-            else:
-                break
-        keep.append(i)
+    keep = _upper_chain(cands[:, 0], vals, max(1.0, float(np.ptp(vals))))
     labels = np.arange(len(keep))
     tri = Triangulation(cands[keep], np.column_stack([labels[:-1], labels[1:]]))
     return VertexInterpolant(tri, vals[keep])
@@ -858,17 +871,19 @@ def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
 
 
 def _face_facets(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[int, ...]]:
-    """Facets of the k-dimensional face spanned by proj[ids] as vertex id tuples."""
+    """Facets of the k-dimensional face (k >= 2) spanned by proj[ids] as vertex id tuples.
+
+    A polygon's facets are its edges: lower chain out, upper chain back.
+    """
     pts = proj[list(ids)]
-    center = pts.mean(axis=0)
-    centered = pts - center
+    centered = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     local = centered @ vt[:k].T
-    if k == 1:
-        return [
-            (ids[int(np.argmin(local[:, 0]))],),
-            (ids[int(np.argmax(local[:, 0]))],),
-        ]
+    if k == 2:
+        order = _lex_order(local)
+        x, y = local[order].T
+        ring = order[_upper_chain(x, -y, 1.0) + _upper_chain(x, y, 1.0)[-2::-1]].tolist()
+        return [tuple(sorted((ids[a], ids[b]))) for a, b in zip(ring[:-1], ring[1:])]
     try:
         hull = ConvexHull(local)
     except QhullError as err:
@@ -925,18 +940,16 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         members &= extremes
         face = tuple(sorted(members))
         cells.update(_pull_face(face, proj, d))
-    # An increasing relabel keeps the sorted cell order.
-    simplices = np.array(sorted(cells), dtype=np.intp)
-    used, labels = np.unique(simplices, return_inverse=True)
-    tri = Triangulation(cands[used], labels.reshape(simplices.shape))
-    # Cheap coverage audit: projected cells must tile the simplex.
-    corners = tri.vertices[tri.simplices]
-    edges = corners[:, 1:] - corners[:, :1]
-    gram_dets = np.linalg.det(edges @ edges.transpose(0, 2, 1))
-    vol = float(np.sqrt(np.maximum(gram_dets, 0.0)).sum()) / math.factorial(d)
-    target = math.sqrt(n) / math.factorial(d)
-    if abs(vol - target) > EPS_TILING * target:
+    simplices = np.array(sorted(cells), dtype=np.intp).reshape(-1, n)
+    # Triangulation's own rows; flat cells (nearly vertical lifted facets)
+    # are dropped, and the rest must tile the simplex (|det| sums to 1).
+    corners = _renormalize(cands[simplices])
+    kept = ~_flat_cells(corners)
+    if abs(np.abs(np.linalg.det(corners[kept])).sum() - 1.0) > EPS_TILING:
         raise GeometryDomainError("upper-hull faces failed to tile the simplex")
+    # An increasing relabel keeps the sorted cell order.
+    used, labels = np.unique(simplices[kept], return_inverse=True)
+    tri = Triangulation(cands[used], labels.reshape(-1, n))
     return VertexInterpolant(tri, vals[used])
 
 

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signalgame.cli import (
     ConfigError,
@@ -183,8 +190,10 @@ def test_main_reports_geometry_failures_with_the_stage(tmp_path, capsys):
 
 
 def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
-    # A near-tie game with a stage-2 upper-hull face whose candidates qhull
-    # finds flat when it triangulates the face in its own plane.
+    # A near-tie game with a stage-2 upper-hull face whose candidates are
+    # collinear within 2e-17 in its own plane (Qhull's QH6154).  The
+    # monotone chain walks that face as a segment, which adds no cell;
+    # the game then stops with a typed coverage error.
     game = tmp_path / "game.json"
     game.write_text(json.dumps({
         "horizon": 3,
@@ -202,9 +211,78 @@ def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
     }))
     for command in ("solve", "evaluate", "simulate"):
         assert main([command, "--input", str(game)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: stage 2: hull of the 2-face on candidates (")
-        assert "Initial simplex is flat" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == "error: stage 2: point [0.75 0.   0.25] is not covered by any cell\n"
+
+
+# Stage 1 of this near-tie game has the vertex (1e-8, 0.99999999, 0) on the
+# edge from e1 to e0, and a nearly vertical lifted hull facet over it
+# projects to the flat cell (1, 2, 4).
+FLAT_CELL_GAME = {
+    "horizon": 1,
+    "states": ["x0", "x1", "x2"],
+    "actions": ["u0", "u1", "u2"],
+    "terminating": [],
+    "rewards_A": [[0.99999999, 1e-09, -1.000000001], [-1.0, -1.0000000001, -1e-08],
+                  [1e-08, 0.0, 0.999999999]],
+    "rewards_B": [[1.00000001, -1e-10, -1.00000001], [-1e-08, 0.0, -1e-08],
+                  [0.0, 0.9999999999, -0.999999999]],
+    "prior": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
+}
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_evaluate_drops_a_flat_cell_of_the_lifted_hull(tmp_path, horizon):
+    # At horizon 3 the flat cell lands in stage 2, whose pieces stage 1 reads.
+    spec = dict(FLAT_CELL_GAME, horizon=horizon)
+    if horizon > 1:
+        spec["kernel"] = [[[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                          [[1, 0, 0], [0, 1, 0], [0, 1, 0]]]
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(spec))
+    assert main(["evaluate", "--input", str(game), "--out", str(tmp_path / "eval.json")]) == 0
+
+
+# Rewards on the lattice {-1, 0, 1}, each moved by a near-tie perturbation.
+_NEAR_TIE_REWARD = st.builds(
+    lambda base, size, sign: base + sign * size,
+    st.sampled_from([-1, 0, 1]),
+    st.sampled_from([0.0, 1e-10, 1e-9, 2e-9, 1e-8]),
+    st.sampled_from([-1, 1]),
+)
+
+
+@st.composite
+def _near_tie_games(draw):
+    n, nu, horizon = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    rewards = st.lists(st.lists(_NEAR_TIE_REWARD, min_size=nu, max_size=nu), min_size=n, max_size=n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    game = {
+        "horizon": horizon,
+        "states": [f"x{i}" for i in range(n)],
+        "actions": [f"u{i}" for i in range(nu)],
+        "terminating": [],
+        "rewards_A": draw(rewards),
+        "rewards_B": draw(rewards),
+        "prior": rng.dirichlet(np.ones(n)).tolist(),
+    }
+    if horizon > 1:
+        deterministic = draw(st.booleans())
+        kernel = np.eye(n)[rng.integers(0, n, (n, nu))] if deterministic else rng.dirichlet(np.ones(n), (n, nu))
+        game["kernel"] = kernel.tolist()
+    return game
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_near_tie_games())
+def test_near_tie_games_solve_or_fail_with_a_typed_stage_error(game):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "game.json"
+        path.write_text(json.dumps(game))
+        for command in ("solve", "evaluate"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--input", str(path), "--out", str(Path(tmp) / command)])
+            assert code in (0, 1) or (code == 2 and re.fullmatch(r"error: stage \d+: [^\n]+\n", err.getvalue()))
 
 
 def test_evaluate_accepts_a_stored_action_on_the_tie_set_edge(tmp_path):

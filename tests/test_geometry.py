@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
+from test_cli import FLAT_CELL_GAME
 from test_goldens import GAME_3
 
 from signalgame import geometry
@@ -238,12 +240,24 @@ def test_triangulation_accepts_an_empty_cell_array(cells):
         tri.locate_many(np.array([[0.5, 0.5, 0.0]]))
 
 
+def test_triangulation_rejects_a_flat_cell_and_keeps_a_tiny_one():
+    collinear = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(GeometryDomainError, match=r"cell \(0, 1, 2\) is affinely degenerate"):
+        Triangulation(collinear, ((0, 2, 3), (0, 1, 2)))
+    # A corner cell with 1e-9 legs: its determinant is 1e-18, far below
+    # EPS_DEGENERATE, but its shape is a proper triangle.
+    a, b = [1.0 - 1e-9, 1e-9, 0.0], [1.0 - 1e-9, 0.0, 1e-9]
+    tri = Triangulation(np.vstack([np.eye(3), [a, b]]), ((0, 3, 4), (1, 3, 4), (1, 2, 4)))
+    assert abs(np.linalg.det(tri.vertices[tri.simplices[0]])) < EPS_DEGENERATE
+    cells, _ = tri.locate_many(np.array([[1.0, 0.0, 0.0], [0.2, 0.4, 0.4]]))
+    assert cells.tolist() == [0, 2]
+
+
 def _locate_many_all_cells(tri, points):
     """locate_many as one einsum over every cell, kept as the bit-exact reference."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     bary = np.einsum("cij,pj->pci", tri._cell_inverses, pts)
-    with np.errstate(invalid="ignore"):
-        feasible = (bary >= -EPS_MEMBER).all(axis=2)
+    feasible = (bary >= -EPS_MEMBER).all(axis=2)
     if not feasible.any(axis=1).all():
         missing = pts[~feasible.any(axis=1)][0]
         raise GeometryDomainError(f"point {missing} is not covered by any cell")
@@ -393,6 +407,16 @@ def test_vertex_interpolant_matches_vertex_values_and_is_linear():
     pts = rng.dirichlet(np.ones(2), size=40)
     direct = np.array([f(p) for p in pts])
     assert np.allclose(f.evaluate_many(pts), direct, atol=1e-12)
+
+
+@pytest.mark.parametrize("cells", [((0, 1),), np.empty((0, 2), dtype=np.intp)], ids=["gap", "empty"])
+def test_two_state_interpolant_evaluates_only_where_its_cells_cover(cells):
+    tri = Triangulation(np.array([[1.0, 0.0], [0.6, 0.4], [0.0, 1.0]]), cells)
+    f = VertexInterpolant(tri, np.array([0.0, 1.0, 5.0]))
+    with pytest.raises(GeometryDomainError, match="not covered"):
+        f.evaluate_many(np.array([[0.1, 0.9]]))
+    if len(tri.simplices):
+        assert f([0.8, 0.2]) == pytest.approx(0.5)
 
 
 def test_vertex_interpolant_cell_pieces_and_boundaries():
@@ -647,6 +671,74 @@ def test_validate_triangulation_detects_problems():
     )
     ok, problems = validate_triangulation(overlap)
     assert not ok
+
+
+def test_validate_triangulation_sums_sliver_volumes_exactly():
+    # The flat-cell game's stage 1 has a cell 1e-8 wide with unit edges;
+    # its volume from a Gram determinant was off by 7.2e-9 (relative).
+    tri = solve(spec_from_dict(FLAT_CELL_GAME)).stage(1).triangulation
+    _, problems = validate_triangulation(tri)
+    assert not [p for p in problems if "volume" in p or "degenerate" in p]
+
+
+def _polygon_facets_qhull(ids, proj):
+    """Edges of the polygon proj[ids] by Qhull in its own plane: the reference for _face_facets(k=2).
+
+    Hull edges whose equations agree within EPS_FUNCTIONAL merge into one
+    facet, which keeps its extreme points.
+    """
+    pts = proj[list(ids)]
+    centered = pts - pts.mean(axis=0)
+    _, _, vt = np.linalg.svd(centered, full_matrices=False)
+    hull = ConvexHull(centered @ vt[:2].T)
+    extremes = set(hull.vertices.tolist())
+    facets = []
+    for group in geometry._cluster_rows(hull.equations):
+        members = set().union(*(hull.simplices[row].tolist() for row in group)) & extremes
+        facets.append(tuple(sorted(ids[j] for j in members)))
+    return sorted(facets)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_polygon_facets_match_qhull_on_convex_polygons(dim):
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(20):
+        angles = rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(3, 12)))
+        rim = np.column_stack([np.cos(angles), np.sin(angles)])
+        inner = rng.uniform(-0.3, 0.3, (int(rng.integers(0, 5)), 2))
+        plane = np.linalg.qr(rng.normal(size=(dim, 2)))[0]
+        proj = np.vstack([rim, inner]) @ plane.T + rng.normal(size=dim)
+        ids = tuple(range(len(proj)))
+        assert sorted(geometry._face_facets(ids, proj, 2)) == _polygon_facets_qhull(ids, proj)
+
+
+def test_polygon_facets_match_qhull_on_the_three_state_solve(monkeypatch):
+    faces = []
+    chain = geometry._face_facets
+
+    def checked(ids, proj, k):
+        got = chain(ids, proj, k)
+        if k == 2:
+            assert sorted(got) == _polygon_facets_qhull(ids, proj)
+            faces.append(len(ids))
+        return got
+
+    monkeypatch.setattr(geometry, "_face_facets", checked)
+    solve(spec_from_dict(GAME_3))
+    assert len(faces) == 8 and max(faces) == 6
+
+
+def test_a_polygon_flat_to_qhull_is_walked_as_a_segment():
+    # A stage-2 hull face of the near-tie game in tests/test_cli.py, whose
+    # candidates lie within 2e-17 of one line.
+    proj = np.array([[0.0, 0.0], [5.0000000467265593e-01, 1.8503716904162935e-17],
+                     [9.9999999700000042e-01, 0.0], [1.0, 0.0]])
+    ids = (0, 1, 2, 3)
+    with pytest.raises(QhullError, match="QH6154"):
+        _polygon_facets_qhull(ids, proj)
+    # out along the lower chain and back along the upper one: a ring
+    assert geometry._face_facets(ids, proj, 2) == [(0, 3), (0, 3)]
+    assert geometry._pull_face(ids, proj, 2) == []
 
 
 def _dedup_sorted_loop(points):
