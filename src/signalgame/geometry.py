@@ -83,6 +83,9 @@ class GeometryDomainError(ValueError):
 CANDIDATE_CAP = 2_000_000
 # Subsets candidate_vertices enumerates and filters per batch of linear systems.
 _CANDIDATE_BLOCK = 1 << 15
+# Floats of the weight screen Triangulation.locate_many builds per block of
+# points, (C * n, rows): 4 MiB whatever the cell count.
+_LOCATE_SCREEN = 1 << 19
 
 
 class CandidateBudgetExceeded(RuntimeError):
@@ -332,12 +335,34 @@ class Triangulation:
     def _cell_inverses(self) -> np.ndarray:
         # Column j of each cell matrix is vertex j; barycentric weights of
         # omega in the cell are inverse @ omega (columns sum to one, so the
-        # weights automatically sum to one on the simplex).
+        # weights automatically sum to one on the simplex).  The inverses
+        # keep the matrices' transposed strides: einsum's rounding depends
+        # on the layout, and the solve artifacts' bits rest on this one.
         mats = self.vertices[self.simplices].transpose(0, 2, 1)
         invs = np.empty_like(mats)
-        for i in range(mats.shape[0]):
-            invs[i] = np.linalg.inv(mats[i])
+        invs[...] = np.linalg.inv(mats)
         return invs
+
+    @cached_property
+    def _screen(self) -> tuple[np.ndarray, np.ndarray]:
+        """locate_many's screen: the cell inverses' rows stacked (C*n, n), and
+        each cell's slack per unit of |x|_1."""
+        # With u the unit roundoff and g(n) = n u / (1 - n u), a sum of n
+        # products a_j x_j in any order, with or without fused multiply-adds,
+        # is within g(n) sum_j |a_j x_j| <= g(n) max|inv_c| |x|_1 of the exact
+        # value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+        # ed., §3.1).  So the screen's product and the confirming einsum
+        # differ by at most 2 g(n) max|inv_c| |x|_1 in cell c.  Taking slack
+        # = 4 n u max|inv_c| |x|_1 leaves room for the roundings of the slack
+        # and of -EPS_MEMBER - slack, which are below u EPS_MEMBER once
+        # max|inv_c| |x|_1 >= EPS_MEMBER / 2n; below that, every weight of the
+        # point is above -EPS_MEMBER / 2n in both, and none is ruled out.  So
+        # a weight the product puts below -EPS_MEMBER - slack is below
+        # -EPS_MEMBER in the einsum too.  A non-finite point gets a NaN or
+        # infinite slack and rules out no cell.
+        invs = self._cell_inverses
+        n = self.n_states
+        return invs.reshape(-1, n), 4 * n * (np.finfo(float).eps / 2) * np.abs(invs).max(axis=(1, 2))
 
     @cached_property
     def boundary_functionals(self) -> np.ndarray:
@@ -353,31 +378,54 @@ class Triangulation:
     def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and barycentric weights for each query point.
 
-        Cells are walked in listing order, each tested only on the
-        points that no earlier cell holds, so a point on shared faces
-        resolves to the first feasible cell and the work stops once
-        every point is placed.  Memory stays near one (P, n) array.
-        Raises GeometryDomainError when a point is not covered by any
-        cell (naming the first such point).
+        A point goes to the first cell in listing order whose weights are
+        all >= -EPS_MEMBER, so a point on shared faces resolves to the
+        first feasible cell.  Points go in blocks.  One matrix product
+        screens a block against every cell and rules a cell out for a
+        point only where a weight is below -EPS_MEMBER by more than the
+        product's rounding can explain.  Each point's first surviving
+        cell is then confirmed with the einsum the artifacts' bits rest
+        on; a point that fails moves on to its next surviving cell.  A
+        block's screen holds about _LOCATE_SCREEN floats, so memory stays
+        near one (P, n) array.  Raises GeometryDomainError when a point is
+        not covered by any cell (naming the first such point).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        cell_idx = np.zeros(len(pts), dtype=np.intp)
+        invs = self._cell_inverses
+        n_cells, n = invs.shape[:2]
+        if n_cells == 0 and len(pts):
+            raise GeometryDomainError(f"point {pts[0]} is not covered by any cell")
+        flat, scale = self._screen
+        cell_idx = np.full(len(pts), -1, dtype=np.intp)
         lam = np.empty(pts.shape)
-        todo = np.arange(len(pts))
-        for c, inv in enumerate(self._cell_inverses):
-            if not todo.size:
-                break
-            # The same rounding as einsum("cij,pj->pci") over every cell, which
-            # the solve artifacts' bits rest on; pts @ inv.T or one flattened
-            # (C*n, n) einsum can differ in the last bit.
-            bary = np.einsum("ij,pj->pi", inv, pts[todo])
-            hit = (bary >= -EPS_MEMBER).all(axis=1)
-            placed = todo[hit]
-            cell_idx[placed] = c
-            lam[placed] = bary[hit]
-            todo = todo[~hit]
-        if todo.size:
-            raise GeometryDomainError(f"point {pts[todo[0]]} is not covered by any cell")
+        rows = max(1, _LOCATE_SCREEN // max(1, n_cells * n))
+        for start in range(0, len(pts), rows):
+            block = pts[start : start + rows]
+            cells, weights = cell_idx[start : start + rows], lam[start : start + rows]
+            with np.errstate(invalid="ignore"):
+                lowest = (flat @ block.T).reshape(n_cells, n, len(block)).min(axis=1)
+                slack = np.outer(scale, np.abs(block).sum(axis=1))
+                alive = ~(lowest < -EPS_MEMBER - slack)
+            # A point with no surviving cell is checked in cell 0, which the
+            # screen ruled out, so it fails there and drops out.
+            todo = np.arange(len(block))
+            first = alive.argmax(axis=0)
+            while todo.size:
+                # The same rounding as einsum("ij,pj->pi", inv[c], pts) cell by
+                # cell and einsum("cij,pj->pci") over every cell, which the
+                # solve artifacts' bits rest on (invs[first] keeps the
+                # inverses' strides); a matrix product can differ in the last bit.
+                bary = np.einsum("pij,pj->pi", invs[first], block[todo])
+                hit = (bary >= -EPS_MEMBER).all(axis=1)
+                cells[todo[hit]] = first[hit]
+                weights[todo[hit]] = bary[hit]
+                alive[first[~hit], todo[~hit]] = False
+                todo = todo[~hit]
+                todo = todo[alive[:, todo].any(axis=0)]
+                first = alive[:, todo].argmax(axis=0)
+            missing = cells < 0
+            if missing.any():
+                raise GeometryDomainError(f"point {block[missing.argmax()]} is not covered by any cell")
         return cell_idx, _renormalize(lam)
 
     def split_many(self, points) -> tuple[np.ndarray, np.ndarray]:

@@ -338,6 +338,66 @@ def test_locate_many_names_the_first_uncovered_point_like_the_reference():
     _assert_same_location(tri.locate_many(covered), _locate_many_all_cells(tri, covered))
 
 
+def _band_points(tri, rng):
+    """Points a few ulps to either side of weight -EPS_MEMBER in some cell,
+    across the facets that lie inside the simplex, with their cells and slots."""
+    pts, cells, slots = [], [], []
+    for c, cell in enumerate(tri.simplices):
+        corners = tri.vertices[cell]
+        for k in np.repeat(np.arange(tri.n_states), 4):
+            lam = np.insert(rng.dirichlet(np.ones(tri.n_states - 1)) * (1.0 + EPS_MEMBER), k, -EPS_MEMBER)
+            on_level = lam @ corners
+            if on_level.min() < 1e-3:
+                continue  # a facet on the simplex boundary: nothing lies beyond it
+            toward = corners[k] - on_level
+            for step in range(-6, 7):
+                pts.append(on_level + step * 2.0**-52 * toward)
+                cells.append(c)
+                slots.append(k)
+    return np.array(pts), np.array(cells), np.array(slots)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_locate_many_matches_the_reference_across_blocks_and_the_screen_slack_band(n, monkeypatch):
+    rng = np.random.default_rng(40 + n)
+    tri = _min_of_pieces_triangulation(n, 9, seed=n)
+    band, band_cells, band_slots = _band_points(tri, rng)
+    # the band straddles the membership threshold in the einsum the artifacts rest on
+    weights = np.einsum("pij,pj->pi", tri._cell_inverses[band_cells], band)[np.arange(len(band)), band_slots]
+    assert (weights >= -EPS_MEMBER).any() and (weights < -EPS_MEMBER).any()
+    assert np.abs(weights + EPS_MEMBER).max() < 1e-13
+    pts = np.vstack([rng.dirichlet(np.ones(n), size=1500), tri.vertices, band])
+    pts = pts[rng.permutation(len(pts))]
+    want = _locate_many_all_cells(tri, pts)
+    _assert_same_location(tri.locate_many(pts), want)
+    # blocks of 5 points put a seam between most neighbours
+    monkeypatch.setattr(geometry, "_LOCATE_SCREEN", 5 * tri.simplices.size)
+    _assert_same_location(tri.locate_many(pts), want)
+
+
+def test_locate_many_names_the_first_uncovered_point_whichever_is_resolved_first(monkeypatch):
+    # the corner cells of the midpoint subdivision, without the middle one
+    verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]])
+    tri = Triangulation(verts, ((0, 3, 4), (1, 3, 5), (2, 4, 5)))
+    covered = np.array([[0.8, 0.1, 0.1], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
+    # Each first uncovered point is resolved after the centre, which the
+    # screen rules out of every cell: a NaN row survives the screen in
+    # every cell and fails each check in turn, and the edge point, in the
+    # hole just past cell 0's facet, is in that cell's slack band.
+    edge = np.array([0.5, 0.25, 0.25]) - (EPS_MEMBER / 2 + 2.0**-52) * np.array([1.0, -0.5, -0.5])
+    weight = np.einsum("ij,j->i", tri._cell_inverses[0], edge)[0]
+    assert -EPS_MEMBER - 1e-14 < weight < -EPS_MEMBER
+    for uncovered in ([[np.nan, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]], [edge, [1 / 3, 1 / 3, 1 / 3]]):
+        pts = np.vstack([covered, uncovered, covered])
+        for screen in (geometry._LOCATE_SCREEN, 2 * tri.simplices.size, tri.simplices.size):
+            monkeypatch.setattr(geometry, "_LOCATE_SCREEN", screen)
+            with pytest.raises(GeometryDomainError) as got:
+                tri.locate_many(pts)
+            with pytest.raises(GeometryDomainError) as want:
+                _locate_many_all_cells(tri, pts)
+            assert str(got.value) == str(want.value) == f"point {pts[3]} is not covered by any cell"
+
+
 def test_locate_many_memory_stays_near_one_points_array():
     # 14 cells fanned from the corner e0 over the edge from e1 to e2
     ts = np.linspace(0.0, 1.0, 15)
