@@ -190,9 +190,81 @@ class SimulationReport:
 _SIM_BLOCK = 8192
 
 
-def _bisect_rows(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise bisect_right of u[j] into the nondecreasing row cum[j]."""
-    return (cum <= u[:, None]).sum(axis=1)
+@dataclass(frozen=True)
+class _StagePlay:
+    """One stage of simulate's play, as flat tables.
+
+    Before its message, a trajectory sits on the slot (row * n + x) *
+    (M + 1) of its split-record row and true state x, with n states and
+    M message columns per row; after it, on the slot (label * n + x) *
+    (n' + 1) of the vertex label sent, with n' the next stage's state
+    count (0 at the record's last stage).  Each key thus owns one slot
+    per possible count of its CDF columns at or below a uniform (see
+    _draw), and the tables read at slot + count fold in the clamp to the
+    last message sent or the last state.  With k rows and V vertices:
+
+    message (M, k*n*(M+1)): the rows' message CDF columns.
+    pick (k*n*(M+1),): the post-message slot of the message drawn.
+    reward_a, reward_b (V*n*(n'+1),): both players' stage rewards.
+    going (V*n*(n'+1),): whether play goes on to the next stage.
+    transition (n', V*n*(n'+1)) and step (V*n*(n'+1),): the CDF columns
+        of kernel[x, action, :] and the next stage's pre-message slot of
+        the state drawn; None at the record's last stage.
+    """
+
+    message: np.ndarray
+    pick: np.ndarray
+    reward_a: np.ndarray
+    reward_b: np.ndarray
+    going: np.ndarray
+    transition: np.ndarray | None
+    step: np.ndarray | None
+
+
+def _stage_plays(solution: EquilibriumSolution, record: list[_StageSplits]) -> list[_StagePlay]:
+    """simulate's tables, one per stage of the split record."""
+    spec = solution.spec
+    plays = []
+    for t, rec in enumerate(record, start=1):
+        st = solution.stage(t)
+        tri = st.triangulation
+        n = spec.n_states(t)
+        rows, width = rec.labels.shape
+        n_next = spec.n_states(t + 1) if t < len(record) else 0
+        kernel = _signal_kernel(rec.beliefs, rec.weights, tri.vertices[rec.labels])
+        message = np.cumsum(kernel, axis=2).reshape(rows * n, width).T.repeat(width + 1, axis=1)
+        # zero-weight messages come last, so the clamp keeps them unsent
+        sent = np.minimum(np.arange(width + 1), (rec.weights > 0.0).sum(axis=1)[:, None] - 1)
+        labels = rec.labels[np.arange(rows)[:, None], sent]
+        pick = (labels[:, None, :] * n + np.arange(n)[:, None]) * (n_next + 1)
+        actions = np.asarray(st.vertex_actions, dtype=np.intp)
+        reward_a = spec.rewards_principal[t - 1][:, actions].T.repeat(n_next + 1)
+        reward_b = spec.rewards_receiver[t - 1][:, actions].T.repeat(n_next + 1)
+        if t == len(record):
+            going, transition, step = np.zeros(reward_a.size, dtype=bool), None, None
+        else:
+            going = record[t].reached.repeat(n * (n_next + 1))
+            # kernel[x, action(label), :] cumulated over next states, by label * n + x
+            cdf = np.cumsum(spec.kernels[t - 1], axis=2)[:, actions, :].transpose(2, 1, 0)
+            transition = cdf.reshape(n_next, -1).repeat(n_next + 1, axis=1)
+            state = np.minimum(np.arange(n_next + 1), n_next - 1)
+            step = (np.arange(tri.n_vertices)[:, None] * n_next + state) * (record[t].labels.shape[1] + 1)
+            step = step.repeat(n, axis=0).reshape(-1)
+        plays.append(_StagePlay(message, pick.reshape(-1), reward_a, reward_b, going, transition, step))
+    return plays
+
+
+def _draw(cdf: np.ndarray, slot, u: np.ndarray) -> np.ndarray:
+    """slot plus the number of the CDF columns cdf[:, slot] at or below u.
+
+    Per draw, the count is bisect_right of u into its nondecreasing CDF
+    row.  It is summed over columns as an exact integer, so it does not
+    depend on the order of the comparisons.
+    """
+    out = slot + (cdf[0].take(slot) <= u)
+    for column in cdf[1:]:
+        out += column.take(slot) <= u
+    return out
 
 
 def simulate(
@@ -206,34 +278,29 @@ def simulate(
     child stream b of SeedSequence(seed): first one uniform per
     trajectory for the initial state, then at every stage a (2, size)
     array of uniforms for the message and the next state, whether a
-    trajectory is still in play or not.  A trajectory's draws thus
-    depend only on its block and its position in it, so results are
-    reproducible and independent of execution order.  All trajectories
-    of a block advance together, stage by stage, over the rows of
-    _stage_splits: the message sent is the label of the next row.
-    Rewards are realized (true-state) stage rewards.
+    trajectory is still in play or not, until play ends for the whole
+    block.  A trajectory's draws thus depend only on its block and its
+    position in it, so results are reproducible and independent of
+    execution order.
+
+    The receiver's action depends only on the vertex label sent, and the
+    principal's experiment only on the split-record row, so a
+    trajectory's state is the pair (row, true state) before the message
+    and (label, true state) after it, and the message sent is the next
+    stage's row.  Each stage's play is a set of flat tables keyed by
+    these pairs, built once from _stage_splits (see _StagePlay): all
+    trajectories of a block advance together, stage by stage, with one
+    table lookup per draw, reward and step.  Trajectories whose play
+    ends drop out of the block.  Rewards are realized (true-state) stage
+    rewards.
     """
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    spec = solution.spec
     record = _stage_splits(solution)
-    # Per stage: each row's signal rows cumulated over messages (k, n, M),
-    # its message count (k,) and message labels (k, M); the vertex actions;
-    # and, by label, whether play goes on to the next stage's row.
-    tables = []
-    for t, rec in enumerate(record, start=1):
-        tri = solution.stage(t).triangulation
-        kernel = _signal_kernel(rec.beliefs, rec.weights, tri.vertices[rec.labels])
-        tables.append((
-            np.cumsum(kernel, axis=2),
-            (rec.weights > 0.0).sum(axis=1),
-            rec.labels,
-            np.asarray(solution.stage(t).vertex_actions, dtype=np.intp),
-            record[t].reached if t < len(record) else np.zeros(tri.n_vertices, dtype=bool),
-        ))
-    prior_cum = np.cumsum(as_simplex_point(spec.prior))
-    # stage t's transition rows cumulated over next states: (n, A, n')
-    trans_cum = [np.cumsum(kernel, axis=2) for kernel in spec.kernels]
+    plays = _stage_plays(solution, record)
+    # the prior's CDF as columns of one row, and the first stage's slot of each state drawn
+    prior = np.cumsum(as_simplex_point(solution.spec.prior))[:, None]
+    start = np.minimum(np.arange(prior.size + 1), prior.size - 1) * (record[0].labels.shape[1] + 1)
     totals_a = np.zeros(trajectories)
     totals_b = np.zeros(trajectories)
     n_blocks = -(-trajectories // _SIM_BLOCK)
@@ -241,23 +308,31 @@ def simulate(
         rng = np.random.default_rng(stream)
         lo = b * _SIM_BLOCK
         size = min(_SIM_BLOCK, trajectories - lo)
-        live = np.arange(lo, lo + size)
-        x = np.minimum(_bisect_rows(prior_cum[None, :], rng.random(size)), prior_cum.size - 1)
-        row = np.zeros(size, dtype=np.intp)
-        for stage, (msg_cum, n_msg, labels, actions, continues) in enumerate(tables, start=1):
-            u0, u1 = rng.random((2, size))[:, live - lo]
-            # zero-weight messages come last, so the clamp keeps them unsent
-            m = np.minimum(_bisect_rows(msg_cum[row, x], u0), n_msg[row] - 1)
-            label = labels[row, m]
-            action = actions[label]
-            totals_a[live] += spec.rewards_principal[stage - 1][x, action]
-            totals_b[live] += spec.rewards_receiver[stage - 1][x, action]
-            going = continues[label]
-            if not going.any():
-                break
-            live, row, x, action, u1 = live[going], label[going], x[going], action[going], u1[going]
-            cum = trans_cum[stage - 1]
-            x = np.minimum(_bisect_rows(cum[x, action], u1), cum.shape[2] - 1)
+        # views: the block's rewards accumulate in place in the totals
+        acc_a = totals_a[lo : lo + size]
+        acc_b = totals_b[lo : lo + size]
+        live = None  # positions in the block still in play; None while all are
+        slot = start.take(_draw(prior, 0, rng.random(size)))
+        for play in plays:
+            u0, u1 = rng.random((2, size))
+            if live is not None:
+                u0 = u0.take(live)
+            slot = play.pick.take(_draw(play.message, slot, u0))
+            if live is None:
+                acc_a += play.reward_a.take(slot)
+                acc_b += play.reward_b.take(slot)
+            else:
+                acc_a[live] += play.reward_a.take(slot)
+                acc_b[live] += play.reward_b.take(slot)
+            going = play.going.take(slot)
+            if not going.all():
+                live = np.flatnonzero(going) if live is None else live[going]
+                if not live.size:
+                    break
+                slot = slot[going]
+            if live is not None:
+                u1 = u1.take(live)
+            slot = play.step.take(_draw(play.transition, slot, u1))
     return SimulationReport(
         trajectories=trajectories,
         seed=seed,

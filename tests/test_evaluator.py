@@ -397,8 +397,15 @@ def _simulate_loop(solution, seed, trajectories):
 
 @pytest.mark.parametrize(
     "spec",
-    [builtin_example("quickest_detection", 0.2, 0.1, 14), _varying_states_game()],
-    ids=["quickest_detection", "varying_states"],
+    [
+        builtin_example("quickest_detection", 0.2, 0.1, 14),
+        # terminating actions: play ends with the split record, at stage 2 of 14
+        builtin_example("detector", 0.2, 0.15, 14),
+        _varying_states_game(),
+        # bench/workloads.py's random_game(5, 3, 3, 4): stationary, 3 states, no terminating action
+        dataclasses.replace(_random_game(5, 3, 3, 4), terminating=(frozenset(),) * 4),
+    ],
+    ids=["quickest_detection", "detector", "varying_states", "random-3"],
 )
 def test_simulate_matches_per_trajectory_loop(spec):
     sol = solve(spec)
@@ -428,6 +435,42 @@ def test_simulate_makes_one_generator_per_block(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     simulate(sol, trajectories=2 * _SIM_BLOCK + 1)
     assert len(made) == 3
+
+
+@pytest.mark.parametrize(
+    ("name", "c", "horizon", "last_block_stages"),
+    [
+        # play ends with the split record, at stage 2 of 6
+        ("detector", 0.15, 6, 2),
+        # seed 0's lone trajectory in the last block raises the alarm at stage 10
+        ("quickest_detection", 0.1, 40, 10),
+    ],
+)
+def test_simulate_draws_one_uniform_then_one_pair_per_stage_played(
+    monkeypatch, name, c, horizon, last_block_stages
+):
+    sol = solve(builtin_example(name, 0.2, c, horizon))
+    stages = len(_stage_splits(sol))
+    shapes = []
+    original = np.random.default_rng
+
+    class Recorded:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            out = self.rng.random(size)
+            shapes[-1].append(out.shape)
+            return out
+
+    def recorded(*args, **kwargs):
+        shapes.append([])
+        return Recorded(original(*args, **kwargs))
+
+    monkeypatch.setattr(np.random, "default_rng", recorded)
+    simulate(sol, seed=0, trajectories=2 * _SIM_BLOCK + 1)
+    sizes, played = (_SIM_BLOCK, _SIM_BLOCK, 1), (stages, stages, last_block_stages)
+    assert shapes == [[(size,)] + [(2, size)] * k for size, k in zip(sizes, played)]
 
 
 def test_simulate_memory_is_bounded():

@@ -100,6 +100,13 @@ def _cases():
         cases[f"{game}-sweep"] = ["sweep", *base]
         cases[f"{game}-evaluate"] = ["evaluate", *base]
         cases[f"{game}-simulate"] = ["simulate", *base, "--trajectories", "1000"]
+    # the rollout benchmark's games: 13 blocks of Monte Carlo streams, a
+    # ragged last one, and at T=40 blocks that shrink as play ends
+    for game, c in (("quickest_detection", "0.1"), ("detector", "0.15")):
+        cases[f"{game}-simulate-100k"] = [
+            "simulate", "--builtin", game, "--c", c, "--horizon", "40",
+            "--seed", "0", "--trajectories", "100000",
+        ]
     cases["game3-solve"] = ["solve", "--input", "{game3}"]
     cases["game3-evaluate"] = ["evaluate", "--input", "{game3}"]
     cases["game3-simulate"] = ["simulate", "--input", "{game3}", "--trajectories", "1000"]
@@ -118,6 +125,9 @@ GOLDENS = {
     ),
     "detector-simulate": (
         0, "a52cc2853febbcb21686bb5952995aa0f54140449ced2fa7c888a2de8582fbb8", 215,
+    ),
+    "detector-simulate-100k": (
+        0, "39f3489a2963d7d9d45bfbbfff6bd411c16a4b7ca12216823dc41a6540b5baa6", 217,
     ),
     "detector-solve": (
         0, "7747a4ff87bb1195b18a995a31c2e78dc7fc3cece8cda0e50b6bf1355ce104f6", 15959,
@@ -148,6 +158,9 @@ GOLDENS = {
     ),
     "quickest_detection-simulate": (
         0, "0e57b08fd07b7a8c5d1d1121a21f111464b771d6cac6668ce4d95dde254d3198", 221,
+    ),
+    "quickest_detection-simulate-100k": (
+        0, "c4ed3189ca69820f769ccf78cc6909b9597bb4669817f726084ad9baa873a59d", 240,
     ),
     "quickest_detection-solve": (
         0, "51855e24b49a25e874aa5f28e08978046d04d50252f56a6e0d9843659ffaf068", 25866,
