@@ -220,22 +220,6 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     return first[keep]
 
 
-def _cluster_rows(rows: np.ndarray) -> list[list[int]]:
-    """Group row indices whose rows agree within EPS_FUNCTIONAL in the sup norm."""
-    groups: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    for i in range(len(rows)):
-        row = rows[i]
-        for g, rep in zip(groups, reps):
-            if np.max(np.abs(row - rep)) <= EPS_FUNCTIONAL:
-                g.append(i)
-                break
-        else:
-            groups.append([i])
-            reps.append(row)
-    return groups
-
-
 @dataclass(frozen=True, eq=False)
 class SupportMeasure:
     """Finitely supported probability measure on the simplex."""
@@ -918,10 +902,27 @@ def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     return VertexInterpolant(tri, corner_vals)
 
 
+def _hull_faces(hull: ConvexHull, rows: np.ndarray) -> list[np.ndarray]:
+    """The hull facets rows grouped into faces, each face as its ascending point indices.
+
+    The first facet not yet in a face starts one and takes every later
+    free facet whose equation is within EPS_FUNCTIONAL (sup norm) of its own.
+    """
+    equations, simplices = hull.equations[rows], hull.simplices[rows]
+    free = np.ones(len(rows), dtype=bool)
+    faces = []
+    while free.any():
+        members = free & (np.abs(equations - equations[free.argmax()]).max(axis=1) <= EPS_FUNCTIONAL)
+        free &= ~members
+        faces.append(np.unique(simplices[members]))
+    return faces
+
+
 def _face_facets(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[int, ...]]:
     """Facets of the k-dimensional face (k >= 2) spanned by proj[ids] as vertex id tuples.
 
     A polygon's facets are its edges: lower chain out, upper chain back.
+    Higher faces take the faces of their Qhull hull (_hull_faces).
     """
     pts = proj[list(ids)]
     centered = pts - pts.mean(axis=0)
@@ -937,15 +938,8 @@ def _face_facets(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[i
     except QhullError as err:
         first = str(err).strip().splitlines()[0]
         raise GeometryDomainError(f"hull of the {k}-face on candidates {ids} failed: {first}") from None
-    extremes = set(hull.vertices.tolist())
-    facets = []
-    for group in _cluster_rows(hull.equations):
-        members = set()
-        for row in group:
-            members.update(hull.simplices[row].tolist())
-        members &= extremes
-        facets.append(tuple(sorted(ids[j] for j in members)))
-    return facets
+    faces = _hull_faces(hull, np.arange(len(hull.equations)))
+    return [tuple(sorted(ids[j] for j in face.tolist())) for face in faces]
 
 
 def _pull_face(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[int, ...]]:
@@ -964,11 +958,11 @@ def _pull_face(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[int
 
 
 def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
-    """Upper-hull concave envelope for dimension >= 2."""
+    """Upper-hull concave envelope for any number of states but 2 (_chain_envelope's)."""
     n = cands.shape[1]
     d = n - 1
     if len(cands) == n:
-        # Corners only: the envelope is the affine interpolant.
+        # Corners only (always so in 1 state): the envelope is the affine interpolant.
         return VertexInterpolant(Triangulation(cands, np.arange(n)[None, :]), vals)
     proj = cands[:, :-1]
     lifted = np.column_stack([proj, vals])
@@ -976,18 +970,12 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         hull = ConvexHull(lifted)
     except QhullError:
         return _affine_envelope(cands, vals)
-    extremes = set(hull.vertices.tolist())
-    upper = np.where(hull.equations[:, d] > EPS_HULL_NORMAL)[0]
+    upper = np.flatnonzero(hull.equations[:, d] > EPS_HULL_NORMAL)
     if upper.size == 0:
         return _affine_envelope(cands, vals)
     cells: set[tuple[int, ...]] = set()
-    for group in _cluster_rows(hull.equations[upper]):
-        members = set()
-        for gi in group:
-            members.update(hull.simplices[upper[gi]].tolist())
-        members &= extremes
-        face = tuple(sorted(members))
-        cells.update(_pull_face(face, proj, d))
+    for face in _hull_faces(hull, upper):
+        cells.update(_pull_face(tuple(face.tolist()), proj, d))
     simplices = np.array(sorted(cells), dtype=np.intp).reshape(-1, n)
     # Triangulation's own rows; flat cells (nearly vertical lifted facets)
     # are dropped, and the rest must tile the simplex (|det| sums to 1).
@@ -1021,10 +1009,6 @@ def argcav(psi, arrangement: CellArrangement) -> VertexInterpolant:
         )
     if not np.all(np.isfinite(vals)):
         raise GeometryDomainError("objective returned non-finite values")
-    n = arrangement.n_states
-    if n == 1:
-        tri = Triangulation(np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp))
-        return VertexInterpolant(tri, vals)
-    if n == 2:
+    if arrangement.n_states == 2:
         return _chain_envelope(cands, vals)
     return _lifted_envelope(cands, vals)

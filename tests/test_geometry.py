@@ -745,18 +745,14 @@ def _polygon_facets_qhull(ids, proj):
     """Edges of the polygon proj[ids] by Qhull in its own plane: the reference for _face_facets(k=2).
 
     Hull edges whose equations agree within EPS_FUNCTIONAL merge into one
-    facet, which keeps its extreme points.
+    facet (_hull_faces).
     """
     pts = proj[list(ids)]
     centered = pts - pts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     hull = ConvexHull(centered @ vt[:2].T)
-    extremes = set(hull.vertices.tolist())
-    facets = []
-    for group in geometry._cluster_rows(hull.equations):
-        members = set().union(*(hull.simplices[row].tolist() for row in group)) & extremes
-        facets.append(tuple(sorted(ids[j] for j in members)))
-    return sorted(facets)
+    faces = geometry._hull_faces(hull, np.arange(len(hull.equations)))
+    return sorted(tuple(sorted(ids[j] for j in face.tolist())) for face in faces)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
