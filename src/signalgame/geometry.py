@@ -545,7 +545,7 @@ def dedup_functionals(functionals) -> np.ndarray:
     return keys[np.sort(first)]
 
 
-def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[bool, list[str]]:
+def validate_triangulation(t: Triangulation) -> tuple[bool, list[str]]:
     """Check that t is a genuine triangulation of the whole simplex.
 
     Verifies pairwise-distinct vertices, affinely independent cells,
@@ -605,8 +605,8 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
                 problems.append(f"cells {ai} and {bi} are identical")
                 continue
             pa, pb = verts[cell_a], verts[cell_b]
-            if np.any(pa.min(axis=0) > pb.max(axis=0) + tol) or np.any(
-                pb.min(axis=0) > pa.max(axis=0) + tol
+            if np.any(pa.min(axis=0) > pb.max(axis=0) + EPS_ORACLE) or np.any(
+                pb.min(axis=0) > pa.max(axis=0) + EPS_ORACLE
             ):
                 continue
             shared = set(cell_a) & set(cell_b)
@@ -628,7 +628,7 @@ def validate_triangulation(t: Triangulation, tol: float = EPS_ORACLE) -> tuple[b
             res = linprog(-free, A_eq=eq_rows, b_eq=rhs, bounds=(0.0, None), method="highs")
             if res.status == 2:
                 continue  # disjoint closures
-            if res.success and -res.fun > tol:
+            if res.success and -res.fun > EPS_ORACLE:
                 problems.append(
                     f"cells {ai} and {bi} intersect outside their common face"
                 )
@@ -788,7 +788,8 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     outside the simplex by more than EPS_MEMBER plus a bound on both
     its rounding and LAPACK's (_solves_off_simplex).  The kept subsets
     are solved in the same order, one matrix at a time, so the points
-    are bit for bit those of the full pool.  The corners always appear.
+    are bit for bit those of the full pool.  The corners always appear,
+    and a point within EPS_GEOM (sup norm) of a corner becomes that corner.
     Rows come back lexicographically sorted and deduped at EPS_GEOM.
     Raises CandidateBudgetExceeded, before enumerating, when the full
     deduped pool has more than CANDIDATE_CAP subsets.
@@ -851,6 +852,12 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
             if inside.any():
                 points.append(_renormalize(sols[inside]))
     allpts = np.vstack(points)
+    # A row within EPS_GEOM (sup norm) of a corner is that corner, so that
+    # dedup cannot keep a near copy in its place; only the row's largest
+    # coordinate's corner can be that close.
+    top = allpts.argmax(axis=1)
+    near = np.abs(allpts - corners[top]).max(axis=1) <= EPS_GEOM
+    allpts[near] = corners[top[near]]
     allpts = allpts[_lex_order(allpts)]
     return allpts[_dedup_sorted(allpts)]
 

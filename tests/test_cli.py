@@ -168,10 +168,11 @@ def test_main_reports_candidate_budget(tmp_path, capsys, monkeypatch):
         assert err.endswith(" subsets, over the cap of 1\n")
 
 
-def test_main_reports_geometry_failures_with_the_stage(tmp_path, capsys):
-    # A near-tie game whose stage-2 envelope misses the corner [0, 1, 0]:
-    # a neighbouring cell is 8e-9 wide, so the corner's weight in it is
-    # -1.6e-8, and stage 1 cannot locate the corner it maps there.
+def test_main_solves_a_game_with_near_corner_candidates(tmp_path):
+    # A near-tie game whose stage-2 candidates hold near copies of the
+    # corner [0, 1, 0].  Kept in its place, such a copy left the corner
+    # outside a neighbouring 8e-9-wide cell (weight -1.6e-8), and stage 1
+    # could not locate it; candidate_vertices snaps it to the corner.
     game = tmp_path / "game.json"
     game.write_text(json.dumps({
         "horizon": 3,
@@ -185,8 +186,9 @@ def test_main_reports_geometry_failures_with_the_stage(tmp_path, capsys):
         "prior": [0.12017222434295911, 0.6999616207688908, 0.1798661548881502],
     }))
     for command in ("solve", "evaluate", "simulate"):
-        assert main([command, "--input", str(game)]) == 2
-        assert capsys.readouterr().err == "error: stage 1: point [0. 1. 0.] is not covered by any cell\n"
+        assert main([command, "--input", str(game), "--out", str(tmp_path / command)]) == 0
+    payload = json.loads((tmp_path / "evaluate").read_text())
+    assert payload["violations"] == [] and payload["value_gap"] == 0.0
 
 
 def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
@@ -212,6 +214,27 @@ def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
     for command in ("solve", "evaluate", "simulate"):
         assert main([command, "--input", str(game)]) == 2
         assert capsys.readouterr().err == "error: stage 2: point [0.75 0.   0.25] is not covered by any cell\n"
+
+
+def test_a_four_state_near_tie_game_solves_or_names_the_stage(tmp_path, capsys):
+    # A one-shot 4-state near-tie game whose upper hull has 3-faces; it
+    # exits 2 when those faces fail to tile the simplex.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({
+        "horizon": 1,
+        "states": ["x0", "x1", "x2", "x3"],
+        "actions": ["u0", "u1", "u2"],
+        "terminating": [],
+        "rewards_A": [[0.0, -0.999999998, 1.000000001], [1.000000002, 2e-09, 1e-08],
+                      [1e-09, -0.999999999, 2e-09], [1.0, -0.999999998, 1e-10]],
+        "rewards_B": [[1e-10, 1.0000000001, -1.0], [-0.999999999, 1e-09, -0.999999998],
+                      [1e-09, -0.9999999999, -1.0], [-0.999999999, -0.9999999999, 0.0]],
+        "prior": [0.25, 0.25, 0.25, 0.25],
+    }))
+    for command in ("solve", "evaluate", "simulate"):
+        code = main([command, "--input", str(game), "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 2 and err.startswith("error: stage 1: ")), (command, code, err)
 
 
 # Stage 1 of this near-tie game has the vertex (1e-8, 0.99999999, 0) on the

@@ -797,6 +797,34 @@ def test_a_polygon_flat_to_qhull_is_walked_as_a_segment():
     assert geometry._pull_face(ids, proj, 2) == []
 
 
+def _volume_sum(proj, cells):
+    volumes = [abs(np.linalg.det(proj[list(cell[1:])] - proj[cell[0]])) for cell in cells]
+    return sum(volumes) / math.factorial(proj.shape[1])
+
+
+def test_a_cube_has_six_square_faces_and_pulls_into_six_tetrahedra():
+    cube = np.array(list(itertools.product([0.0, 1.0], repeat=3)))
+    ids = tuple(range(8))
+    assert len(ConvexHull(cube).simplices) == 12
+    facets = geometry._face_facets(ids, cube, 3)
+    assert sorted(facets) == sorted(
+        tuple(np.flatnonzero(cube[:, axis] == side).tolist()) for axis in range(3) for side in (0.0, 1.0)
+    )
+    cells = geometry._pull_face(ids, cube, 3)
+    assert len(cells) == 6 and all(0 in cell and 7 in cell for cell in cells)
+    assert _volume_sum(cube, cells) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_a_triangular_prism_has_five_faces_and_pulls_into_three_tetrahedra():
+    prism = np.array([[x, y, z] for x, y in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0)) for z in (0.0, 1.0)])
+    ids = tuple(range(6))
+    facets = geometry._face_facets(ids, prism, 3)
+    assert sorted(facets) == [(0, 1, 2, 3), (0, 1, 4, 5), (0, 2, 4), (1, 3, 5), (2, 3, 4, 5)]
+    cells = geometry._pull_face(ids, prism, 3)
+    assert sorted(cells) == [(0, 1, 3, 5), (0, 2, 3, 5), (0, 2, 4, 5)]
+    assert _volume_sum(prism, cells) == pytest.approx(0.5, abs=1e-15)
+
+
 def _dedup_sorted_loop(points):
     """The greedy row-by-row scan, kept as the bit-exact reference for _dedup_sorted."""
     kept: list[int] = []
@@ -902,7 +930,8 @@ def test_dedup_sorted_matches_the_loop_on_a_solve(monkeypatch):
 
 
 def _candidate_vertices_one_shot(arrangement):
-    """candidate_vertices with every subset solved in one batch and the loop dedup."""
+    """candidate_vertices with every subset solved in one batch, corners snapped
+    row by row, and the loop dedup."""
     n = arrangement.n_states
     fs = dedup_functionals(arrangement.functionals).reshape(-1, n + 1)
     corners = np.eye(n)
@@ -932,6 +961,10 @@ def _candidate_vertices_one_shot(arrangement):
             pts /= pts.sum(axis=1, keepdims=True)
             points.append(pts)
     allpts = np.vstack(points)
+    for row in allpts:
+        for corner in corners:
+            if np.max(np.abs(row - corner)) <= EPS_GEOM:
+                row[:] = corner
     allpts = allpts[np.lexsort(allpts.T[::-1])]
     return allpts[_dedup_sorted_loop(allpts)]
 
@@ -1125,8 +1158,8 @@ def test_candidate_vertices_subset_prefilter_is_bit_exact(n, build):
 
 
 def test_candidate_vertices_subset_prefilter_is_bit_exact_on_a_near_tie_game():
-    # the 3-state near-tie game whose stage-1 solve cannot locate the corner
-    # [0, 1, 0] (tests/test_cli.py); every arrangement met before that
+    # the 3-state near-tie game whose stage-2 candidates hold near copies of
+    # the corner [0, 1, 0] (tests/test_cli.py); every arrangement it meets
     game = spec_from_dict({
         "horizon": 3,
         "states": ["x0", "x1", "x2"],
@@ -1141,9 +1174,8 @@ def test_candidate_vertices_subset_prefilter_is_bit_exact_on_a_near_tie_game():
     seen = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "candidate_vertices", lambda a: seen.append(a) or candidate_vertices(a))
-        with pytest.raises(GeometryDomainError, match="not covered by any cell"):
-            solve(game)
-    assert len(seen) >= 2
+        solve(game)
+    assert len(seen) == 3
     for arrangement in seen:
         want = _candidate_vertices_one_shot(arrangement)
         assert np.array_equal(candidate_vertices(arrangement).view(np.int64), want.view(np.int64))

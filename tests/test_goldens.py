@@ -84,7 +84,20 @@ GAME_RANDOM = {
     "prior": [0.3793843178320563, 0.6206156821679437],
 }
 
+# One state: every belief is the corner, and the envelope is one vertex.
+GAME_1 = {
+    "horizon": 3,
+    "states": ["s"],
+    "actions": ["a", "b"],
+    "terminating": ["b"],
+    "kernel": [[[1.0], [1.0]]],
+    "rewards_A": [[1.0, 0.5]],
+    "rewards_B": [[0.2, 0.3]],
+    "prior": [1.0],
+}
+
 INPUTS = {
+    "game1": GAME_1,
     "game3": GAME_3,
     "game_random": GAME_RANDOM,
     "objective2": OBJECTIVE_2,
@@ -107,6 +120,9 @@ def _cases():
             "simulate", "--builtin", game, "--c", c, "--horizon", "40",
             "--seed", "0", "--trajectories", "100000",
         ]
+    cases["game1-solve"] = ["solve", "--input", "{game1}"]
+    cases["game1-evaluate"] = ["evaluate", "--input", "{game1}"]
+    cases["game1-simulate"] = ["simulate", "--input", "{game1}", "--trajectories", "1000"]
     cases["game3-solve"] = ["solve", "--input", "{game3}"]
     cases["game3-evaluate"] = ["evaluate", "--input", "{game3}"]
     cases["game3-simulate"] = ["simulate", "--input", "{game3}", "--trajectories", "1000"]
@@ -134,6 +150,15 @@ GOLDENS = {
     ),
     "detector-sweep": (
         0, "92e8f07df42584ee7142d8dc48c5ed69d5945bc4d31761698fc6afcfc6d57f8c", 1693,
+    ),
+    "game1-evaluate": (
+        0, "49e313d4c711ce26dc7f3583bb3a944dff872b932d3c4777b175f1be36d69899", 314,
+    ),
+    "game1-simulate": (
+        0, "872f9135eb5c81ae7eaa798c48253dba4750b01db631dcec0dbdf4ba1ab45008", 215,
+    ),
+    "game1-solve": (
+        0, "e82cbf3fc50223abfaa8a2a42e3490e523f3d66ea5ec5a15b592b91a0a18c245", 1364,
     ),
     "game3-evaluate": (
         0, "9a5288b0e09a66ffd77b47800fa84b765be15366dcbe8daea70f70a127031a9b", 411,

@@ -43,9 +43,7 @@ def test_no_tolerance_literal_outside_the_table():
 
 
 def test_no_tolerance_parameters():
-    # A tolerance is a table constant, not a knob; the oracle's tol is the
-    # one parameter, so a test can tighten or loosen what it checks.
-    allowed = {("geometry.py", "validate_triangulation", "tol")}
+    # A tolerance is a table constant, not a knob.
     knobs = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -54,7 +52,7 @@ def test_no_tolerance_parameters():
             args = node.args
             name = getattr(node, "name", "<lambda>")
             for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]:
-                if arg is not None and "tol" in arg.arg and (path.name, name, arg.arg) not in allowed:
+                if arg is not None and "tol" in arg.arg:
                     knobs.append(f"{path.name}:{node.lineno}: {name}({arg.arg}=)")
     assert not knobs
 
