@@ -181,23 +181,22 @@ def _load_game(cfg: RunConfig) -> GameSpec:
 def _stage_table(solution: EquilibriumSolution, t: int) -> dict:
     st = solution.stage(t)
     labels = solution.spec.actions[t - 1]
-    vertices = []
-    for i in range(st.triangulation.n_vertices):
-        action = st.vertex_actions[i]
-        vertices.append(
-            {
-                "belief": [float(x) for x in st.triangulation.vertices[i]],
-                "value_principal": float(st.values_principal[i]),
-                "value_receiver": float(st.values_receiver[i]),
-                "action": int(action),
-                "action_label": labels[action],
-            }
-        )
+    columns = zip(st.triangulation.vertices.tolist(), st.values_principal.tolist(),
+                  st.values_receiver.tolist(), st.vertex_actions)
     return {
         "stage": t,
         "states": list(solution.spec.states[t - 1]),
         "actions": list(labels),
-        "vertices": vertices,
+        "vertices": [
+            {
+                "belief": belief,
+                "value_principal": value_a,
+                "value_receiver": value_b,
+                "action": action,
+                "action_label": labels[action],
+            }
+            for belief, value_a, value_b, action in columns
+        ],
         "simplices": st.triangulation.simplices.tolist(),
     }
 
@@ -236,21 +235,13 @@ def _sweep_text(solution: EquilibriumSolution, depth: int) -> str:
     for t in range(top, bottom - 1, -1):
         st = solution.stage(t)
         labels = spec.actions[t - 1]
-        for i in range(st.triangulation.n_vertices):
-            coords = st.triangulation.vertices[i]
-            if widest <= 2:
-                belief = [repr(float(coords[0]))]
-            else:
-                belief = [repr(float(x)) for x in coords] + [""] * (widest - coords.size)
-            writer.writerow(
-                [
-                    t,
-                    *belief,
-                    repr(float(st.values_principal[i])),
-                    repr(float(st.values_receiver[i])),
-                    labels[st.vertex_actions[i]],
-                ]
-            )
+        pad = [""] * (widest - spec.n_states(t))
+        columns = zip(st.triangulation.vertices.tolist(), st.values_principal.tolist(),
+                      st.values_receiver.tolist(), st.vertex_actions)
+        # csv writes a float as its repr
+        for coords, value_a, value_b, action in columns:
+            belief = coords[:1] if widest <= 2 else coords + pad
+            writer.writerow([t, *belief, value_a, value_b, labels[action]])
     return buf.getvalue()
 
 
@@ -407,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
         ("envelope", "concavify a piecewise-linear objective from JSON"),
     ):
         cmd = sub.add_parser(name, help=blurb)
-        cmd.add_argument("--input", help="game (or objective) description, JSON")
+        cmd.add_argument("--input", dest="input_path", metavar="INPUT",
+                         help="game (or objective) description, JSON")
         if name != "envelope":
             cmd.add_argument("--builtin", choices=_BUILTINS, help="built-in example game")
             # no argparse defaults, so that RunConfig can tell these were given
@@ -430,16 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    fields = {
-        "command": args.command,
-        "input_path": args.input,
-        "out": args.out,
-    }
-    for name in ("builtin", "p", "c", "horizon", "seed", "trajectories", "depth"):
-        if getattr(args, name, None) is not None:
-            fields[name] = getattr(args, name)
     try:
-        cfg = RunConfig(**fields)
+        cfg = RunConfig(**{name: value for name, value in vars(args).items() if value is not None})
         return run(cfg)
     except (
         ConfigError,

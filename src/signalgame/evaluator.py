@@ -59,7 +59,6 @@ class BeliefNode:
     edges: list[BeliefEdge] = field(default_factory=list)
     value_principal: float = 0.0
     value_receiver: float = 0.0
-    reach_probability: float = 0.0
 
 
 # Default Monte Carlo sample size, shared with the CLI.
@@ -128,22 +127,17 @@ def reachable_tree(solution: EquilibriumSolution) -> BeliefNode:
 
     A node is a (stage, vertex label) pair of _stage_splits: the child
     of an edge is the next stage's row with the edge's label, so paths
-    that reach the same vertex share it.  Values are exact
-    expectations; reach_probability accumulates over all paths into a
-    node.
+    that reach the same vertex share it.  The DAG is built from the last
+    stage back, so each edge adds its weighted reward plus its child's
+    finished value to its node: values are exact expectations.
     """
     spec = solution.spec
-    record = _stage_splits(solution)
-    layers = [
-        {int(v): BeliefNode(stage=t, belief=rec.beliefs[v]) for v in np.flatnonzero(rec.reached)}
-        for t, rec in enumerate(record, start=1)
-    ]
-    root = layers[0][0]
-    root.reach_probability = 1.0
-    for t, (rec, layer) in enumerate(zip(record, layers), start=1):
+    children: dict[int, BeliefNode] = {}
+    for t, rec in reversed(list(enumerate(_stage_splits(solution), start=1))):
         st = solution.stage(t)
-        children = layers[t] if t < len(layers) else {}
-        for row, node in layer.items():
+        layer = {}
+        for row in np.flatnonzero(rec.reached).tolist():
+            node = layer[row] = BeliefNode(stage=t, belief=rec.beliefs[row])
             kept = rec.weights[row] > 0.0
             for label, w in zip(rec.labels[row, kept].tolist(), rec.weights[row, kept].tolist()):
                 vertex = st.triangulation.vertices[label]
@@ -151,19 +145,15 @@ def reachable_tree(solution: EquilibriumSolution) -> BeliefNode:
                 r_a = float(vertex @ spec.rewards_principal[t - 1][:, action])
                 r_b = float(vertex @ spec.rewards_receiver[t - 1][:, action])
                 child = children.get(label)
+                total_a, total_b = r_a, r_b
                 if child is not None:
-                    child.reach_probability += node.reach_probability * w
+                    total_a += child.value_principal
+                    total_b += child.value_receiver
+                node.value_principal += w * total_a
+                node.value_receiver += w * total_b
                 node.edges.append(BeliefEdge(label, w, vertex, action, r_a, r_b, child))
-    for layer in reversed(layers):
-        for node in layer.values():
-            for edge in node.edges:
-                total_a, total_b = edge.reward_principal, edge.reward_receiver
-                if edge.child is not None:
-                    total_a += edge.child.value_principal
-                    total_b += edge.child.value_receiver
-                node.value_principal += edge.probability * total_a
-                node.value_receiver += edge.probability * total_b
-    return root
+        children = layer
+    return children[0]
 
 
 def exact_value(solution: EquilibriumSolution) -> tuple[float, float]:

@@ -18,7 +18,7 @@ from signalgame.evaluator import (
     reachable_tree,
     simulate,
 )
-from signalgame.game import GameSpec, _signal_kernel
+from signalgame.game import GameSpec, _signal_kernel, spec_from_dict
 from signalgame.geometry import (
     EPS_EQUILIBRIUM,
     EPS_GEOM,
@@ -28,6 +28,7 @@ from signalgame.geometry import (
     as_simplex_point,
 )
 from signalgame.solver import EquilibriumSolution, solve
+from test_goldens import GAME_3
 
 
 def _single_action_game():
@@ -54,7 +55,6 @@ def test_reachable_tree_quickest_detection_two_stages():
     # the receiver declares state 1 and the chain moves to (0.8, 0.2)
     assert root.stage == 1
     assert np.allclose(root.belief, [1.0, 0.0], atol=1e-12)
-    assert root.reach_probability == pytest.approx(1.0)
     assert len(root.edges) == 1
     edge = root.edges[0]
     assert edge.probability == pytest.approx(1.0)
@@ -93,6 +93,34 @@ def test_reachable_posteriors_are_vertices_and_probabilities_sum():
                 assert gaps.min() <= 1e-9
                 if e.child is not None:
                     stack.append(e.child)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        builtin_example("quickest_detection", 0.2, 0.1, 14),
+        builtin_example("detector", 0.2, 0.15, 14),
+        spec_from_dict(GAME_3),
+    ],
+    ids=["quickest_detection", "detector", "game3"],
+)
+def test_reachable_tree_nodes_are_the_reached_split_rows(spec):
+    # stage by stage, the DAG's nodes are the split record's reached rows,
+    # in row order, and the edges that carry one label share one child
+    sol = solve(spec)
+    layer = {0: reachable_tree(sol)}
+    for t, rec in enumerate(_stage_splits(sol), start=1):
+        rows = sorted(layer)
+        assert rows == np.flatnonzero(rec.reached).tolist()
+        assert [layer[row].stage for row in rows] == [t] * len(rows)
+        assert np.array_equal(np.array([layer[row].belief for row in rows]), rec.beliefs[rec.reached])
+        children = {}
+        for row in rows:
+            for edge in layer[row].edges:
+                if edge.child is not None:
+                    assert children.setdefault(edge.label, edge.child) is edge.child
+        layer = children
+    assert layer == {}
 
 
 def test_exact_value_matches_backward_induction():

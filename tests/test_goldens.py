@@ -96,9 +96,31 @@ GAME_1 = {
     "prior": [1.0],
 }
 
+# Three states at stage 1, two at stage 2: the sweep pads stage 2's
+# rows with empty fields under the third belief column.
+GAME_3_2 = {
+    "horizon": 2,
+    "states": [["a", "b", "c"], ["x", "y"]],
+    "actions": ["u", "v"],
+    "terminating": [],
+    "kernels": [
+        [[[0.8, 0.2], [0.3, 0.7]], [[0.5, 0.5], [0.1, 0.9]], [[0.2, 0.8], [0.6, 0.4]]],
+    ],
+    "rewards_A": [
+        [[1.0, 0.0], [0.3, 0.6], [0.0, 0.8]],
+        [[0.5, 0.0], [0.2, 1.0]],
+    ],
+    "rewards_B": [
+        [[0.5, -0.1], [0.0, 0.4], [-0.2, 0.3]],
+        [[0.6, 0.1], [0.0, 1.0]],
+    ],
+    "prior": [0.5, 0.3, 0.2],
+}
+
 INPUTS = {
     "game1": GAME_1,
     "game3": GAME_3,
+    "game3_2": GAME_3_2,
     "game_random": GAME_RANDOM,
     "objective2": OBJECTIVE_2,
     "objective3": OBJECTIVE_3,
@@ -126,6 +148,8 @@ def _cases():
     cases["game3-solve"] = ["solve", "--input", "{game3}"]
     cases["game3-evaluate"] = ["evaluate", "--input", "{game3}"]
     cases["game3-simulate"] = ["simulate", "--input", "{game3}", "--trajectories", "1000"]
+    cases["game3-sweep"] = ["sweep", "--input", "{game3}"]
+    cases["game3_2-sweep"] = ["sweep", "--input", "{game3_2}"]
     cases["game_random-evaluate"] = ["evaluate", "--input", "{game_random}", "--seed", "0"]
     cases["objective2-envelope"] = ["envelope", "--input", "{objective2}"]
     cases["objective3-envelope"] = ["envelope", "--input", "{objective3}"]
@@ -168,6 +192,12 @@ GOLDENS = {
     ),
     "game3-solve": (
         0, "70c3a084bee63390d155ac04744d01760bf09081b43fa289138038c46636000b", 17084,
+    ),
+    "game3-sweep": (
+        0, "25ccc76f037bb4054a1e7ebbb1a75504b07b35cd40096858166c9cab5e78460b", 3760,
+    ),
+    "game3_2-sweep": (
+        0, "984d69d3082b8ad4201fe0a95d24d1cc726dcc81ef1ce9a59ab41d3a64f33155", 291,
     ),
     "game_random-evaluate": (
         0, "90b434c6250d77bc4e32bccc5649e5c4005bd2fd8d44a00efbb1da82292ba507", 393,
