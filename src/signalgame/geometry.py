@@ -807,50 +807,48 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
         p = -(w1[crossing] + b[crossing]) / denom[crossing]
         p = p[(p >= -EPS_MEMBER) & (p <= 1.0 + EPS_MEMBER)]
         p = np.where(p < 0.0, 0.0, np.where(p > 1.0, 1.0, p))
-        ps = np.sort(np.concatenate([[0.0, 1.0], p]), kind="stable")
-        pts = np.column_stack([ps, 1.0 - ps])
-        return pts[_dedup_sorted(pts)]
+        points = [corners, np.column_stack([p, 1.0 - p])]
+    else:
+        count = math.comb(len(fs) + n, n - 1)
+        if count > CANDIDATE_CAP:
+            raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
+        at_corners = fs[:, :-1] + fs[:, -1:]
+        margin = 2 * n * EPS_MEMBER * np.maximum(1.0, np.abs(at_corners).max(axis=1))
+        crosses = (at_corners.min(axis=1) <= margin) & (at_corners.max(axis=1) >= -margin)
+        fs = fs[crosses]
+        pool_w = np.vstack([fs[:, :-1], corners])
+        pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
+        pool_at_corners = np.vstack([at_corners[crosses], corners])
+        pool_norms = np.linalg.norm(pool_w, axis=1)
 
-    count = math.comb(len(fs) + n, n - 1)
-    if count > CANDIDATE_CAP:
-        raise CandidateBudgetExceeded(len(fs), n, count, CANDIDATE_CAP)
-    at_corners = fs[:, :-1] + fs[:, -1:]
-    margin = 2 * n * EPS_MEMBER * np.maximum(1.0, np.abs(at_corners).max(axis=1))
-    crosses = (at_corners.min(axis=1) <= margin) & (at_corners.max(axis=1) >= -margin)
-    fs = fs[crosses]
-    pool_w = np.vstack([fs[:, :-1], corners])
-    pool_b = np.concatenate([fs[:, -1], np.zeros(n)])
-    pool_at_corners = np.vstack([at_corners[crosses], corners])
-    pool_norms = np.linalg.norm(pool_w, axis=1)
-
-    count = math.comb(len(pool_w), n - 1)
-    combos = itertools.combinations(range(len(pool_w)), n - 1)
-    points = [corners]
-    for start in range(0, count, _CANDIDATE_BLOCK):
-        size = min(_CANDIDATE_BLOCK, count - start)
-        subsets = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, size)),
-            dtype=np.intp,
-            count=size * (n - 1),
-        ).reshape(size, n - 1)
-        subsets = subsets[~_solves_off_simplex(pool_at_corners, pool_norms, subsets)]
-        size = len(subsets)
-        if size == 0:
-            continue
-        systems = np.empty((size, n, n))
-        systems[:, : n - 1, :] = pool_w[subsets]
-        systems[:, n - 1, :] = 1.0
-        rhs = np.empty((size, n))
-        rhs[:, : n - 1] = -pool_b[subsets]
-        rhs[:, n - 1] = 1.0
-        dets = np.abs(np.linalg.det(systems))
-        scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
-        transversal = dets > EPS_DEGENERATE * np.maximum(scale, 1e-30)
-        if transversal.any():
-            sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
-            inside = sols.min(axis=1) >= -EPS_MEMBER
-            if inside.any():
-                points.append(_renormalize(sols[inside]))
+        count = math.comb(len(pool_w), n - 1)
+        combos = itertools.combinations(range(len(pool_w)), n - 1)
+        points = [corners]
+        for start in range(0, count, _CANDIDATE_BLOCK):
+            size = min(_CANDIDATE_BLOCK, count - start)
+            subsets = np.fromiter(
+                itertools.chain.from_iterable(itertools.islice(combos, size)),
+                dtype=np.intp,
+                count=size * (n - 1),
+            ).reshape(size, n - 1)
+            subsets = subsets[~_solves_off_simplex(pool_at_corners, pool_norms, subsets)]
+            size = len(subsets)
+            if size == 0:
+                continue
+            systems = np.empty((size, n, n))
+            systems[:, : n - 1, :] = pool_w[subsets]
+            systems[:, n - 1, :] = 1.0
+            rhs = np.empty((size, n))
+            rhs[:, : n - 1] = -pool_b[subsets]
+            rhs[:, n - 1] = 1.0
+            dets = np.abs(np.linalg.det(systems))
+            scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+            transversal = dets > EPS_DEGENERATE * np.maximum(scale, 1e-30)
+            if transversal.any():
+                sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
+                inside = sols.min(axis=1) >= -EPS_MEMBER
+                if inside.any():
+                    points.append(_renormalize(sols[inside]))
     allpts = np.vstack(points)
     # A row within EPS_GEOM (sup norm) of a corner is that corner, so that
     # dedup cannot keep a near copy in its place; only the row's largest

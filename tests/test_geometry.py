@@ -569,6 +569,13 @@ def test_candidate_vertices_two_states():
     assert np.allclose(cand, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
 
 
+def test_candidate_vertices_two_states_snaps_a_near_corner_crossing():
+    # the crossing 1 / (1 + 1e-13) is within EPS_GEOM of the corner (1, 0),
+    # and the corner itself is what comes back
+    cand = candidate_vertices(CellArrangement(2, [[-(1 + 1e-13), 0.0, 1.0]]))
+    assert cand.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
 def test_candidate_vertices_three_states():
     arr = CellArrangement(
         3,
