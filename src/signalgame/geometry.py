@@ -893,17 +893,18 @@ def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
 
 
 def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
-    """Fallback when the lifted candidates are coplanar: psi is affine."""
+    """Fallback when the lifted candidates are coplanar: psi is affine.
+
+    The envelope is the corner simplex with psi's own values at the
+    exact corner rows that candidate_vertices always returns (the only
+    rows with a coordinate equal to 1).
+    """
     n = cands.shape[1]
-    design = np.column_stack([cands[:, :-1], np.ones(len(cands))])
-    coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-    fitted = design @ coef
+    corner_vals = vals[(cands == 1.0).argmax(axis=0)]
     scale = max(1.0, float(np.max(np.abs(vals))))
-    if np.max(np.abs(fitted - vals)) > EPS_FUNCTIONAL * scale:
+    if np.max(np.abs(cands @ corner_vals - vals)) > EPS_FUNCTIONAL * scale:
         raise GeometryDomainError("degenerate lifted hull for a non-affine objective")
-    corners = np.eye(n)
-    corner_vals = np.column_stack([corners[:, :-1], np.ones(n)]) @ coef
-    tri = Triangulation(corners, np.arange(n)[None, :])
+    tri = Triangulation(np.eye(n), np.arange(n)[None, :])
     return VertexInterpolant(tri, corner_vals)
 
 

@@ -704,6 +704,23 @@ def test_argcav_affine_three_states_is_exact():
     assert np.allclose(env.evaluate_many(pts), psi(pts), atol=1e-12)
 
 
+def test_argcav_affine_envelope_takes_psi_at_the_corners():
+    # the lift of a linear psi over its candidates is coplanar: the envelope
+    # is the corner simplex, and it interpolates psi there bit for bit
+    weights = np.array([0.3, -0.7, 1.1])
+    env = argcav(lambda points: points @ weights, CellArrangement(3, [[1, -1, 0, 0], [0, 1, -1, 0.1]]))
+    assert env.triangulation.vertices.tolist() == np.eye(3).tolist()
+    assert env.values.tolist() == [0.3, -0.7, 1.1]
+
+
+def test_affine_envelope_rejects_a_non_affine_objective():
+    cands = candidate_vertices(CellArrangement(3, [[1.0, -1.0, 0.0, 0.0]]))
+    vals = cands @ np.array([0.3, -0.7, 1.1])
+    vals[(cands == 0.5).any(axis=1)] += 1e-6
+    with pytest.raises(GeometryDomainError, match="non-affine objective"):
+        geometry._affine_envelope(cands, vals)
+
+
 def test_argcav_rejects_scalar_only_objective():
     arrangement = CellArrangement(2, [[1.0, -1.0, 0.0]])
 
