@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from near_tie_corpus import near_tie_game
 from signalgame.cli import main
 
 # A 3-state, 3-action game with one terminating action: small enough to
@@ -117,11 +118,16 @@ GAME_3_2 = {
     "prior": [0.5, 0.3, 0.2],
 }
 
+# A near-tie corpus game whose evaluate exits 1 with 49 violations over
+# stages 1-3: it pins the order in which the deviation check reports them.
+NEAR_TIE_167 = near_tie_game(3, 167)
+
 INPUTS = {
     "game1": GAME_1,
     "game3": GAME_3,
     "game3_2": GAME_3_2,
     "game_random": GAME_RANDOM,
+    "near_tie_167": NEAR_TIE_167,
     "objective2": OBJECTIVE_2,
     "objective3": OBJECTIVE_3,
 }
@@ -142,6 +148,10 @@ def _cases():
             "simulate", "--builtin", game, "--c", c, "--horizon", "40",
             "--seed", "0", "--trajectories", "100000",
         ]
+        # the binary-long benchmark's evaluate commands
+        cases[f"{game}-evaluate-100"] = [
+            "evaluate", "--builtin", game, "--c", c, "--horizon", "100", "--seed", "0",
+        ]
     cases["game1-solve"] = ["solve", "--input", "{game1}"]
     cases["game1-evaluate"] = ["evaluate", "--input", "{game1}"]
     cases["game1-simulate"] = ["simulate", "--input", "{game1}", "--trajectories", "1000"]
@@ -150,6 +160,9 @@ def _cases():
     cases["game3-simulate"] = ["simulate", "--input", "{game3}", "--trajectories", "1000"]
     cases["game3-sweep"] = ["sweep", "--input", "{game3}"]
     cases["game3_2-sweep"] = ["sweep", "--input", "{game3_2}"]
+    # the deviation check's stages change state count from 3 to 2
+    cases["game3_2-evaluate"] = ["evaluate", "--input", "{game3_2}"]
+    cases["near_tie_167-evaluate"] = ["evaluate", "--input", "{near_tie_167}"]
     cases["game_random-evaluate"] = ["evaluate", "--input", "{game_random}", "--seed", "0"]
     cases["objective2-envelope"] = ["envelope", "--input", "{objective2}"]
     cases["objective3-envelope"] = ["envelope", "--input", "{objective3}"]
@@ -162,6 +175,9 @@ CASES = _cases()
 GOLDENS = {
     "detector-evaluate": (
         0, "6bf4dbcc80b28ecc8ec63d9a2dad4aaa987769b16b9d62ec32d62dd176aba2a4", 333,
+    ),
+    "detector-evaluate-100": (
+        0, "1fa038eade1d3859965f7d62c4fd535f43125a2c67343d6250e362a247d5664a", 370,
     ),
     "detector-simulate": (
         0, "a52cc2853febbcb21686bb5952995aa0f54140449ced2fa7c888a2de8582fbb8", 215,
@@ -196,11 +212,17 @@ GOLDENS = {
     "game3-sweep": (
         0, "25ccc76f037bb4054a1e7ebbb1a75504b07b35cd40096858166c9cab5e78460b", 3760,
     ),
+    "game3_2-evaluate": (
+        0, "e9370bace19e2af72ab64e6f6dfde4853d9fa6fb057c2558e2f847b45f882e2d", 319,
+    ),
     "game3_2-sweep": (
         0, "984d69d3082b8ad4201fe0a95d24d1cc726dcc81ef1ce9a59ab41d3a64f33155", 291,
     ),
     "game_random-evaluate": (
         0, "90b434c6250d77bc4e32bccc5649e5c4005bd2fd8d44a00efbb1da82292ba507", 393,
+    ),
+    "near_tie_167-evaluate": (
+        1, "666f9c396f4e3f4e78e559850bb99d68b75f66166651439c42e40c55337e971b", 10944,
     ),
     "objective2-envelope": (
         0, "ceac697d3c45594c20f7cc9217d777e8fe56497bd997682d7b1ae7ea4197bc9b", 232,
@@ -210,6 +232,9 @@ GOLDENS = {
     ),
     "quickest_detection-evaluate": (
         0, "ee9233e816687d28b5c63d776f6aac0e185e3c8d5d8e5d3f2911c7122d4772e6", 413,
+    ),
+    "quickest_detection-evaluate-100": (
+        0, "7fc41c7d17779e2908da7789609528b4b27f876f6554fdedbefa9712da58594a", 415,
     ),
     "quickest_detection-simulate": (
         0, "0e57b08fd07b7a8c5d1d1121a21f111464b771d6cac6668ce4d95dde254d3198", 221,
