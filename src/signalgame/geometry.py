@@ -539,10 +539,15 @@ def dedup_functionals(functionals) -> np.ndarray:
     lead = np.argmax(np.abs(keys) > EPS_FUNCTIONAL, axis=1)
     keys[keys[np.arange(len(keys)), lead] < 0] *= -1.0
     decimals = max(1, int(-math.log10(EPS_FUNCTIONAL)))
-    _, first = np.unique(np.round(keys, decimals) + 0.0, axis=0, return_index=True)
+    rounded = np.round(keys, decimals) + 0.0
+    # lexsort is stable, so each run of equal rows starts at its first occurrence
+    order = np.lexsort(rounded.T[::-1])
+    ranked = rounded[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     # Input order matters downstream: candidate_vertices solves row subsets
     # in order, and another order changes the low bits of its points.
-    return keys[np.sort(first)]
+    return keys[np.sort(order[first])]
 
 
 def validate_triangulation(t: Triangulation) -> tuple[bool, list[str]]:

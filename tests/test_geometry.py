@@ -18,6 +18,7 @@ from signalgame.game import spec_from_dict
 from signalgame.geometry import (
     CANDIDATE_CAP,
     EPS_DEGENERATE,
+    EPS_FUNCTIONAL,
     EPS_GEOM,
     EPS_MEMBER,
     CandidateBudgetExceeded,
@@ -562,6 +563,43 @@ def test_dedup_functionals_collapses_equivalent():
     assert dedup_functionals(tuple(np.array([f1, f2]))).shape == (1, 3)
     assert len(dedup_functionals(())) == 0
 
+
+
+def _dedup_functionals_by_unique(functionals):
+    # dedup_functionals with np.unique(axis=0, return_index=True) on the
+    # rounded keys: the reference for its stable lexsort
+    rows = np.asarray(functionals, dtype=float)
+    if rows.size == 0:
+        return np.empty((0, rows.shape[1] if rows.ndim == 2 else 0))
+    shift = rows[:, :-1].mean(axis=1)
+    keys = np.column_stack([rows[:, :-1] - shift[:, None], rows[:, -1] + shift])
+    scale = np.abs(keys[:, :-1]).max(axis=1)
+    varies = scale > EPS_FUNCTIONAL
+    keys = keys[varies] / scale[varies, None]
+    lead = np.argmax(np.abs(keys) > EPS_FUNCTIONAL, axis=1)
+    keys[keys[np.arange(len(keys)), lead] < 0] *= -1.0
+    decimals = max(1, int(-math.log10(EPS_FUNCTIONAL)))
+    _, first = np.unique(np.round(keys, decimals) + 0.0, axis=0, return_index=True)
+    return keys[np.sort(first)]
+
+
+def test_dedup_functionals_matches_unique():
+    rng = np.random.default_rng(11)
+    base = rng.uniform(-1, 1, (6, 4))
+    lattice = rng.integers(-2, 3, (200, 4)).astype(float)
+    cases = {
+        "exact duplicates": np.vstack([base, base[::-1], base[2:4]]),
+        "scaled and negated": np.vstack([base, 3.0 * base, -0.5 * base, -base[::-1]]),
+        "below the rounding": np.vstack([base, base + 1e-14, base - 3e-14]),
+        "negative zero": np.array([[1.0, -0.0, 0.5, -0.0], [1.0, 0.0, 0.5, 0.0], [-0.0, 1.0, 0.0, 0.25]]),
+        "lattice": lattice,
+        "one row": base[:1],
+        "empty": np.empty((0, 4)),
+    }
+    for name, rows in cases.items():
+        got, want = dedup_functionals(rows), _dedup_functionals_by_unique(rows)
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    assert len(dedup_functionals(cases["lattice"])) < len(cases["lattice"])
 
 def test_candidate_vertices_two_states():
     arr = CellArrangement(2, [[1.0, -1.0, 0.0]])
