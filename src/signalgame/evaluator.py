@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .game import _signal_kernel
-from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, GeometryDomainError, _renormalize, as_simplex_point
-from .solver import EquilibriumSolution, _tie_set
+from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, _renormalize, as_simplex_point
+from .solver import EquilibriumSolution, StageSolution, _tie_set, receiver_best
 
 __all__ = [
     "BeliefEdge",
@@ -65,75 +65,18 @@ class BeliefNode:
 TRAJECTORIES = 100_000
 
 
-@dataclass(frozen=True)
-class _StageSplits:
-    """The principal's splits of one stage's candidate beliefs.
-
-    Stage 1 has one row, the prior; at a later stage, row v is the
-    previous stage's vertex v pushed through its action's kernel.
-    labels and weights (k, n) are the rows' Triangulation.split_many
-    onto the stage's triangulation: weights <= EPS_GEOM are dropped and
-    the rest renormalized, labels ascend, and dropped slots come last
-    with weight 0.  reached (k,) marks the rows on the path of play.
-    """
-
-    beliefs: np.ndarray
-    labels: np.ndarray
-    weights: np.ndarray
-    reached: np.ndarray
-
-
-def _stage_splits(solution: EquilibriumSolution) -> list[_StageSplits]:
-    """One record per stage, up to the last stage that play reaches.
-
-    Every induced posterior is a triangulation vertex, so the next
-    stage's beliefs are indexed by this stage's vertex labels: a stage
-    has at most as many reached rows as the previous stage has vertices.
-    """
-    spec = solution.spec
-    beliefs = as_simplex_point(spec.prior)[None, :]
-    reached = np.ones(1, dtype=bool)
-    record = []
-    for t in range(1, spec.horizon + 1):
-        st = solution.stage(t)
-        tri = st.triangulation
-        try:
-            labels, weights = tri.split_many(_renormalize(beliefs))
-        except GeometryDomainError as err:
-            raise GeometryDomainError(f"stage {t}: {err}") from err
-        record.append(_StageSplits(beliefs, labels, weights, reached))
-        if t == spec.horizon:
-            break
-        sent = labels[reached][weights[reached] > 0.0]
-        reached = np.zeros(tri.n_vertices, dtype=bool)
-        reached[sent] = True
-        reached &= [u not in spec.terminating[t - 1] for u in st.vertex_actions]
-        if not reached.any():
-            break
-        # One stack of vector-matrix products per action against the
-        # kernel[:, u, :] view rounds like vertex @ kernel[:, u, :] row by
-        # row; a stack of gathered per-row kernels can differ in the last bit.
-        kernel = spec.kernels[t - 1]
-        actions = np.asarray(st.vertex_actions)
-        beliefs = np.empty((tri.n_vertices, kernel.shape[2]))
-        for u in set(st.vertex_actions):
-            pick = actions == u
-            beliefs[pick] = np.matmul(tri.vertices[pick, None, :], kernel[:, u, :])[:, 0, :]
-    return record
-
-
 def reachable_tree(solution: EquilibriumSolution) -> BeliefNode:
     """Reachable belief DAG under the equilibrium policies.
 
-    A node is a (stage, vertex label) pair of _stage_splits: the child
-    of an edge is the next stage's row with the edge's label, so paths
-    that reach the same vertex share it.  The DAG is built from the last
-    stage back, so each edge adds its weighted reward plus its child's
-    finished value to its node: values are exact expectations.
+    A node is a (stage, vertex label) pair of solution.split_record: the
+    child of an edge is the next stage's row with the edge's label, so
+    paths that reach the same vertex share it.  The DAG is built from the
+    last stage back, so each edge adds its weighted reward plus its
+    child's finished value to its node: values are exact expectations.
     """
     spec = solution.spec
     children: dict[int, BeliefNode] = {}
-    for t, rec in reversed(list(enumerate(_stage_splits(solution), start=1))):
+    for t, rec in reversed(list(enumerate(solution.split_record, start=1))):
         st = solution.stage(t)
         layer = {}
         for row in np.flatnonzero(rec.reached).tolist():
@@ -211,9 +154,10 @@ class _StagePlay:
     step: np.ndarray | None
 
 
-def _stage_plays(solution: EquilibriumSolution, record: list[_StageSplits]) -> list[_StagePlay]:
+def _stage_plays(solution: EquilibriumSolution) -> list[_StagePlay]:
     """simulate's tables, one per stage of the split record."""
     spec = solution.spec
+    record = solution.split_record
     plays = []
     for t, rec in enumerate(record, start=1):
         st = solution.stage(t)
@@ -278,7 +222,7 @@ def simulate(
     trajectory's state is the pair (row, true state) before the message
     and (label, true state) after it, and the message sent is the next
     stage's row.  Each stage's play is a set of flat tables keyed by
-    these pairs, built once from _stage_splits (see _StagePlay): all
+    these pairs, built once from the split record (see _StagePlay): all
     trajectories of a block advance together, stage by stage, with one
     table lookup per draw, reward and step.  Trajectories whose play
     ends drop out of the block.  Rewards are realized (true-state) stage
@@ -286,8 +230,8 @@ def simulate(
     """
     if trajectories < 2:
         raise ValueError("need at least 2 trajectories for a standard error")
-    record = _stage_splits(solution)
-    plays = _stage_plays(solution, record)
+    record = solution.split_record
+    plays = _stage_plays(solution)
     # the prior's CDF as columns of one row, and the first stage's slot of each state drawn
     prior = np.cumsum(as_simplex_point(solution.spec.prior))[:, None]
     start = np.minimum(np.arange(prior.size + 1), prior.size - 1) * (record[0].labels.shape[1] + 1)
@@ -357,6 +301,35 @@ _PROBE_BLOCK = 256
 # Fixed like _PROBE_BLOCK: they decide the draws, and so the artifacts.
 _PROBES_PER_STAGE = 20
 _EXPERIMENTS_PER_BELIEF = 20
+# Probe rows per scoring batch of the deviation check.  It bounds the
+# batch's arrays and decides no draw, so it changes no result.  Below
+# _PROBE_BLOCK, so a stage of several chunks is scored a chunk at a time.
+_BATCH_PROBES = 128
+
+
+@dataclass(frozen=True)
+class _ProbeChunk:
+    """One chunk of a stage's probes and the raw draws of its experiments.
+
+    draws holds the (sizes, atoms, expo) arrays that _inducible_splits
+    turns into experiments; first marks the stage's first chunk.
+    """
+
+    stage: int
+    solution: StageSolution
+    probes: np.ndarray
+    draws: tuple[np.ndarray, np.ndarray, np.ndarray]
+    first: bool
+
+
+def _shared_solution(st: StageSolution) -> tuple[int, ...]:
+    """Stages with the same key share every object the deviation check reads.
+
+    Memo hits of solve share all of them; a stage rebuilt with some
+    field replaced gets a key of its own.
+    """
+    return tuple(map(id, (st.objective, st.triangulation, st.vertex_actions,
+                          st.values_principal, st.values_receiver)))
 
 
 def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> DeviationReport:
@@ -375,66 +348,116 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     above EPS_EQUILIBRIUM are reported as violations, stage by stage:
     vertices first, then probes in order, each probe's no-split,
     full-revelation and sampled experiments in that order.
+
+    The draws are made stage by stage: the random probes, then per
+    chunk of _PROBE_BLOCK probes the experiments' support sizes, atoms
+    and weights.  Consecutive stages with the same state count are
+    scored together, up to _BATCH_PROBES probes per batch; a stage with
+    more goes alone, one chunk per batch.  Within a batch, the stages
+    that share a stage solution (see _shared_solution) are scored in one
+    objective call, and a solution's vertices are checked once.
     """
     spec = solution.spec
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    record = solution.split_record
+    count = _EXPERIMENTS_PER_BELIEF
+    principal_kinds = ("principal_null_split",) + ("principal_experiment",) * (count + 1)
     violations: list[dict] = []
     receiver_checked = 0
     principal_checked = 0
     max_gain_r = 0.0
     max_gain_p = 0.0
+    # per shared solution: the largest action gain and the flagged (kind, vertex, gain)
+    vertex_checks: dict[tuple[int, ...], tuple[float, list]] = {}
+    batch: list[_ProbeChunk] = []
 
-    def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad=None) -> None:
-        # gains[i, j] is the gain of deviation kinds[j] at beliefs[i]; bad
-        # marks the violations, by default the gains above EPS_EQUILIBRIUM
-        if bad is None:
-            bad = gains > EPS_EQUILIBRIUM
+    def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad: np.ndarray) -> None:
+        # gains[i, j] is the gain of deviation kinds[j] at beliefs[i]; bad marks the violations
         for i, j in zip(*np.divmod(np.flatnonzero(bad), len(kinds))):
             violations.append(
                 {"kind": kinds[j], "stage": t, "belief": beliefs[i].tolist(), "gain": float(gains[i, j])}
             )
 
-    record = _stage_splits(solution)
-    count = _EXPERIMENTS_PER_BELIEF
-    principal_kinds = ("principal_null_split",) + ("principal_experiment",) * (count + 1)
+    def score() -> None:
+        nonlocal receiver_checked, principal_checked, max_gain_r, max_gain_p
+        n = batch[0].probes.shape[1]
+        probes = np.vstack([c.probes for c in batch])
+        atoms, weights, owner, kept = _inducible_splits(
+            probes, *(np.concatenate(arrays) for arrays in zip(*(c.draws for c in batch)))
+        )
+        # chunk i's probes are rows offsets[i]:offsets[i+1], its atoms bounds[i]:bounds[i+1]
+        offsets = np.cumsum([0] + [len(c.probes) for c in batch])
+        bounds = np.searchsorted(owner, offsets * count)
+        # full revelation: the corners of the probe's support, weighted by the probe
+        support = probes > EPS_GEOM
+        revealing = support.sum(axis=1) > 1
+        full = np.where(support, probes, 0.0)
+        full /= full.sum(axis=1, keepdims=True)
+        psi_probes, v, full_value = np.empty((3, len(probes)))
+        psi_atoms = np.empty(len(atoms))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, c in enumerate(batch):
+            groups.setdefault(_shared_solution(c.solution), []).append(i)
+        for key, members in groups.items():
+            st = batch[members[0]].solution
+            rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
+            used = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in members])
+            vertices = st.triangulation.vertices if key not in vertex_checks else np.empty((0, n))
+            q_a, q_b = st.objective.q_many(np.vstack([vertices, probes[rows], np.eye(n), atoms[used]]))
+            _, psi, top = receiver_best(q_a, q_b)
+            nv = len(vertices)
+            if nv:
+                vertex_checks[key] = _vertex_check(st, q_b[:nv], top[:nv])
+            psi_probes[rows], psi_corners, psi_atoms[used] = np.split(psi[nv:], [len(rows), len(rows) + n])
+            v[rows] = st.interp.evaluate_many(probes[rows])[:, 0]
+            full_value[rows] = full[rows] @ psi_corners
+        sampled = np.bincount(owner, weights * psi_atoms, minlength=kept.size).reshape(kept.shape)
+        gains = np.column_stack([
+            psi_probes - v,
+            np.where(revealing, full_value - v, -np.inf),
+            np.where(kept, sampled - v[:, None], -np.inf),
+        ])
+        principal_checked += len(probes) + int(revealing.sum()) + int(kept.sum())
+        max_gain_p = max(max_gain_p, float(gains.max()))
+        bad = gains > EPS_EQUILIBRIUM
+        any_bad = bad.any()
+        for i, c in enumerate(batch):
+            if c.first:
+                gain_r, flagged = vertex_checks[_shared_solution(c.solution)]
+                receiver_checked += c.solution.triangulation.n_vertices
+                max_gain_r = max(max_gain_r, gain_r)
+                for kind, vertex, gain in flagged:
+                    violations.append({
+                        "kind": kind, "stage": c.stage,
+                        "belief": c.solution.triangulation.vertices[vertex].tolist(), "gain": gain,
+                    })
+            if any_bad:
+                lo, hi = offsets[i], offsets[i + 1]
+                flag(principal_kinds, c.stage, c.probes, gains[lo:hi], bad[lo:hi])
+        batch.clear()
+
     for t in range(1, spec.horizon + 1):
         st = solution.stage(t)
-        tri = st.triangulation
         n = spec.n_states(t)
-
-        _, q_b = st.objective.q_many(tri.vertices)
-        top = q_b.max(axis=1)
-        stored = (np.arange(tri.n_vertices), list(st.vertex_actions))
-        action_gain = top - q_b[stored]
-        bellman_gap = np.abs(np.asarray(st.values_receiver, dtype=float) - top)
-        receiver_checked += tri.n_vertices
-        max_gain_r = max([max_gain_r, *action_gain.tolist()])
-        flag(("receiver_action", "receiver_bellman"), t, tri.vertices,
-             np.column_stack([action_gain, bellman_gap]),
-             np.column_stack([~_tie_set(q_b, top)[stored], bellman_gap > EPS_EQUILIBRIUM]))
-
         reachable = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
         probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=_PROBES_PER_STAGE)])
+        wide = len(probes) > _BATCH_PROBES
+        pending = sum(len(c.probes) for c in batch)
+        if batch and (wide or n != batch[0].probes.shape[1] or pending + len(probes) > _BATCH_PROBES):
+            score()
         for lo in range(0, len(probes), _PROBE_BLOCK):
             chunk = probes[lo : lo + _PROBE_BLOCK]
-            atoms, weights, owner, kept = _sample_inducible(rng, chunk, count)
-            psi = st.objective.tie_broken_values(np.vstack([chunk, np.eye(n), atoms]))[0]
-            psi_probes, psi_corners, psi_atoms = np.split(psi, [len(chunk), len(chunk) + n])
-            v = st.interp.evaluate_many(chunk)[:, 0]
-            # full revelation: the corners of the probe's support, weighted by the probe
-            support = chunk > EPS_GEOM
-            revealing = support.sum(axis=1) > 1
-            full = np.where(support, chunk, 0.0)
-            full /= full.sum(axis=1, keepdims=True)
-            sampled = np.bincount(owner, weights * psi_atoms, minlength=kept.size).reshape(kept.shape)
-            gains = np.column_stack([
-                psi_probes - v,
-                np.where(revealing, full @ psi_corners - v, -np.inf),
-                np.where(kept, sampled - v[:, None], -np.inf),
-            ])
-            principal_checked += len(chunk) + int(revealing.sum()) + int(kept.sum())
-            max_gain_p = max(max_gain_p, float(gains.max()))
-            flag(principal_kinds, t, chunk, gains)
+            shape = (len(chunk), count)
+            draws = (
+                rng.integers(2, n + 2, shape),
+                rng.dirichlet(np.ones(n), (*shape, n + 1)),
+                rng.standard_exponential((*shape, n + 1)),
+            )
+            batch.append(_ProbeChunk(t, st, chunk, draws, lo == 0))
+            if wide:
+                score()
+    if batch:
+        score()
 
     return DeviationReport(
         receiver_checked=receiver_checked,
@@ -445,40 +468,68 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     )
 
 
-def _sample_inducible(
-    rng: np.random.Generator, probes: np.ndarray, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """count random mean-preserving splits of each of P probe beliefs.
+def _vertex_check(st: StageSolution, q_b: np.ndarray, top: np.ndarray) -> tuple[float, list]:
+    """The receiver's checks at a stage solution's vertices, from their action values.
 
-    Three RNG calls cover all probes: support sizes k from
-    integers(2, n+2, (P, count)); atoms from dirichlet(ones(n),
-    (P, count, n+1)), of which the first k are used; and
-    standard_exponential((P, count, n+1)), whose first k slots,
+    Returns the largest shortfall of a stored action and the flagged
+    (kind, vertex, gain) triples, vertex by vertex, receiver_action
+    before receiver_bellman.
+    """
+    stored = (np.arange(len(q_b)), list(st.vertex_actions))
+    action_gain = top - q_b[stored]
+    bellman_gap = np.abs(np.asarray(st.values_receiver, dtype=float) - top)
+    gains = np.column_stack([action_gain, bellman_gap])
+    bad = np.column_stack([~_tie_set(q_b, top)[stored], bellman_gap > EPS_EQUILIBRIUM])
+    kinds = ("receiver_action", "receiver_bellman")
+    flagged = [(kinds[j], i, float(gains[i, j])) for i, j in zip(*np.divmod(np.flatnonzero(bad), 2))]
+    return max(action_gain.tolist()), flagged
+
+
+def _inducible_splits(
+    probes: np.ndarray, sizes: np.ndarray, atoms: np.ndarray, expo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """count random mean-preserving splits of each of P probe beliefs, from raw draws.
+
+    The draws are those of one chunk, or of several chunks stacked
+    along the probe axis: support sizes k in 2..n+1, sizes (P, count),
+    from integers(2, n+2, (P, count)); atoms (P, count, n+1, n) from
+    dirichlet(ones(n), ...), of which the first k are used; and expo
+    (P, count, n+1) from standard_exponential, whose first k slots,
     normalized, are the weights (the Dirichlet(1, ..., 1) law) and whose
     other slots get weight 0.  The atoms are recentered on the probe
     and shrunk toward it, so the weighted mean is the probe and every
     atom stays in the simplex; an experiment whose shrink factor is not
-    positive is dropped.
+    positive is dropped.  The arithmetic runs slot by slot on (slot,
+    state, experiment) copies of the draws, and sums over slots in slot
+    order.
 
     Returns (atoms, weights, owner, kept): the used atoms of the kept
     experiments as rows, in probe, experiment, slot order; their
     weights; the flat index p * count + c of the experiment each row
     belongs to; and the (P, count) mask of kept experiments.
     """
-    n_probes, n = probes.shape
-    k = rng.integers(2, n + 2, (n_probes, count))
-    atoms = rng.dirichlet(np.ones(n), (n_probes, count, n + 1))
-    weights = rng.standard_exponential((n_probes, count, n + 1))
-    used = np.arange(n + 1) < k[..., None]
-    weights = np.where(used, weights, 0.0)
-    weights /= weights.sum(axis=2, keepdims=True)
-    delta = atoms - (weights[..., None] * atoms).sum(axis=2)[:, :, None, :]
-    worst = np.min(delta, axis=2, where=used[..., None], initial=np.inf)
+    n_probes, count = sizes.shape
+    slots = atoms.shape[2]
+    # slot-major: atoms[s, x, e] and expo[s, e] for experiment e = p * count + c
+    atoms = np.ascontiguousarray(atoms.reshape(n_probes * count, slots, -1).transpose(1, 2, 0))
+    used = np.arange(slots)[:, None] < sizes.reshape(-1)
+    weights = np.where(used, expo.reshape(-1, slots).T, 0.0)
+    total = weights[0] + weights[1]
+    for s in range(2, slots):
+        total += weights[s]
+    weights /= total
+    mean = weights[0] * atoms[0]
+    for s in range(1, slots):
+        mean += weights[s] * atoms[s]
+    delta = atoms - mean
+    worst = np.where(used[:, None, :], delta, np.inf).min(axis=0)
     deep = worst < -EPS_GEOM
-    ratio = np.divide(probes[:, None, :], -worst, out=np.full(worst.shape, np.inf), where=deep)
-    shrink = np.minimum(ratio.min(axis=2), 1.0)
+    home = np.repeat(probes, count, axis=0)
+    ratio = np.divide(home.T, -worst, out=np.full(worst.shape, np.inf), where=deep)
+    shrink = np.minimum(ratio.min(axis=0), 1.0)
     kept = shrink > 0.0
-    rows = used & kept[..., None]
-    p, c, _ = np.nonzero(rows)
-    shifted = _renormalize(probes[p] + shrink[p, c, None] * delta[rows])
-    return shifted, weights[rows], p * count + c, kept
+    # rows in experiment, slot order
+    rows = (used & kept).T
+    e, s = np.nonzero(rows)
+    shifted = (home.T + shrink * delta).transpose(2, 0, 1)[rows]
+    return _renormalize(shifted), weights[s, e], e, kept.reshape(n_probes, count)

@@ -141,6 +141,24 @@ class StageSolution:
         return float(self.interp(omega)[1])
 
 
+@dataclass(frozen=True)
+class _StageSplits:
+    """The principal's splits of one stage's candidate beliefs.
+
+    Stage 1 has one row, the prior; at a later stage, row v is the
+    previous stage's vertex v pushed through its action's kernel.
+    labels and weights (k, n) are the rows' Triangulation.split_many
+    onto the stage's triangulation: weights <= EPS_GEOM are dropped and
+    the rest renormalized, labels ascend, and dropped slots come last
+    with weight 0.  reached (k,) marks the rows on the path of play.
+    """
+
+    beliefs: np.ndarray
+    labels: np.ndarray
+    weights: np.ndarray
+    reached: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
     """Stage solutions for t = 1..horizon plus the underlying spec."""
@@ -155,6 +173,46 @@ class EquilibriumSolution:
 
     def values_at_prior(self) -> tuple[float, float]:
         return tuple(float(v) for v in self.stages[0].interp(self.spec.prior))
+
+    @cached_property
+    def split_record(self) -> list[_StageSplits]:
+        """One record per stage, up to the last stage that play reaches.
+
+        Built once per solution and shared by the evaluator's verifiers.
+        Every induced posterior is a triangulation vertex, so the next
+        stage's beliefs are indexed by this stage's vertex labels: a stage
+        has at most as many reached rows as the previous stage has vertices.
+        """
+        spec = self.spec
+        beliefs = as_simplex_point(spec.prior)[None, :]
+        reached = np.ones(1, dtype=bool)
+        record = []
+        for t in range(1, spec.horizon + 1):
+            st = self.stage(t)
+            tri = st.triangulation
+            try:
+                labels, weights = tri.split_many(_renormalize(beliefs))
+            except GeometryDomainError as err:
+                raise GeometryDomainError(f"stage {t}: {err}") from err
+            record.append(_StageSplits(beliefs, labels, weights, reached))
+            if t == spec.horizon:
+                break
+            sent = labels[reached][weights[reached] > 0.0]
+            reached = np.zeros(tri.n_vertices, dtype=bool)
+            reached[sent] = True
+            reached &= [u not in spec.terminating[t - 1] for u in st.vertex_actions]
+            if not reached.any():
+                break
+            # One stack of vector-matrix products per action against the
+            # kernel[:, u, :] view rounds like vertex @ kernel[:, u, :] row by
+            # row; a stack of gathered per-row kernels can differ in the last bit.
+            kernel = spec.kernels[t - 1]
+            actions = np.asarray(st.vertex_actions)
+            beliefs = np.empty((tri.n_vertices, kernel.shape[2]))
+            for u in set(st.vertex_actions):
+                pick = actions == u
+                beliefs[pick] = np.matmul(tri.vertices[pick, None, :], kernel[:, u, :])[:, 0, :]
+        return record
 
 
 def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> StageObjective:

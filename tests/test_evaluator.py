@@ -11,8 +11,7 @@ from signalgame.evaluator import (
     _PROBE_BLOCK,
     _SIM_BLOCK,
     SimulationReport,
-    _sample_inducible,
-    _stage_splits,
+    _inducible_splits,
     exact_value,
     one_shot_deviation_check,
     reachable_tree,
@@ -28,7 +27,8 @@ from signalgame.geometry import (
     as_simplex_point,
 )
 from signalgame.solver import EquilibriumSolution, solve
-from test_goldens import GAME_3
+from near_tie_corpus import near_tie_game
+from test_goldens import GAME_3, GAME_3_2
 
 
 def _single_action_game():
@@ -109,7 +109,7 @@ def test_reachable_tree_nodes_are_the_reached_split_rows(spec):
     # in row order, and the edges that carry one label share one child
     sol = solve(spec)
     layer = {0: reachable_tree(sol)}
-    for t, rec in enumerate(_stage_splits(sol), start=1):
+    for t, rec in enumerate(sol.split_record, start=1):
         rows = sorted(layer)
         assert rows == np.flatnonzero(rec.reached).tolist()
         assert [layer[row].stage for row in rows] == [t] * len(rows)
@@ -163,7 +163,7 @@ def _random_game(seed, n, nu, horizon):
 )
 def test_dag_stage_is_bounded_by_previous_stage_vertices(spec):
     sol = solve(spec)
-    record = _stage_splits(sol)
+    record = sol.split_record
     layers = [[reachable_tree(sol)]]
     while True:
         parents = {}  # child node id -> the stage-t vertex labels leading to it
@@ -478,7 +478,7 @@ def test_simulate_draws_one_uniform_then_one_pair_per_stage_played(
     monkeypatch, name, c, horizon, last_block_stages
 ):
     sol = solve(builtin_example(name, 0.2, c, horizon))
-    stages = len(_stage_splits(sol))
+    stages = len(sol.split_record)
     shapes = []
     original = np.random.default_rng
 
@@ -519,25 +519,134 @@ def test_deviation_check_at_long_horizon(long_detection):
 
 def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
     sol = solve(builtin_example("detector", 0.2, 0.15, 10))
+    shared = [evaluator._shared_solution(st) for st in sol.stages]
+    # memo hits cycle with period 4, and the last stage stands alone
+    assert [shared.index(key) for key in shared] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 9]
     objective = type(sol.stage(1).objective)
     calls = []
-    original = objective.tie_broken_values
+    original = objective.q_many
 
-    def counted(self, points, *args, **kwargs):
+    def counted(self, points):
         calls.append(len(points))
-        return original(self, points, *args, **kwargs)
+        return original(self, points)
 
-    monkeypatch.setattr(objective, "tie_broken_values", counted)
+    monkeypatch.setattr(objective, "q_many", counted)
     report = one_shot_deviation_check(sol, seed=2)
-    # per stage: one call on every sampled atom; the probe beliefs go
-    # through receiver_best on the action values directly
-    assert len(calls) == sol.spec.horizon
-    assert report.principal_checked > len(calls)
+    # stages fill a batch in order up to _BATCH_PROBES probes, and each
+    # batch makes one objective call per stage solution it holds
+    record = sol.split_record
+    batches, rows = [[]], 0
+    for t in range(1, sol.spec.horizon + 1):
+        width = evaluator._PROBES_PER_STAGE + (int(record[t - 1].reached.sum()) if t <= len(record) else 0)
+        if rows + width > evaluator._BATCH_PROBES:
+            batches.append([])
+            rows = 0
+        batches[-1].append(t)
+        rows += width
+    assert len(batches) > 1
+    assert len(calls) == sum(len({shared[t - 1] for t in batch}) for batch in batches)
+    assert len(calls) < sol.spec.horizon
+    assert report.ok and report.receiver_checked == sum(st.triangulation.n_vertices for st in sol.stages)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [builtin_example("detector", 0.2, 0.15, 10), spec_from_dict(GAME_3)],
+    ids=["detector", "game3"],
+)
+def test_stacked_rows_score_like_separate_calls(spec):
+    # a batch stacks several stages' rows into one q_many and one
+    # evaluate_many call; each row must come out with the same bits as in
+    # a call of its own rows (calls of more than one row: a single row
+    # takes another BLAS path)
+    sol = solve(spec)
+    rng = np.random.default_rng(5)
+    for st in (sol.stage(1), sol.stage(2)):
+        n = st.triangulation.n_states
+        parts = [st.triangulation.vertices, rng.dirichlet(np.ones(n), 21), np.eye(n),
+                 rng.dirichlet(np.ones(n), 300)]
+        stacked = st.objective.q_many(np.vstack(parts))
+        alone = [st.objective.q_many(part) for part in parts]
+        for j in range(2):
+            assert np.array_equal(stacked[j], np.vstack([q[j] for q in alone]))
+        values = st.interp.evaluate_many(np.vstack(parts))
+        assert np.array_equal(values, np.vstack([st.interp.evaluate_many(part) for part in parts]))
+
+
+def _report_fields(report):
+    return (report.receiver_checked, report.principal_checked, report.max_receiver_gain,
+            report.max_principal_gain, report.violations)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        builtin_example("quickest_detection", 0.2, 0.1, 40),
+        spec_from_dict(GAME_3_2),
+        spec_from_dict(near_tie_game(3, 167)),
+    ],
+    ids=["quickest_detection", "game3_2", "near_tie_167"],
+)
+def test_deviation_report_does_not_depend_on_the_batch_bound(monkeypatch, spec):
+    sol = solve(spec)
+    reports = []
+    for bound in (1, evaluator._BATCH_PROBES, 10**9):
+        monkeypatch.setattr(evaluator, "_BATCH_PROBES", bound)
+        reports.append(_report_fields(one_shot_deviation_check(sol, seed=3)))
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_deviation_check_does_not_group_a_stage_rebuilt_by_hand():
+    # stage 5 shares its objective with stages 1 and 9; a wrong action at
+    # one of its vertices must be found at stage 5 and nowhere else
+    sol = solve(builtin_example("detector", 0.2, 0.15, 10))
+    st = sol.stage(5)
+    assert st.objective is sol.stage(1).objective is sol.stage(9).objective
+    q_b = st.objective.q_many(st.triangulation.vertices)[1]
+    stored = np.take_along_axis(q_b, np.array(st.vertex_actions)[:, None], axis=1)[:, 0]
+    runner_up = np.sort(q_b, axis=1)[:, -2]
+    vertex = int(np.argmax(stored - runner_up))
+    assert stored[vertex] - runner_up[vertex] > EPS_EQUILIBRIUM
+    other = int(np.argsort(q_b[vertex])[-2])
+    flipped = tuple(other if i == vertex else a for i, a in enumerate(st.vertex_actions))
+    stages = tuple(dataclasses.replace(st, vertex_actions=flipped) if s.stage == 5 else s for s in sol.stages)
+    report = one_shot_deviation_check(EquilibriumSolution(spec=sol.spec, stages=stages), seed=2)
+    flagged = [v for v in report.violations if v["kind"] == "receiver_action"]
+    assert [v["stage"] for v in flagged] == [5]
+    assert flagged[0]["belief"] == st.triangulation.vertices[vertex].tolist()
+
+
+def test_deviation_check_memory_is_bounded():
+    sol = solve(builtin_example("detector", 0.2, 0.15, 400))
+    tracemalloc.start()
+    try:
+        one_shot_deviation_check(sol)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_split_record_is_built_once_per_solution(monkeypatch):
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 14))
+    calls = []
+    original = Triangulation.split_many
+
+    def counted(self, points):
+        calls.append(len(points))
+        return original(self, points)
+
+    monkeypatch.setattr(Triangulation, "split_many", counted)
+    exact_value(sol)
+    one_shot_deviation_check(sol)
+    simulate(sol, trajectories=100)
+    assert sol.split_record is sol.split_record
+    assert len(calls) == len(sol.split_record)
 
 
 def _sample_inducible_loop(probes, k, atoms, expo):
     # per-experiment shrink loop over the raw draws: the bit-exact
-    # reference for _sample_inducible
+    # reference for _inducible_splits
     count = k.shape[1]
     kept = np.zeros(k.shape, dtype=bool)
     out_atoms, out_weights, owner = [], [], []
@@ -562,23 +671,30 @@ def _sample_inducible_loop(probes, k, atoms, expo):
     return np.vstack(out_atoms), np.concatenate(out_weights), np.array(owner), kept
 
 
+def _experiment_draws(rng, n_probes, n, count):
+    # one chunk's draws, in the deviation check's order and shapes
+    return (
+        rng.integers(2, n + 2, (n_probes, count)),
+        rng.dirichlet(np.ones(n), (n_probes, count, n + 1)),
+        rng.standard_exponential((n_probes, count, n + 1)),
+    )
+
+
 def test_sample_inducible_matches_per_state_loop():
     # n + 1 < 8 slots keeps numpy's slot sums sequential on both sides
     groups = [
         np.array([[0.3, 0.7], [0.0, 1.0], [0.5, 0.5]]),
         np.random.default_rng(4).dirichlet(np.ones(3), size=5),
         np.array([[0.2, 0.0, 0.5, 0.3], [0.25, 0.25, 0.25, 0.25]]),
+        np.array([[0.1, 0.0, 0.9], [1 / 3, 1 / 3, 1 / 3], [0.0, 0.0, 1.0]]),
     ]
     count = 12
+    draws = []
     for seed, probes in enumerate(groups):
         n_probes, n = probes.shape
-        got = _sample_inducible(np.random.default_rng(seed), probes, count)
-        # the batch's raw draws: three calls on the same stream
-        rng = np.random.default_rng(seed)
-        k = rng.integers(2, n + 2, (n_probes, count))
-        atoms = rng.dirichlet(np.ones(n), (n_probes, count, n + 1))
-        expo = rng.standard_exponential((n_probes, count, n + 1))
-        want = _sample_inducible_loop(probes, k, atoms, expo)
+        draws.append(_experiment_draws(np.random.default_rng(seed), n_probes, n, count))
+        got = _inducible_splits(probes, *draws[-1])
+        want = _sample_inducible_loop(probes, *draws[-1])
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -592,23 +708,59 @@ def test_sample_inducible_matches_per_state_loop():
         ).reshape(n_probes, count, n)
         assert np.abs(means - probes[:, None, :])[kept].max() <= EPS_MEMBER
     # a corner probe has no room to split: every draw is dropped there
-    assert not _sample_inducible(np.random.default_rng(0), groups[0], count)[3][1].any()
+    assert not _inducible_splits(groups[0], *draws[0])[3][1].any()
+
+    # two stages' chunks pooled along the probe axis: the same rows as
+    # the chunks alone, with the second chunk's owners shifted
+    pooled = _inducible_splits(
+        np.vstack([groups[1], groups[3]]), *(np.concatenate(pair) for pair in zip(draws[1], draws[3]))
+    )
+    want = _sample_inducible_loop(
+        np.vstack([groups[1], groups[3]]), *(np.concatenate(pair) for pair in zip(draws[1], draws[3]))
+    )
+    for a, b in zip(pooled, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    first, second = _inducible_splits(groups[1], *draws[1]), _inducible_splits(groups[3], *draws[3])
+    assert np.array_equal(pooled[0], np.vstack([first[0], second[0]]))
+    assert np.array_equal(pooled[1], np.concatenate([first[1], second[1]]))
+    assert np.array_equal(pooled[2], np.concatenate([first[2], second[2] + first[3].size]))
+    assert np.array_equal(pooled[3], np.vstack([first[3], second[3]]))
 
 
 def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
     sol = solve(builtin_example("detector", 0.2, 0.15, 4))
-    sizes = []
-    original = evaluator._sample_inducible
+    calls = []
+    original = np.random.default_rng
 
-    def recorded(rng, probes, count):
-        sizes.append(len(probes))
-        return original(rng, probes, count)
+    class Recorded:
+        def __init__(self, rng):
+            self.rng = rng
 
-    monkeypatch.setattr(evaluator, "_sample_inducible", recorded)
+        def __getattr__(self, name):
+            method = getattr(self.rng, name)
+
+            def recorded(*args, **kwargs):
+                out = method(*args, **kwargs)
+                calls.append((name, out.shape))
+                return out
+
+            return recorded
+
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: Recorded(original(*args, **kwargs)))
     monkeypatch.setattr(evaluator, "_PROBES_PER_STAGE", 2 * _PROBE_BLOCK + 3)
     monkeypatch.setattr(evaluator, "_EXPERIMENTS_PER_BELIEF", 2)
     report = one_shot_deviation_check(sol)
     assert report.ok
-    # every stage: two full chunks, then the rest with the reachable beliefs
-    assert sizes[:3] == [_PROBE_BLOCK, _PROBE_BLOCK, sizes[2]] and 3 < sizes[2] < _PROBE_BLOCK
-    assert len(sizes) == 3 * sol.spec.horizon
+
+    def chunk(size):
+        return [("integers", (size, 2)), ("dirichlet", (size, 2, 3, 2)), ("standard_exponential", (size, 2, 3))]
+
+    # every stage: its random probes, then two full chunks, then the rest
+    # with the reachable beliefs
+    per_stage = len(calls) // sol.spec.horizon
+    assert len(calls) == 10 * sol.spec.horizon
+    for t in range(sol.spec.horizon):
+        stage = calls[t * per_stage : (t + 1) * per_stage]
+        rest = stage[-1][1][0]
+        assert 3 < rest < _PROBE_BLOCK
+        assert stage == [("dirichlet", (2 * _PROBE_BLOCK + 3, 2))] + chunk(_PROBE_BLOCK) * 2 + chunk(rest)
