@@ -367,7 +367,9 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     principal_checked = 0
     max_gain_r = 0.0
     max_gain_p = 0.0
-    # per shared solution: the largest action gain and the flagged (kind, vertex, gain)
+    # per shared solution: the first stage met, whose cached interp serves
+    # them all, and the largest action gain and flagged (kind, vertex, gain)
+    solutions: dict[tuple[int, ...], StageSolution] = {}
     vertex_checks: dict[tuple[int, ...], tuple[float, list]] = {}
     batch: list[_ProbeChunk] = []
 
@@ -399,7 +401,7 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         for i, c in enumerate(batch):
             groups.setdefault(_shared_solution(c.solution), []).append(i)
         for key, members in groups.items():
-            st = batch[members[0]].solution
+            st = solutions.setdefault(key, batch[members[0]].solution)
             rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
             used = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in members])
             vertices = st.triangulation.vertices if key not in vertex_checks else np.empty((0, n))
