@@ -368,9 +368,9 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     max_gain_r = 0.0
     max_gain_p = 0.0
     # per shared solution: the first stage met, whose cached interp serves
-    # them all, and the largest action gain and flagged (kind, vertex, gain)
+    # them all, and its vertex checks (see _vertex_check)
     solutions: dict[tuple[int, ...], StageSolution] = {}
-    vertex_checks: dict[tuple[int, ...], tuple[float, list]] = {}
+    vertex_checks: dict[tuple[int, ...], tuple[float, np.ndarray, np.ndarray]] = {}
     batch: list[_ProbeChunk] = []
 
     def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad: np.ndarray) -> None:
@@ -425,14 +425,11 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         any_bad = bad.any()
         for i, c in enumerate(batch):
             if c.first:
-                gain_r, flagged = vertex_checks[_shared_solution(c.solution)]
-                receiver_checked += c.solution.triangulation.n_vertices
+                gain_r, gains_r, bad_r = vertex_checks[_shared_solution(c.solution)]
+                receiver_checked += len(gains_r)
                 max_gain_r = max(max_gain_r, gain_r)
-                for kind, vertex, gain in flagged:
-                    violations.append({
-                        "kind": kind, "stage": c.stage,
-                        "belief": c.solution.triangulation.vertices[vertex].tolist(), "gain": gain,
-                    })
+                flag(("receiver_action", "receiver_bellman"), c.stage, c.solution.triangulation.vertices,
+                     gains_r, bad_r)
             if any_bad:
                 lo, hi = offsets[i], offsets[i + 1]
                 flag(principal_kinds, c.stage, c.probes, gains[lo:hi], bad[lo:hi])
@@ -470,21 +467,23 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     )
 
 
-def _vertex_check(st: StageSolution, q_b: np.ndarray, top: np.ndarray) -> tuple[float, list]:
+def _vertex_check(
+    st: StageSolution, q_b: np.ndarray, top: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
     """The receiver's checks at a stage solution's vertices, from their action values.
 
-    Returns the largest shortfall of a stored action and the flagged
-    (kind, vertex, gain) triples, vertex by vertex, receiver_action
-    before receiver_bellman.
+    Returns the largest shortfall of a stored action, and per vertex
+    (rows) the gains and violation marks of receiver_action and
+    receiver_bellman (columns).
     """
     stored = (np.arange(len(q_b)), list(st.vertex_actions))
     action_gain = top - q_b[stored]
     bellman_gap = np.abs(np.asarray(st.values_receiver, dtype=float) - top)
-    gains = np.column_stack([action_gain, bellman_gap])
-    bad = np.column_stack([~_tie_set(q_b, top)[stored], bellman_gap > EPS_EQUILIBRIUM])
-    kinds = ("receiver_action", "receiver_bellman")
-    flagged = [(kinds[j], i, float(gains[i, j])) for i, j in zip(*np.divmod(np.flatnonzero(bad), 2))]
-    return max(action_gain.tolist()), flagged
+    return (
+        max(action_gain.tolist()),
+        np.column_stack([action_gain, bellman_gap]),
+        np.column_stack([~_tie_set(q_b, top)[stored], bellman_gap > EPS_EQUILIBRIUM]),
+    )
 
 
 def _inducible_splits(

@@ -175,7 +175,7 @@ class EquilibriumSolution:
         return tuple(float(v) for v in self.stages[0].interp(self.spec.prior))
 
     @cached_property
-    def split_record(self) -> list[_StageSplits]:
+    def split_record(self) -> tuple[_StageSplits, ...]:
         """One record per stage, up to the last stage that play reaches.
 
         Built once per solution and shared by the evaluator's verifiers.
@@ -212,7 +212,7 @@ class EquilibriumSolution:
             for u in set(st.vertex_actions):
                 pick = actions == u
                 beliefs[pick] = np.matmul(tri.vertices[pick, None, :], kernel[:, u, :])[:, 0, :]
-        return record
+        return tuple(record)
 
 
 def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> StageObjective:

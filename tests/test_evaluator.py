@@ -746,7 +746,7 @@ def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
 
             return recorded
 
-    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kwargs: Recorded(original(*args, **kwargs)))
+    monkeypatch.setattr(np.random, "default_rng", lambda *args, **kw: Recorded(original(*args, **kw)))
     monkeypatch.setattr(evaluator, "_PROBES_PER_STAGE", 2 * _PROBE_BLOCK + 3)
     monkeypatch.setattr(evaluator, "_EXPERIMENTS_PER_BELIEF", 2)
     report = one_shot_deviation_check(sol)
