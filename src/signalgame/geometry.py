@@ -83,9 +83,14 @@ class GeometryDomainError(ValueError):
 CANDIDATE_CAP = 2_000_000
 # Subsets candidate_vertices enumerates and filters per batch of linear systems.
 _CANDIDATE_BLOCK = 1 << 15
-# Floats of the weight screen Triangulation.locate_many builds per block of
-# points, (C * n, rows): 4 MiB whatever the cell count.
-_LOCATE_SCREEN = 1 << 19
+# Floats of scratch Triangulation.locate_many fills per block of points,
+# 2 * n * C * rows: 2 MiB whatever the cell count.
+_LOCATE_BLOCK = 1 << 18
+# Rows from which one pass per column beats a NumPy reduction over the
+# last axis (_column_passes), and from which _lex_order's split sort beats
+# np.lexsort; below them the NumPy call's fixed cost is smaller.
+_COLUMN_PASS_ROWS = 256
+_LEX_SPLIT_ROWS = 512
 
 
 class CandidateBudgetExceeded(RuntimeError):
@@ -104,10 +109,35 @@ class CandidateBudgetExceeded(RuntimeError):
         )
 
 
+def _column_passes(rows: np.ndarray) -> bool:
+    """Whether to reduce rows (last axis) by one elementwise pass per column.
+
+    NumPy reduces a row of fewer than 8 entries one entry at a time, so
+    the passes give its bits; longer rows are summed pairwise and their
+    max may pick the other signed zero.  Below _COLUMN_PASS_ROWS rows the
+    reduction itself is faster.
+    """
+    width = rows.shape[-1]
+    return 0 < width < 8 and rows.size >= _COLUMN_PASS_ROWS * width
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """rows.sum(axis=-1) bit for bit, one pass per column where _column_passes
+    says so: 0.0 plus the entries in order (0.0 + x is x, except that it
+    turns -0.0 into 0.0, as NumPy's sum does)."""
+    if not _column_passes(rows):
+        return rows.sum(axis=-1)
+    width = rows.shape[-1]
+    total = rows[..., 0] + 0.0
+    for j in range(1, width):
+        total += rows[..., j]
+    return total
+
+
 def _renormalize(rows: np.ndarray) -> np.ndarray:
     """rows clipped at zero, then divided by their sums along the last axis."""
     rows = np.clip(rows, 0.0, None)
-    rows /= rows.sum(axis=-1, keepdims=True)
+    rows /= _row_sums(rows)[..., None]
     return rows
 
 
@@ -177,8 +207,29 @@ def simplex_grid(n_states: int, resolution: int) -> np.ndarray:
 
 
 def _lex_order(points: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (first coordinate major)."""
-    return np.lexsort(points.T[::-1])
+    """Indices sorting rows lexicographically (first coordinate major).
+
+    The permutation of np.lexsort(points.T[::-1]): a stable sort on the
+    first column, then np.lexsort on the other columns inside each run of
+    tied first coordinates, which keeps each run's order of indices on
+    full ties.  NaNs sort last and tie with each other, as in np.lexsort.
+    """
+    if len(points) < _LEX_SPLIT_ROWS or points.shape[1] == 1:
+        return np.lexsort(points.T[::-1])
+    order = np.argsort(points[:, 0], kind="stable")
+    first = points[order, 0]
+    tied = first[1:] == first[:-1]
+    if np.isnan(first[-1]):
+        tied[np.isnan(first).argmax() :] = True
+    if not tied.any():
+        return order
+    with_prev = np.concatenate([[False], tied])
+    at = np.flatnonzero(with_prev | np.append(tied, False))
+    run = np.cumsum(~with_prev[at])
+    rows = points[order[at]]
+    inner = np.lexsort((*rows[:, :0:-1].T, run))
+    order[at] = order[at][inner]
+    return order
 
 
 def _dedup_sorted(points: np.ndarray) -> np.ndarray:
@@ -320,33 +371,18 @@ class Triangulation:
         # Column j of each cell matrix is vertex j; barycentric weights of
         # omega in the cell are inverse @ omega (columns sum to one, so the
         # weights automatically sum to one on the simplex).  The inverses
-        # keep the matrices' transposed strides: einsum's rounding depends
-        # on the layout, and the solve artifacts' bits rest on this one.
+        # keep the matrices' transposed strides: cell_pieces' matmul rounds
+        # by the layout, and the solve artifacts' bits rest on this one.
         mats = self.vertices[self.simplices].transpose(0, 2, 1)
         invs = np.empty_like(mats)
         invs[...] = np.linalg.inv(mats)
         return invs
 
     @cached_property
-    def _screen(self) -> tuple[np.ndarray, np.ndarray]:
-        """locate_many's screen: the cell inverses' rows stacked (C*n, n), and
-        each cell's slack per unit of |x|_1."""
-        # With u the unit roundoff and g(n) = n u / (1 - n u), a sum of n
-        # products a_j x_j in any order, with or without fused multiply-adds,
-        # is within g(n) sum_j |a_j x_j| <= g(n) max|inv_c| |x|_1 of the exact
-        # value (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
-        # ed., §3.1).  So the screen's product and the confirming einsum
-        # differ by at most 2 g(n) max|inv_c| |x|_1 in cell c.  Taking slack
-        # = 4 n u max|inv_c| |x|_1 leaves room for the roundings of the slack
-        # and of -EPS_MEMBER - slack, which are below u EPS_MEMBER once
-        # max|inv_c| |x|_1 >= EPS_MEMBER / 2n; below that, every weight of the
-        # point is above -EPS_MEMBER / 2n in both, and none is ruled out.  So
-        # a weight the product puts below -EPS_MEMBER - slack is below
-        # -EPS_MEMBER in the einsum too.  A non-finite point gets a NaN or
-        # infinite slack and rules out no cell.
-        invs = self._cell_inverses
-        n = self.n_states
-        return invs.reshape(-1, n), 4 * n * (np.finfo(float).eps / 2) * np.abs(invs).max(axis=(1, 2))
+    def _inverse_columns(self) -> np.ndarray:
+        """locate_many's layout of the inverses, (n, n, C, 1): [j, i] holds
+        entry (i, j) of every cell."""
+        return np.ascontiguousarray(self._cell_inverses.transpose(2, 1, 0))[..., None]
 
     @cached_property
     def boundary_functionals(self) -> np.ndarray:
@@ -364,52 +400,43 @@ class Triangulation:
 
         A point goes to the first cell in listing order whose weights are
         all >= -EPS_MEMBER, so a point on shared faces resolves to the
-        first feasible cell.  Points go in blocks.  One matrix product
-        screens a block against every cell and rules a cell out for a
-        point only where a weight is below -EPS_MEMBER by more than the
-        product's rounding can explain.  Each point's first surviving
-        cell is then confirmed with the einsum the artifacts' bits rest
-        on; a point that fails moves on to its next surviving cell.  A
-        block's screen holds about _LOCATE_SCREEN floats, so memory stays
-        near one (P, n) array.  Raises GeometryDomainError when a point is
-        not covered by any cell (naming the first such point).
+        first feasible cell.  Points go in blocks, and each block gets its
+        weights in every cell at once: weight i of a point x in cell c is
+        inv_c[i, 0] x_0 + inv_c[i, 1] x_1 + ..., one elementwise product
+        and sum at a time in index order, so its bits do not depend on the
+        kernel NumPy picks.  A block fills about _LOCATE_BLOCK floats of
+        one scratch array, so memory stays near one (P, n) array.  Raises
+        GeometryDomainError when a point is not covered by any cell
+        (naming the first such point).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        invs = self._cell_inverses
-        n_cells, n = invs.shape[:2]
+        cols = self._inverse_columns
+        n, _, n_cells, _ = cols.shape
         if n_cells == 0 and len(pts):
             raise GeometryDomainError(f"point {pts[0]} is not covered by any cell")
-        flat, scale = self._screen
-        cell_idx = np.full(len(pts), -1, dtype=np.intp)
+        coords = np.ascontiguousarray(pts.T)
+        cell_idx = np.empty(len(pts), dtype=np.intp)
         lam = np.empty(pts.shape)
-        rows = max(1, _LOCATE_SCREEN // max(1, n_cells * n))
+        rows = max(1, _LOCATE_BLOCK // (2 * n * max(1, n_cells)))
+        scratch = np.empty(2 * n * n_cells * min(rows, len(pts)))
         for start in range(0, len(pts), rows):
-            block = pts[start : start + rows]
-            cells, weights = cell_idx[start : start + rows], lam[start : start + rows]
+            x = coords[:, start : start + rows]
+            k = x.shape[1]
+            # weights[i, c, p]: weight i of point p in cell c
+            weights, term = scratch[: 2 * n * n_cells * k].reshape(2, n, n_cells, k)
             with np.errstate(invalid="ignore"):
-                lowest = (flat @ block.T).reshape(n_cells, n, len(block)).min(axis=1)
-                slack = np.outer(scale, np.abs(block).sum(axis=1))
-                alive = ~(lowest < -EPS_MEMBER - slack)
-            # A point with no surviving cell is checked in cell 0, which the
-            # screen ruled out, so it fails there and drops out.
-            todo = np.arange(len(block))
-            first = alive.argmax(axis=0)
-            while todo.size:
-                # The same rounding as einsum("ij,pj->pi", inv[c], pts) cell by
-                # cell and einsum("cij,pj->pci") over every cell, which the
-                # solve artifacts' bits rest on (invs[first] keeps the
-                # inverses' strides); a matrix product can differ in the last bit.
-                bary = np.einsum("pij,pj->pi", invs[first], block[todo])
-                hit = (bary >= -EPS_MEMBER).all(axis=1)
-                cells[todo[hit]] = first[hit]
-                weights[todo[hit]] = bary[hit]
-                alive[first[~hit], todo[~hit]] = False
-                todo = todo[~hit]
-                todo = todo[alive[:, todo].any(axis=0)]
-                first = alive[:, todo].argmax(axis=0)
-            missing = cells < 0
+                np.multiply(cols[0], x[0], out=weights)
+                for j in range(1, n):
+                    np.multiply(cols[j], x[j], out=term)
+                    weights += term
+                inside = weights.min(axis=0) >= -EPS_MEMBER
+            first = inside.argmax(axis=0)
+            picked = np.arange(k)
+            missing = ~inside[first, picked]
             if missing.any():
-                raise GeometryDomainError(f"point {block[missing.argmax()]} is not covered by any cell")
+                raise GeometryDomainError(f"point {pts[start + missing.argmax()]} is not covered by any cell")
+            cell_idx[start : start + k] = first
+            lam[start : start + k] = weights[:, first, picked].T
         return cell_idx, _renormalize(lam)
 
     def split_many(self, points) -> tuple[np.ndarray, np.ndarray]:
@@ -701,6 +728,45 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     return pieces, boundary
 
 
+def _subset_blocks(m: int, r: int, size: int):
+    """itertools.combinations(range(m), r) as (k, r) np.intp blocks of k <= size rows.
+
+    Each row is found from its rank, one element at a time.  Given the
+    elements before it, the subsets whose next element is i number
+    C(m - 1 - i, elements after it), whatever came before, so one
+    cumulative table per position locates the element within the
+    remaining rank.  A block's ranks are consecutive, so its first
+    elements come in runs (np.repeat); the middle ones are searched in
+    their tables, and the last one is the rank that is left.  Memory
+    stays near one block whatever C(m, r) is.
+    """
+    count = math.comb(m, r)
+    # tables[level][i]: the (r - level)-subsets of range(m) whose least element is below i
+    tables = [
+        np.concatenate([[0], np.cumsum([math.comb(m - 1 - i, left) for i in range(m)])]).astype(np.intp)
+        for left in range(r - 1, 0, -1)
+    ]
+    for start in range(0, count, size):
+        stop = min(start + size, count)
+        rank = np.arange(start, stop, dtype=np.intp)
+        block = np.empty((stop - start, r), dtype=np.intp)
+        lo = 0
+        if tables:
+            first = tables[0]
+            low, high = np.searchsorted(first, [start, stop - 1], side="right")
+            runs = np.diff(np.concatenate([[start], first[low:high], [stop]]))
+            block[:, 0] = np.repeat(np.arange(low - 1, high, dtype=np.intp), runs)
+            rank -= np.repeat(first[low - 1 : high], runs)
+            lo = block[:, 0] + 1
+        for level, table in enumerate(tables[1:], start=1):
+            rank += table[lo]
+            block[:, level] = np.searchsorted(table, rank, side="right") - 1
+            rank -= table[block[:, level]]
+            lo = block[:, level] + 1
+        block[:, r - 1] = lo + rank
+        yield block
+
+
 def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Which subsets' linear systems provably solve outside the simplex.
 
@@ -777,6 +843,30 @@ def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.n
         return settled & (lowest < -EPS_MEMBER - slack)
 
 
+def _snap_to_corners(points: np.ndarray) -> None:
+    """Set every row within EPS_GEOM (sup norm) of a corner to that corner, in place.
+
+    Only the corner of a row's largest coordinate can be that close.
+    With many rows, one pass per column: corner t is that close when
+    coordinate t is within EPS_GEOM of 1 and every other one of 0, which
+    makes t the row's largest coordinate, with the same differences.
+    """
+    n = points.shape[1]
+    corners = np.eye(n)
+    if not _column_passes(points):
+        top = points.argmax(axis=1)
+        near = np.abs(points - corners[top]).max(axis=1) <= EPS_GEOM
+        points[near] = corners[top[near]]
+        return
+    small = np.abs(points) <= EPS_GEOM
+    for t in range(n):
+        near = np.abs(points[:, t] - 1.0) <= EPS_GEOM
+        for j in range(n):
+            if j != t:
+                near &= small[:, j]
+        points[near] = corners[t]
+
+
 def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     """Vertices of the cell arrangement cut out on the simplex.
 
@@ -826,16 +916,8 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
         pool_at_corners = np.vstack([at_corners[crosses], corners])
         pool_norms = np.linalg.norm(pool_w, axis=1)
 
-        count = math.comb(len(pool_w), n - 1)
-        combos = itertools.combinations(range(len(pool_w)), n - 1)
         points = [corners]
-        for start in range(0, count, _CANDIDATE_BLOCK):
-            size = min(_CANDIDATE_BLOCK, count - start)
-            subsets = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(combos, size)),
-                dtype=np.intp,
-                count=size * (n - 1),
-            ).reshape(size, n - 1)
+        for subsets in _subset_blocks(len(pool_w), n - 1, _CANDIDATE_BLOCK):
             subsets = subsets[~_solves_off_simplex(pool_at_corners, pool_norms, subsets)]
             size = len(subsets)
             if size == 0:
@@ -847,20 +929,20 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
             rhs[:, : n - 1] = -pool_b[subsets]
             rhs[:, n - 1] = 1.0
             dets = np.abs(np.linalg.det(systems))
-            scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+            # the product of the systems' row norms, row by row in order as
+            # np.prod(np.linalg.norm(systems, axis=2), axis=1) multiplies them
+            scale = pool_norms[subsets[:, 0]]
+            for r in range(1, n - 1):
+                scale *= pool_norms[subsets[:, r]]
+            scale *= math.sqrt(n)  # the ones row's norm: its squares sum to n exactly
             transversal = dets > EPS_DEGENERATE * np.maximum(scale, 1e-30)
             if transversal.any():
                 sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
-                inside = sols.min(axis=1) >= -EPS_MEMBER
+                inside = reduce(np.minimum, sols.T) >= -EPS_MEMBER
                 if inside.any():
                     points.append(_renormalize(sols[inside]))
     allpts = np.vstack(points)
-    # A row within EPS_GEOM (sup norm) of a corner is that corner, so that
-    # dedup cannot keep a near copy in its place; only the row's largest
-    # coordinate's corner can be that close.
-    top = allpts.argmax(axis=1)
-    near = np.abs(allpts - corners[top]).max(axis=1) <= EPS_GEOM
-    allpts[near] = corners[top[near]]
+    _snap_to_corners(allpts)
     allpts = allpts[_lex_order(allpts)]
     return allpts[_dedup_sorted(allpts)]
 

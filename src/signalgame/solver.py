@@ -15,7 +15,7 @@ splits the belief onto those vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .geometry import (
     GeometryDomainError,
     Triangulation,
     VertexInterpolant,
+    _column_passes,
     _renormalize,
     argcav,
     as_simplex_point,
@@ -110,10 +111,22 @@ def receiver_best(q_principal, q_receiver) -> tuple[np.ndarray, np.ndarray, np.n
     q_b = np.asarray(q_receiver, dtype=float)
     if q_a.shape != q_b.shape or q_a.ndim != 2 or q_a.size == 0:
         raise ValueError("need two nonempty action value arrays of the same (k, n_actions) shape")
-    top_b = q_b.max(axis=1)
-    tied = np.where(_tie_set(q_b, top_b), q_a, -np.inf)
-    action = tied.argmax(axis=1)
-    return action, tied[np.arange(len(action)), action], top_b
+    if not _column_passes(q_b):
+        top_b = q_b.max(axis=1)
+        tied = np.where(_tie_set(q_b, top_b), q_a, -np.inf)
+        action = tied.argmax(axis=1)
+        return action, tied[np.arange(len(action)), action], top_b
+    # The same max, tie set and first argmax, one pass per action column.
+    top_b = reduce(np.maximum, q_b.T)
+    tied = np.where(_tie_set(q_b, top_b), q_a, -np.inf).T
+    action = np.zeros(len(q_b), dtype=np.intp)
+    psi = tied[0].copy()
+    for u in range(1, len(tied)):
+        # argmax keeps the first maximum, and the first NaN over any number
+        better = ~(tied[u] <= psi) & (psi == psi)
+        action[better] = u
+        psi[better] = tied[u][better]
+    return action, psi, top_b
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,10 @@ sha256 of its artifact, or the class of the stage error, and then per
 state count the number of games that exit 0, 1 and 2 (a game's exit is
 the larger of its two) and the error classes of those that exit 2.  The
 file has no ``test_`` prefix, so pytest does not collect it.
+
+``near_tie_corpus_table.txt`` holds the two summary lines of
+``--states 3 4``; CI fails when the run prints others.  A change that
+moves a game's exit updates the file and says why.
 """
 
 from __future__ import annotations

@@ -359,7 +359,7 @@ def _band_points(tri, rng):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_locate_many_matches_the_reference_across_blocks_and_the_screen_slack_band(n, monkeypatch):
+def test_locate_many_matches_the_reference_across_blocks_and_the_membership_band(n, monkeypatch):
     rng = np.random.default_rng(40 + n)
     tri = _min_of_pieces_triangulation(n, 9, seed=n)
     band, band_cells, band_slots = _band_points(tri, rng)
@@ -372,26 +372,26 @@ def test_locate_many_matches_the_reference_across_blocks_and_the_screen_slack_ba
     want = _locate_many_all_cells(tri, pts)
     _assert_same_location(tri.locate_many(pts), want)
     # blocks of 5 points put a seam between most neighbours
-    monkeypatch.setattr(geometry, "_LOCATE_SCREEN", 5 * tri.simplices.size)
+    monkeypatch.setattr(geometry, "_LOCATE_BLOCK", 5 * 2 * tri.simplices.size)
     _assert_same_location(tri.locate_many(pts), want)
 
 
-def test_locate_many_names_the_first_uncovered_point_whichever_is_resolved_first(monkeypatch):
+def test_locate_many_names_the_first_uncovered_point_in_blocks_of_any_size(monkeypatch):
     # the corner cells of the midpoint subdivision, without the middle one
     verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]])
     tri = Triangulation(verts, ((0, 3, 4), (1, 3, 5), (2, 4, 5)))
     covered = np.array([[0.8, 0.1, 0.1], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
-    # Each first uncovered point is resolved after the centre, which the
-    # screen rules out of every cell: a NaN row survives the screen in
-    # every cell and fails each check in turn, and the edge point, in the
-    # hole just past cell 0's facet, is in that cell's slack band.
+    # Each first uncovered point comes before the centre, which no cell
+    # holds either: a NaN row has a NaN weight in every cell, and the edge
+    # point lies in the hole just past cell 0's facet, a few ulps beyond
+    # the membership bound, whether it shares a block with the centre or not.
     edge = np.array([0.5, 0.25, 0.25]) - (EPS_MEMBER / 2 + 2.0**-52) * np.array([1.0, -0.5, -0.5])
     weight = np.einsum("ij,j->i", tri._cell_inverses[0], edge)[0]
     assert -EPS_MEMBER - 1e-14 < weight < -EPS_MEMBER
     for uncovered in ([[np.nan, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]], [edge, [1 / 3, 1 / 3, 1 / 3]]):
         pts = np.vstack([covered, uncovered, covered])
-        for screen in (geometry._LOCATE_SCREEN, 2 * tri.simplices.size, tri.simplices.size):
-            monkeypatch.setattr(geometry, "_LOCATE_SCREEN", screen)
+        for block in (geometry._LOCATE_BLOCK, 2 * 2 * tri.simplices.size, 2 * tri.simplices.size):
+            monkeypatch.setattr(geometry, "_LOCATE_BLOCK", block)
             with pytest.raises(GeometryDomainError) as got:
                 tri.locate_many(pts)
             with pytest.raises(GeometryDomainError) as want:
