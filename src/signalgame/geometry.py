@@ -88,7 +88,10 @@ _CANDIDATE_BLOCK = 1 << 15
 _LOCATE_BLOCK = 1 << 18
 # Rows from which one pass per column beats a NumPy reduction over the
 # last axis (_column_passes), and from which _lex_order's split sort beats
-# np.lexsort; below them the NumPy call's fixed cost is smaller.
+# np.lexsort; below them the NumPy call's fixed cost is smaller.  On a
+# 2-vCPU Xeon virtual machine (NumPy 2.4) the passes break even at 128-256
+# rows for _renormalize and 3-action receiver_best and at 256-512 for
+# 6 actions, and the split sort at 512-1024 rows of 3 and 4 columns.
 _COLUMN_PASS_ROWS = 256
 _LEX_SPLIT_ROWS = 512
 
@@ -843,30 +846,6 @@ def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.n
         return settled & (lowest < -EPS_MEMBER - slack)
 
 
-def _snap_to_corners(points: np.ndarray) -> None:
-    """Set every row within EPS_GEOM (sup norm) of a corner to that corner, in place.
-
-    Only the corner of a row's largest coordinate can be that close.
-    With many rows, one pass per column: corner t is that close when
-    coordinate t is within EPS_GEOM of 1 and every other one of 0, which
-    makes t the row's largest coordinate, with the same differences.
-    """
-    n = points.shape[1]
-    corners = np.eye(n)
-    if not _column_passes(points):
-        top = points.argmax(axis=1)
-        near = np.abs(points - corners[top]).max(axis=1) <= EPS_GEOM
-        points[near] = corners[top[near]]
-        return
-    small = np.abs(points) <= EPS_GEOM
-    for t in range(n):
-        near = np.abs(points[:, t] - 1.0) <= EPS_GEOM
-        for j in range(n):
-            if j != t:
-                near &= small[:, j]
-        points[near] = corners[t]
-
-
 def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     """Vertices of the cell arrangement cut out on the simplex.
 
@@ -942,7 +921,12 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
                 if inside.any():
                     points.append(_renormalize(sols[inside]))
     allpts = np.vstack(points)
-    _snap_to_corners(allpts)
+    # A row within EPS_GEOM (sup norm) of a corner is that corner, so that
+    # dedup cannot keep a near copy in its place; only the row's largest
+    # coordinate's corner can be that close.
+    top = allpts.argmax(axis=1)
+    near = np.abs(allpts - corners[top]).max(axis=1) <= EPS_GEOM
+    allpts[near] = corners[top[near]]
     allpts = allpts[_lex_order(allpts)]
     return allpts[_dedup_sorted(allpts)]
 

@@ -60,7 +60,7 @@ def test_no_kernel_chosen_products_in_location_and_enumeration():
     tree = ast.parse((PACKAGE / "geometry.py").read_text())
     functions = _functions(tree)
     scope = _reached(functions, ["Triangulation.locate_many", "candidate_vertices"])
-    assert {"_renormalize", "_row_sums", "_subset_blocks", "_lex_order", "_snap_to_corners"} <= set(scope)
+    assert {"_renormalize", "_row_sums", "_subset_blocks", "_lex_order"} <= set(scope)
     found = []
     for name in scope:
         for node in ast.walk(functions[name]):
@@ -168,22 +168,3 @@ def test_receiver_best_matches_the_row_reductions(monkeypatch, pass_rows):
             assert np.array_equal(_bits(part), _bits(want)), (rows, actions)
 
 
-@pytest.mark.parametrize("pass_rows", [1, geometry._COLUMN_PASS_ROWS])
-def test_snap_to_corners_matches_the_row_reductions(monkeypatch, pass_rows):
-    monkeypatch.setattr(geometry, "_COLUMN_PASS_ROWS", pass_rows)
-    rng = np.random.default_rng(17)
-    for n in (2, 3, 4):
-        for rows in (3, 400):
-            points = rng.dirichlet(np.ones(n), size=rows)
-            offsets = rng.choice([0.0, EPS_GEOM / 2, EPS_GEOM, 2 * EPS_GEOM], size=(rows, n))
-            offsets[0] = EPS_GEOM / 2  # row 0 is near a corner, row 1 is not
-            corner = np.eye(n)[rng.integers(0, n, size=rows)]
-            near = np.arange(rows) % 2 == 0
-            points[near] = np.abs(corner - offsets)[near]
-            want = points.copy()
-            top = want.argmax(axis=1)
-            close = np.abs(want - np.eye(n)[top]).max(axis=1) <= EPS_GEOM
-            want[close] = np.eye(n)[top[close]]
-            assert close[0] and not close[1]
-            geometry._snap_to_corners(points)
-            assert np.array_equal(_bits(points), _bits(want))
