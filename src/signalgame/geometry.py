@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
@@ -37,7 +38,7 @@ EPS_EQUILIBRIUM = 1e-9
 EPS_MEMBER = 1e-9
 # Functional and facet equality: dedup, hull facet clusters, affine fits.
 EPS_FUNCTIONAL = 1e-9
-# Oracle checks in validate_triangulation.
+# Oracle checks in validate_triangulation: boundary facets, degenerate cells, volume sum.
 EPS_ORACLE = 1e-9
 # Upper-hull normal: a lifted hull facet faces up above this component.
 EPS_HULL_NORMAL = 1e-10
@@ -408,9 +409,13 @@ class Triangulation:
         inv_c[i, 0] x_0 + inv_c[i, 1] x_1 + ..., one elementwise product
         and sum at a time in index order, so its bits do not depend on the
         kernel NumPy picks.  A block fills about _LOCATE_BLOCK floats of
-        one scratch array, so memory stays near one (P, n) array.  Raises
-        GeometryDomainError when a point is not covered by any cell
-        (naming the first such point).
+        one scratch array, so memory stays near one (P, n) array.
+
+        A point that no cell holds by weights goes to the cell whose
+        smallest signed facet distance (weight over the length of its
+        gradient along the simplex, so a sliver gets no stricter bound
+        than a fat cell) is largest, if that is >= -EPS_MEMBER.  Raises
+        GeometryDomainError naming the first point placed neither way.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         cols = self._inverse_columns
@@ -437,7 +442,15 @@ class Triangulation:
             picked = np.arange(k)
             missing = ~inside[first, picked]
             if missing.any():
-                raise GeometryDomainError(f"point {pts[start + missing.argmax()]} is not covered by any cell")
+                lost = np.flatnonzero(missing)
+                slopes = self._cell_inverses - self._cell_inverses.mean(axis=2, keepdims=True)
+                steepness = np.linalg.norm(slopes, axis=2).T[:, :, None]
+                nearest = (weights[:, :, lost] / steepness).min(axis=0)
+                best = nearest.argmax(axis=0)
+                far = ~(nearest[best, np.arange(len(lost))] >= -EPS_MEMBER)
+                if far.any():
+                    raise GeometryDomainError(f"point {pts[start + lost[far.argmax()]]} is not covered by any cell")
+                first[lost] = best
             cell_idx[start : start + k] = first
             lam[start : start + k] = weights[:, first, picked].T
         return cell_idx, _renormalize(lam)
@@ -580,103 +593,77 @@ def dedup_functionals(functionals) -> np.ndarray:
     return keys[np.sort(order[first])]
 
 
+def _orientation(rows: np.ndarray) -> int:
+    """Exact sign of det [x_0 ... x_{n-2}, 1] over n point rows of n coordinates:
+    Gaussian elimination, O(n^3), in fractions.Fraction on the float coordinates."""
+    m = [[Fraction(x) for x in row[:-1]] + [Fraction(1)] for row in rows.tolist()]
+    sign = 1
+    for k in range(len(m)):
+        pivot = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if pivot is None:
+            return 0
+        m[k], m[pivot] = m[pivot], m[k]
+        top = m[k]
+        sign *= (-1 if pivot != k else 1) * (-1 if top[k] < 0 else 1)
+        for below in m[k + 1 :]:
+            ratio = below[k] / top[k]
+            below[k + 1 :] = [x - ratio * y for x, y in zip(below[k + 1 :], top[k + 1 :])]
+    return sign
+
+
 def validate_triangulation(t: Triangulation) -> tuple[bool, list[str]]:
     """Check that t is a genuine triangulation of the whole simplex.
 
-    Verifies pairwise-distinct vertices, affinely independent cells,
-    the face-to-face property (each pairwise intersection is a common
-    face, via small LPs), and that cell volumes add up to the simplex
-    volume.  Returns (ok, list of human-readable problems).
+    Vertices must be pairwise distinct, cells not affinely degenerate,
+    and the cell volumes must add up to the simplex volume.  Each facet
+    (a cell's labels minus one) must be a boundary facet, of one cell
+    only, whose vertices share a coordinate <= EPS_ORACLE, or an interior
+    facet of exactly two cells whose opposite vertices lie on different
+    sides of it (_orientation, exact).  With the volume sum, the cells
+    then cover every point once and meet face to face.  Returns (ok,
+    list of human-readable problems).
     """
-    # the package's one user of scipy.optimize, whose import takes ~0.2 s
-    from scipy.optimize import linprog
-
     problems: list[str] = []
     verts = t.vertices
     n = t.n_states
-
     diffs = np.max(np.abs(verts[:, None, :] - verts[None, :, :]), axis=2)
-    np.fill_diagonal(diffs, 1.0)
-    dup = np.argwhere(diffs <= EPS_GEOM)
-    for i, j in dup:
-        if i < j:
-            problems.append(f"vertices {i} and {j} coincide")
-
+    problems += [f"vertices {i} and {j} coincide" for i, j in np.argwhere(np.triu(diffs <= EPS_GEOM, 1))]
     if len(t.simplices) == 0:
         problems.append("no cells: the simplex is not covered")
         return False, problems
-
     if n == 1:
-        return (len(problems) == 0), problems
+        return not problems, problems
 
-    cells = t.simplices.tolist()
-    total_volume = 0.0
-    degenerate = set()
-    for ci, cell in enumerate(cells):
-        pts = verts[cell]
-        # (n-1)! times the cell's volume: |det| of the vertex rows is the
-        # projected volume's multiple, and unlike a Gram determinant it
-        # keeps its relative accuracy on a sliver.
-        spanned = abs(float(np.linalg.det(pts))) * math.sqrt(n)
-        edge_scale = float(np.prod(np.linalg.norm(pts[1:] - pts[0], axis=1)))
-        if spanned <= EPS_ORACLE * max(edge_scale, 1e-30):
-            problems.append(f"cell {ci} is affinely degenerate")
-            degenerate.add(ci)
-            continue
-        total_volume += spanned / math.factorial(n - 1)
+    cells = np.sort(t.simplices, axis=1)
+    corners = verts[cells]
+    # |det| of the vertex rows is the cell's share of the simplex volume,
+    # and unlike a Gram determinant it keeps its relative accuracy on a sliver.
+    volumes = np.abs(np.linalg.det(corners))
+    edges = np.linalg.norm(corners[:, 1:] - corners[:, :1], axis=2).prod(axis=1)
+    degenerate = volumes * math.sqrt(n) <= EPS_ORACLE * np.maximum(edges, 1e-30)
+    problems += [f"cell {c} is affinely degenerate" for c in np.flatnonzero(degenerate)]
 
-    # Pairwise face-to-face: any point common to two cells must be a convex
-    # combination of their shared vertices.  Representations are unique for
-    # affinely independent cells, so it suffices to maximize the weight put
-    # on non-shared vertices over the intersection.
-    for ai in range(len(cells)):
-        if ai in degenerate:
-            continue
-        for bi in range(ai + 1, len(cells)):
-            if bi in degenerate:
-                continue
-            cell_a, cell_b = cells[ai], cells[bi]
-            if set(cell_a) == set(cell_b):
-                problems.append(f"cells {ai} and {bi} are identical")
-                continue
-            pa, pb = verts[cell_a], verts[cell_b]
-            if np.any(pa.min(axis=0) > pb.max(axis=0) + EPS_ORACLE) or np.any(
-                pb.min(axis=0) > pa.max(axis=0) + EPS_ORACLE
-            ):
-                continue
-            shared = set(cell_a) & set(cell_b)
-            free = np.array(
-                [1.0 * (v not in shared) for v in cell_a]
-                + [1.0 * (v not in shared) for v in cell_b]
-            )
-            if not free.any():
-                continue
-            n_a, n_b = len(cell_a), len(cell_b)
-            eq_rows = np.vstack(
-                [
-                    np.hstack([pa.T, -pb.T]),
-                    np.hstack([np.ones(n_a), np.zeros(n_b)]),
-                    np.hstack([np.zeros(n_a), np.ones(n_b)]),
-                ]
-            )
-            rhs = np.concatenate([np.zeros(n), [1.0, 1.0]])
-            res = linprog(-free, A_eq=eq_rows, b_eq=rhs, bounds=(0.0, None), method="highs")
-            if res.status == 2:
-                continue  # disjoint closures
-            if res.success and -res.fun > EPS_ORACLE:
-                problems.append(
-                    f"cells {ai} and {bi} intersect outside their common face"
-                )
-            elif not res.success:
-                problems.append(f"cells {ai} and {bi}: face check LP failed ({res.message})")
+    # facets[n * c + j] is cell c's labels without its j-th, apexes[n * c + j] that label
+    drop_one = np.array([np.delete(np.arange(n), j) for j in range(n)])
+    facets = cells[:, drop_one].reshape(-1, n - 1)
+    apexes = cells.reshape(-1)
+    keys, which, counts = np.unique(facets, axis=0, return_inverse=True, return_counts=True)
+    slots = np.split(np.argsort(which.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    on_boundary = (verts[keys] <= EPS_ORACLE).all(axis=1).any(axis=1)
+    for f in np.flatnonzero((counts == 1) & ~on_boundary):
+        problems.append(f"facet {tuple(keys[f].tolist())} of cell {slots[f][0] // n} is in no other cell")
+    for f in np.flatnonzero(counts > 2):
+        problems.append(f"facet {tuple(keys[f].tolist())} is in {counts[f]} cells {(slots[f] // n).tolist()}")
+    for f in np.flatnonzero(counts == 2):
+        a, b = (_orientation(verts[np.append(keys[f], apexes[s])]) for s in slots[f])
+        if a * b >= 0:
+            first, second = (slots[f] // n).tolist()
+            problems.append(f"cells {first} and {second} lie on one side of their facet {tuple(keys[f].tolist())}")
 
-    target = math.sqrt(n) / math.factorial(n - 1)
-    if abs(total_volume - target) > EPS_ORACLE * target:
-        problems.append(
-            f"cell volumes sum to {total_volume!r}, simplex volume is {target!r}"
-        )
-
-    return (len(problems) == 0), problems
+    total = volumes[~degenerate].sum()
+    if abs(total - 1.0) > EPS_ORACLE:
+        problems.append(f"cell volumes sum to {float(total)!r} times the simplex volume")
+    return not problems, problems
 
 
 def barycentric_indices(t: Triangulation, omega) -> tuple[np.ndarray, np.ndarray]:

@@ -11,10 +11,15 @@ prior.  Each game goes through ``solve`` and then ``evaluate`` with
 
 Run as ``PYTHONPATH=src python tests/near_tie_corpus.py [--states 3 4]``.
 It prints one line per game, with each command's exit code and the
-sha256 of its artifact, or the class of the stage error, and then per
-state count the number of games that exit 0, 1 and 2 (a game's exit is
-the larger of its two) and the error classes of those that exit 2.  The
-file has no ``test_`` prefix, so pytest does not collect it.
+sha256 of its artifact, or the class of the stage error.  When solve
+exits 0, every stage table of its artifact is rebuilt as
+``Triangulation(beliefs, simplices)`` and checked by
+``validate_triangulation``, and the line says ``oracle=ok`` or
+``oracle=rejected``.  Then, per state count, it prints the number of
+games that exit 0, 1 and 2 (a game's exit is the larger of its two), the
+error classes of those that exit 2, and the number of games whose solve
+artifact the oracle rejects.  The file has no ``test_`` prefix, so
+pytest does not collect it.
 
 ``near_tie_corpus_table.txt`` holds the two summary lines of
 ``--states 3 4``; CI fails when the run prints others.  A change that
@@ -35,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from signalgame.cli import main
+from signalgame.geometry import Triangulation, validate_triangulation
 
 SEEDS = {3: range(300), 4: range(60)}
 ACTIONS = 3
@@ -83,12 +89,22 @@ def error_class(message: str) -> str:
     return "other"
 
 
-def run_game(game: dict, workdir: Path) -> tuple[int, str | None, list[str]]:
+def oracle_accepts(solve_artifact: bytes) -> bool:
+    """Whether validate_triangulation accepts every stage table of a solve artifact."""
+    for table in json.loads(solve_artifact)["stages"]:
+        tri = Triangulation([vertex["belief"] for vertex in table["vertices"]], table["simplices"])
+        if not validate_triangulation(tri)[0]:
+            return False
+    return True
+
+
+def run_game(game: dict, workdir: Path) -> tuple[int, str | None, bool | None, list[str]]:
     """The game's exit (the larger of its commands'), the class of its last
-    stage error (None without one), and one field per command."""
+    stage error (None without one), the oracle's verdict on its solve
+    artifact (None unless solve exits 0), and one field per command."""
     path = workdir / "game.json"
     path.write_text(json.dumps(game))
-    worst, error, fields = 0, None, []
+    worst, error, accepted, fields = 0, None, None, []
     for command in ("solve", "evaluate"):
         out = workdir / f"{command}.out"
         out.unlink(missing_ok=True)
@@ -99,9 +115,13 @@ def run_game(game: dict, workdir: Path) -> tuple[int, str | None, list[str]]:
         if code == 2:
             error = error_class(err.getvalue())
             fields.append(f"{command}=2 {error}")
-        else:
-            fields.append(f"{command}={code} {hashlib.sha256(out.read_bytes()).hexdigest()}")
-    return worst, error, fields
+            continue
+        artifact = out.read_bytes()
+        fields.append(f"{command}={code} {hashlib.sha256(artifact).hexdigest()}")
+        if command == "solve" and code == 0:
+            accepted = oracle_accepts(artifact)
+            fields.append("oracle=ok" if accepted else "oracle=rejected")
+    return worst, error, accepted, fields
 
 
 def main_corpus(states: list[int]) -> None:
@@ -110,16 +130,22 @@ def main_corpus(states: list[int]) -> None:
         for n in states:
             exits = collections.Counter()
             classes = collections.Counter()
+            rejected = 0
             for seed in SEEDS[n]:
-                code, error, fields = run_game(near_tie_game(n, seed), Path(tmp))
+                code, error, accepted, fields = run_game(near_tie_game(n, seed), Path(tmp))
                 exits[code] += 1
                 if code == 2:
                     classes[error] += 1
+                rejected += accepted is False
                 print(f"n={n} seed={seed} " + " ".join(fields), flush=True)
-            summary[n] = exits, classes
-    for n, (exits, classes) in summary.items():
+            summary[n] = exits, classes, rejected
+    for n, (exits, classes, rejected) in summary.items():
         detail = ", ".join(f"{count} {name}" for name, count in sorted(classes.items()))
-        print(f"{n} states: {exits[0]}/{exits[1]}/{exits[2]} exit 0/1/2" + (f" ({detail})" if detail else ""))
+        print(
+            f"{n} states: {exits[0]}/{exits[1]}/{exits[2]} exit 0/1/2"
+            + (f" ({detail})" if detail else "")
+            + f"; the oracle rejects {rejected} solves"
+        )
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from near_tie_corpus import near_tie_game
 
 from signalgame.cli import (
     ConfigError,
@@ -19,7 +20,7 @@ from signalgame.cli import (
 )
 from signalgame import cli, geometry, solver
 from signalgame.evaluator import simulate
-from signalgame.game import save_spec
+from signalgame.game import save_spec, spec_from_dict
 from signalgame.solver import solve
 
 
@@ -191,29 +192,50 @@ def test_main_solves_a_game_with_near_corner_candidates(tmp_path):
     assert payload["violations"] == [] and payload["value_gap"] == 0.0
 
 
-def test_main_reports_flat_hull_faces_with_the_stage(tmp_path, capsys):
-    # A near-tie game with a stage-2 upper-hull face whose candidates are
-    # collinear within 2e-17 in its own plane (Qhull's QH6154).  The
-    # monotone chain walks that face as a segment, which adds no cell;
-    # the game then stops with a typed coverage error.
+# A near-tie game with a stage-2 upper-hull face whose candidates are
+# collinear within 2e-17 in its own plane (Qhull's QH6154).
+FLAT_FACE_GAME = {
+    "horizon": 3,
+    "states": ["x0", "x1", "x2"],
+    "actions": ["u0", "u1", "u2"],
+    "terminating": [],
+    "kernel": [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+               [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+               [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]],
+    "rewards_A": [[1.000000001, -0.999999999, 1.000000002], [1.00000001, 0.0, 1e-09],
+                  [1e-08, 1e-10, 0.0]],
+    "rewards_B": [[1e-08, 1e-10, -0.9999999999], [-0.99999999, 1e-08, 1.0],
+                  [1e-09, -0.999999999, 1.0]],
+    "prior": [0.1730801624849889, 0.4461758819705392, 0.38074395554447193],
+}
+
+
+def test_main_solves_a_game_with_a_flat_hull_face(tmp_path):
+    # The monotone chain walks the flat face as a segment, which adds no
+    # cell.  Stage 2 then evaluates stage 3 at [0.75, 0, 0.25] on the
+    # simplex's edge, which stage 3's cell 4 misses by a weight of -1.6e-9
+    # but by a distance of 2e-17: located by distance, the game solves.
     game = tmp_path / "game.json"
-    game.write_text(json.dumps({
-        "horizon": 3,
-        "states": ["x0", "x1", "x2"],
-        "actions": ["u0", "u1", "u2"],
-        "terminating": [],
-        "kernel": [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
-                   [[0.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                   [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]],
-        "rewards_A": [[1.000000001, -0.999999999, 1.000000002], [1.00000001, 0.0, 1e-09],
-                      [1e-08, 1e-10, 0.0]],
-        "rewards_B": [[1e-08, 1e-10, -0.9999999999], [-0.99999999, 1e-08, 1.0],
-                      [1e-09, -0.999999999, 1.0]],
-        "prior": [0.1730801624849889, 0.4461758819705392, 0.38074395554447193],
-    }))
+    game.write_text(json.dumps(FLAT_FACE_GAME))
+    for command in ("solve", "evaluate", "simulate"):
+        assert main([command, "--input", str(game), "--out", str(tmp_path / command)]) == 0
+    tri = solve(spec_from_dict(FLAT_FACE_GAME)).stage(3).triangulation
+    assert geometry.validate_triangulation(tri) == (True, [])
+    cells, lam = tri.locate_many(np.array([[0.75, 0.0, 0.25]]))
+    # its weight -1.6e-9 is clipped to zero
+    assert cells.tolist() == [4] and lam[0, 1] == 0.0 and np.abs(lam[0] - [0.5, 0.0, 0.5]).max() < 1e-8
+
+
+def test_main_reports_an_uncovered_point_with_the_stage(tmp_path, capsys):
+    # Near-tie corpus game (3 states, seed 60): stage 1 evaluates stage 2
+    # at a point 1.3e-9 from its nearest cell, beyond EPS_MEMBER.
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(near_tie_game(3, 60)))
     for command in ("solve", "evaluate", "simulate"):
         assert main([command, "--input", str(game)]) == 2
-        assert capsys.readouterr().err == "error: stage 2: point [0.75 0.   0.25] is not covered by any cell\n"
+        assert capsys.readouterr().err == (
+            "error: stage 1: point [1.22433629e-08 4.73008981e-09 9.99999983e-01] is not covered by any cell\n"
+        )
 
 
 def test_a_four_state_near_tie_game_solves_or_names_the_stage(tmp_path, capsys):
@@ -559,3 +581,32 @@ def test_run_writes_to_stdout_without_out(capsys):
     text = capsys.readouterr().out
     payload = json.loads(text)
     assert payload["format"] == "signalgame-solution-v1"
+
+
+@pytest.mark.parametrize(
+    "data, fragment",
+    [
+        ([1, 2], "envelope input must be a JSON object"),
+        ({"pieces": [{"weights": [1.0, 0.0]}]}, "envelope input needs 'states' and 'pieces'"),
+        ({"states": "two", "pieces": [{"weights": [1.0, 0.0]}]}, "envelope input needs 'states' and 'pieces'"),
+        ({"states": 0, "pieces": [{"weights": []}]}, "states >= 1 and a nonempty piece list"),
+        ({"states": 2, "pieces": []}, "states >= 1 and a nonempty piece list"),
+        ({"states": 2, "pieces": {"weights": [1.0, 0.0]}}, "states >= 1 and a nonempty piece list"),
+        ({"states": 2, "pieces": [{"min_of": []}]}, r"pieces\[0\]: min_of must be a nonempty list"),
+        ({"states": 2, "pieces": [[1.0, 0.0]]}, r"pieces\[0\]: expected an object with 'weights' and 'offset'"),
+        ({"states": 2, "pieces": [{"offset": 1.0}]}, r"pieces\[0\]: expected an object with 'weights' and 'offset'"),
+        ({"states": 2, "pieces": [{"min_of": [{"weights": ["a", 0.0]}]}]}, r"pieces\[0\]\.min_of\[0\]: could not convert"),
+        ({"states": 2, "pieces": [{"weights": [1.0, 0.0], "offset": "b"}]}, r"pieces\[0\]: could not convert"),
+        ({"states": 2, "pieces": [{"weights": [[1.0, 0.0]]}]}, r"pieces\[0\]: weights must be a finite vector"),
+        ({"states": 2, "pieces": [{"weights": [1.0, float("nan")]}]}, r"pieces\[0\]: weights must be a finite vector"),
+        ({"states": 2, "pieces": [{"weights": [1.0, 0.0, 0.0]}]}, r"pieces\[0\]: expected 2 weights, got 3"),
+    ],
+    ids=[
+        "array", "no-states", "states-not-int", "no-states-count", "no-pieces", "pieces-not-list",
+        "empty-min-of", "piece-not-object", "no-weights", "weights-not-numbers", "offset-not-number",
+        "weights-matrix", "weights-nan", "weights-count",
+    ],
+)
+def test_envelope_payload_names_each_input_problem(data, fragment):
+    with pytest.raises(ConfigError, match=fragment):
+        cli._envelope_payload(data)

@@ -32,8 +32,8 @@ def test_package_exports_are_the_module_exports():
 
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # Only the validate_triangulation oracle uses scipy.optimize, whose
-    # import would add most of the time of `import signalgame`.
+    # No module uses scipy.optimize, whose import would add most of the
+    # time of `import signalgame`; this keeps a new use from loading it eagerly.
     src = str(Path(signalgame.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, signalgame; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -451,3 +452,110 @@ def test_save_load_round_trip(tmp_path):
     for a, b in zip(back.kernels, spec.kernels):
         assert np.array_equal(a, b)
     assert np.array_equal(back.prior, spec.prior)
+
+
+def _tiny_fields(**changes):
+    """The GameSpec fields of _tiny_spec(), with some replaced."""
+    spec = _tiny_spec()
+    return {**{f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}, **changes}
+
+
+@pytest.mark.parametrize(
+    "changes, fragment",
+    [
+        ({"states": (("a", "b"),)}, "states must list one label set per stage"),
+        ({"actions": (("u0", "u1"),) * 3}, "actions must list one label set per stage"),
+        ({"terminating": (frozenset(),)}, "terminating must list one action set per stage"),
+        ({"kernels": ()}, "expected 1 kernels, got 0"),
+        ({"rewards_receiver": (np.zeros((2, 2)),)}, "rewards must list one matrix per stage for each player"),
+        ({"kernels": (np.full((2, 2, 3), 1 / 3),)}, "stage 1: kernel shape must be (2, 2, 2)"),
+        ({"kernels": ([[1.0], "x"],)}, "kernels must hold numeric arrays"),
+    ],
+    ids=["states", "actions", "terminating", "kernel-count", "reward-count", "kernel-shape", "kernel-values"],
+)
+def test_gamespec_names_each_count_and_shape_problem(changes, fragment):
+    with pytest.raises(SpecValidationError, match=re.escape(fragment)):
+        GameSpec(**_tiny_fields(**changes))
+
+
+@pytest.mark.parametrize("empty, fragment", [("states", "stage 1: no states"), ("actions", "stage 1: no actions")])
+def test_validate_spec_names_a_stage_without_states_or_actions(empty, fragment):
+    nx, nu = (0, 2) if empty == "states" else (2, 0)
+    spec = GameSpec(
+        horizon=1,
+        states=(("a", "b")[:nx],),
+        actions=(("u0", "u1")[:nu],),
+        terminating=(frozenset(),),
+        kernels=(),
+        rewards_principal=(np.zeros((nx, nu)),),
+        rewards_receiver=(np.zeros((nx, nu)),),
+        prior=np.full(nx, 1 / 2),
+    )
+    ok, problems = validate_spec(spec)
+    assert not ok and fragment in problems
+
+
+_GAME = {
+    "horizon": 2,
+    "states": ["a", "b"],
+    "actions": ["go", "stop"],
+    "terminating": ["stop"],
+    "kernel": [[[0.8, 0.2], [0.4, 0.6]], [[0.0, 1.0], [0.0, 1.0]]],
+    "rewards_A": [[1.0, 0.0], [0.0, 1.0]],
+    "rewards_B": [[0.0, 1.0], [1.0, 0.0]],
+    "prior": [0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize(
+    "changes, fragment",
+    [
+        ({"states": None}, "missing states"),
+        ({"prior": None}, "missing prior"),
+        ({"terminating": [["stop"], [], []]}, "terminating must give one action list per stage"),
+        ({"terminating": ["halt"]}, "stage 1: terminating action 'halt' is not an action"),
+    ],
+    ids=["states", "prior", "terminating-count", "terminating-label"],
+)
+def test_spec_from_dict_names_each_problem(changes, fragment):
+    data = {key: value for key, value in {**_GAME, **changes}.items() if value is not None}
+    with pytest.raises(SpecValidationError, match=re.escape(fragment)):
+        spec_from_dict(data)
+
+
+def test_load_spec_rejects_a_file_that_is_not_a_json_object(tmp_path):
+    path = tmp_path / "game.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(SpecValidationError, match="expected a JSON object"):
+        load_spec(path)
+
+
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: bayes_update([0.2, 0.3, 0.5], Experiment([[0.8, 0.2], [0.4, 0.6]]), 0), "belief dimension"),
+        (lambda: push_forward(_tiny_spec(), 1, [0.5, 0.5], 2), "action 2 outside 0..1"),
+        (lambda: push_forward(_tiny_spec(), 1, [0.2, 0.3, 0.5], 0), "belief dimension"),
+        (lambda: induced_distribution([0.2, 0.3, 0.5], Experiment([[0.8, 0.2], [0.4, 0.6]])), "belief dimension"),
+        (lambda: split_experiment([0.2, 0.3, 0.5], SupportMeasure([[1.0, 0.0]], [1.0])), "belief dimension"),
+        (lambda: Experiment([0.5, 0.5]), "nonempty matrix"),
+        (lambda: Experiment(np.empty((2, 0))), "nonempty matrix"),
+        (lambda: Experiment([[0.8, 0.2], [0.4, 0.6]], labels=(1,)), "one label per message"),
+    ],
+    ids=["bayes", "push-action", "push-dimension", "induced", "split", "experiment-1d", "experiment-empty", "labels"],
+)
+def test_game_functions_reject_mismatched_inputs(call, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        call()
+
+
+def test_experiment_message_probabilities():
+    e = Experiment([[0.8, 0.2], [0.4, 0.6]])
+    assert np.allclose(e.message_probabilities([0.5, 0.5]), [0.6, 0.4])
+    assert np.allclose(e.message_probabilities(Belief(3, [0.25, 0.75])), [0.5, 0.5])
+
+
+def test_induced_distribution_skips_a_message_of_zero_probability():
+    # message 1 is never sent from the support of the belief
+    mu = induced_distribution([1.0, 0.0], Experiment([[1.0, 0.0], [0.5, 0.5]]))
+    assert mu.points.tolist() == [[1.0, 0.0]] and mu.weights.tolist() == [1.0]

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 from test_cli import FLAT_CELL_GAME
-from test_goldens import GAME_3
+from near_tie_corpus import near_tie_game
+from test_goldens import GAME_1, GAME_3, GAME_3_2, GAME_RANDOM, NEAR_TIE_167
 
 from signalgame import geometry
+from signalgame.cli import builtin_example
 from signalgame.game import spec_from_dict
 from signalgame.geometry import (
     CANDIDATE_CAP,
@@ -200,6 +202,37 @@ def test_support_measure_validation_and_mean():
         SupportMeasure([[1.0, 0.0], [0.0, 1.0]], [1.0, 0.0])
 
 
+@pytest.mark.parametrize(
+    "call, fragment",
+    [
+        (lambda: SupportMeasure([1.0, 0.0], [1.0]), "nonempty 2-d array"),
+        (lambda: SupportMeasure(np.empty((0, 2)), []), "nonempty 2-d array"),
+        (lambda: SupportMeasure([[1.0, 0.0], [0.0, 1.0]], [1.0]), "weights shape"),
+        (lambda: SupportMeasure([[1.0, 0.0]], [np.nan]), "weights shape"),
+        (lambda: CellArrangement(0, []), "at least one state"),
+        (lambda: CellArrangement(2, [[1.0, -1.0]]), "functional dimension"),
+        (lambda: CellArrangement(2, [[1.0, np.inf, 0.0]]), "must be finite"),
+        (lambda: simplex_grid(0, 3), "n_states >= 1 and resolution >= 1"),
+        (lambda: simplex_grid(3, 0), "n_states >= 1 and resolution >= 1"),
+        (lambda: Triangulation(np.empty((0, 3)), ()), "nonempty 2-d array"),
+        (lambda: VertexInterpolant(_unit_triangulation(2), [0.0, np.inf]), "must be finite"),
+        (lambda: barycentric_indices(_unit_triangulation(3), [0.5, 0.5]), "point dimension"),
+    ],
+    ids=[
+        "measure-1d", "measure-empty", "measure-weights", "measure-nan", "arrangement-states",
+        "arrangement-width", "arrangement-inf", "grid-states", "grid-resolution", "no-vertices",
+        "interpolant-inf", "barycentric-dimension",
+    ],
+)
+def test_geometry_constructors_reject_malformed_inputs(call, fragment):
+    with pytest.raises(GeometryDomainError, match=fragment):
+        call()
+
+
+def test_triangulation_dim_is_one_less_than_the_states():
+    assert [_unit_triangulation(n).dim for n in (1, 2, 3, 4)] == [0, 1, 2, 3]
+
+
 def test_locate_many_unit_simplex():
     tri = _unit_triangulation(3)
     pts = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
@@ -384,10 +417,11 @@ def test_locate_many_names_the_first_uncovered_point_in_blocks_of_any_size(monke
     # Each first uncovered point comes before the centre, which no cell
     # holds either: a NaN row has a NaN weight in every cell, and the edge
     # point lies in the hole just past cell 0's facet, a few ulps beyond
-    # the membership bound, whether it shares a block with the centre or not.
-    edge = np.array([0.5, 0.25, 0.25]) - (EPS_MEMBER / 2 + 2.0**-52) * np.array([1.0, -0.5, -0.5])
-    weight = np.einsum("ij,j->i", tri._cell_inverses[0], edge)[0]
-    assert -EPS_MEMBER - 1e-14 < weight < -EPS_MEMBER
+    # the membership bound on its distance to the facet, whether it shares
+    # a block with the centre or not.
+    outward = np.array([1.0, -0.5, -0.5]) / math.sqrt(1.5)
+    edge = np.array([0.5, 0.25, 0.25]) - (EPS_MEMBER + 2.0**-50) * outward
+    assert -EPS_MEMBER - 1e-14 < _facet_distances(tri, edge)[0].min() < -EPS_MEMBER
     for uncovered in ([[np.nan, 0.5, 0.5], [1 / 3, 1 / 3, 1 / 3]], [edge, [1 / 3, 1 / 3, 1 / 3]]):
         pts = np.vstack([covered, uncovered, covered])
         for block in (geometry._LOCATE_BLOCK, 2 * 2 * tri.simplices.size, 2 * tri.simplices.size):
@@ -397,6 +431,56 @@ def test_locate_many_names_the_first_uncovered_point_in_blocks_of_any_size(monke
             with pytest.raises(GeometryDomainError) as want:
                 _locate_many_all_cells(tri, pts)
             assert str(got.value) == str(want.value) == f"point {pts[3]} is not covered by any cell"
+
+
+def _facet_distances(tri, point):
+    """(C, n): the signed distance from point to each cell's facet opposite
+    each vertex, the weight over the length of its gradient along the simplex."""
+    invs = tri._cell_inverses
+    slopes = invs - invs.mean(axis=2, keepdims=True)
+    return np.einsum("cij,j->ci", invs, point) / np.linalg.norm(slopes, axis=2)
+
+
+def _weights_in_index_order(tri, point):
+    """(C, n): the point's weights in every cell as locate_many sums them."""
+    invs = tri._cell_inverses
+    weights = invs[:, :, 0] * point[0]
+    for j in range(1, tri.n_states):
+        weights = weights + invs[:, :, j] * point[j]
+    return weights
+
+
+def test_locate_many_takes_a_point_within_the_membership_distance_of_a_cell():
+    # The point lies past cell 0's facet into the hole: its weight there
+    # is a few ulps below -EPS_MEMBER, but it is only 6.1e-10 from the facet.
+    verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]])
+    tri = Triangulation(verts, ((0, 3, 4), (1, 3, 5), (2, 4, 5)))
+    point = np.array([0.5, 0.25, 0.25]) - (EPS_MEMBER / 2 + 2.0**-52) * np.array([1.0, -0.5, -0.5])
+    assert -EPS_MEMBER - 1e-14 < _weights_in_index_order(tri, point)[0].min() < -EPS_MEMBER
+    assert -EPS_MEMBER < _facet_distances(tri, point)[0].min() < -EPS_MEMBER / 2
+    covered = np.array([[0.8, 0.1, 0.1], [0.5, 0.5, 0.0], [0.1, 0.1, 0.8]])
+    cells, lam = tri.locate_many(np.vstack([covered, point, covered]))
+    assert cells.tolist() == [0, 0, 2, 0, 0, 0, 2]
+    # its weights are clipped and renormalized, and the other rows are untouched
+    assert lam[3].tolist() == [0.0, 0.5, 0.5]
+    _assert_same_location((cells[4:], lam[4:]), _locate_many_all_cells(tri, covered))
+
+
+def test_locate_many_takes_seed_13s_uncovered_point_into_a_needle_cell():
+    # Stage 1 of near-tie corpus game (3 states, seed 13) evaluates the
+    # continuation at this point of stage 2's triangulation.  No cell holds
+    # it by weights, and the cell it lands in, 1.9e-17 away, is a needle.
+    tri = solve(spec_from_dict(near_tie_game(3, 13))).stage(2).triangulation
+    point = np.array([0.32810588058123613, 0.2748644645029597, 0.3970296549158042])
+    assert (_weights_in_index_order(tri, point).min(axis=1) < -EPS_MEMBER).all()
+    cells, lam = tri.locate_many(point[None, :])
+    assert cells.tolist() == [5] and tri.simplices[5].tolist() == [2, 6, 7]
+    assert -2e-17 < _facet_distances(tri, point)[5].min() < 0.0
+    # two of its vertices are 1.6e-9 apart; clipping a weight moves the
+    # split's mean by 1.1e-9
+    corners = tri.vertices[tri.simplices[5]]
+    assert np.abs(corners[1] - corners[2]).max() < 2e-9
+    assert lam.min() >= 0.0 and np.abs(lam[0] @ corners - point).max() < 2e-9
 
 
 def test_locate_many_memory_stays_near_one_points_array():
@@ -778,29 +862,165 @@ def test_validate_triangulation_detects_problems():
     dup = Triangulation(
         np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), ((0, 2),)
     )
-    ok, problems = validate_triangulation(dup)
-    assert not ok
+    assert validate_triangulation(dup) == (False, ["vertices 0 and 1 coincide"])
 
     gap = Triangulation(
         np.array([[1.0, 0.0], [0.6, 0.4], [0.0, 1.0]]), ((0, 1),)
     )
-    ok, problems = validate_triangulation(gap)
-    assert not ok
+    assert validate_triangulation(gap) == (
+        False,
+        ["facet (1,) of cell 0 is in no other cell", "cell volumes sum to 0.4 times the simplex volume"],
+    )
 
     overlap = Triangulation(
         np.array([[1.0, 0.0], [0.4, 0.6], [0.6, 0.4], [0.0, 1.0]]),
         ((0, 1), (2, 3), (1, 3)),
     )
-    ok, problems = validate_triangulation(overlap)
-    assert not ok
+    assert validate_triangulation(overlap) == (
+        False,
+        [
+            "facet (2,) of cell 1 is in no other cell",
+            "cells 1 and 2 lie on one side of their facet (3,)",
+            "cell volumes sum to 1.6 times the simplex volume",
+        ],
+    )
+
+
+def test_validate_triangulation_without_cells_and_in_one_state():
+    assert validate_triangulation(Triangulation(np.eye(3), ())) == (False, ["no cells: the simplex is not covered"])
+    assert validate_triangulation(_unit_triangulation(1)) == (True, [])
+
+
+def test_orientation_is_the_exact_sign():
+    # rows [x_0, x_1, 1] of three collinear points, then the middle one's x_0
+    # nudged by an ulp either way, which makes the determinant minus half
+    # the nudge
+    line = np.array([[0.25, 0.5, 0.25], [0.5, 0.25, 0.25], [0.75, 0.0, 0.25]])
+    assert geometry._orientation(line) == 0
+    for toward, sign in ((np.inf, -1), (-np.inf, 1)):
+        nudged = line.copy()
+        nudged[1, 0] = np.nextafter(0.5, toward)
+        assert geometry._orientation(nudged) == sign
+        assert geometry._orientation(nudged[[1, 0, 2]]) == -sign
+    assert geometry._orientation(np.eye(3)) == 1
+
+
+# e0, e1, e2 and the centre, which cones the three edges into a triangulation
+_CENTRED = np.vstack([np.eye(3), [[1 / 3, 1 / 3, 1 / 3]]])
+_CONED = ((0, 1, 3), (1, 2, 3), (2, 0, 3))
+
+
+def test_validate_triangulation_accepts_cells_in_any_label_order():
+    assert validate_triangulation(Triangulation(_CENTRED, _CONED)) == (True, [])
+    assert validate_triangulation(Triangulation(_CENTRED, ((3, 1, 0), (1, 3, 2), (0, 2, 3)))) == (True, [])
+
+
+def test_validate_triangulation_names_an_unmatched_interior_facet():
+    # the corner cells of the midpoint subdivision, without the middle one
+    verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]])
+    corners = ((0, 3, 4), (1, 3, 5), (2, 4, 5))
+    assert validate_triangulation(Triangulation(verts, corners)) == (
+        False,
+        [
+            "facet (3, 4) of cell 0 is in no other cell",
+            "facet (3, 5) of cell 1 is in no other cell",
+            "facet (4, 5) of cell 2 is in no other cell",
+            "cell volumes sum to 0.75 times the simplex volume",
+        ],
+    )
+    assert validate_triangulation(Triangulation(verts, corners + ((3, 4, 5),))) == (True, [])
+
+
+def test_validate_triangulation_names_a_facet_in_three_cells():
+    # a fourth cell on the far side of the centre's edge to e0 overlaps cell 2
+    verts = np.vstack([_CENTRED, [[0.5, 0.1, 0.4]]])
+    assert validate_triangulation(Triangulation(verts, _CONED + ((0, 3, 4),))) == (
+        False,
+        [
+            "facet (0, 4) of cell 3 is in no other cell",
+            "facet (3, 4) of cell 3 is in no other cell",
+            "facet (0, 3) is in 3 cells [0, 2, 3]",
+            "cell volumes sum to 1.1 times the simplex volume",
+        ],
+    )
+
+
+def test_validate_triangulation_names_neighbours_on_one_side_of_their_facet():
+    # A cell listed twice shares every facet with its copy, and the copies'
+    # opposite vertices coincide.
+    assert validate_triangulation(Triangulation(_CENTRED, _CONED + ((1, 0, 3),))) == (
+        False,
+        [
+            "facet (0, 3) is in 3 cells [0, 2, 3]",
+            "facet (1, 3) is in 3 cells [0, 1, 3]",
+            "cells 0 and 3 lie on one side of their facet (0, 1)",
+            "cell volumes sum to 1.3333333333333333 times the simplex volume",
+        ],
+    )
+    # A chain of segments that folds back at vertices 1 and 2: every facet
+    # is matched or on the boundary, and only the sides tell the folds.
+    verts = np.array([[1.0, 0.0], [0.5, 0.5], [0.75, 0.25], [0.0, 1.0]])
+    assert validate_triangulation(Triangulation(verts, ((0, 1), (1, 2), (2, 3)))) == (
+        False,
+        [
+            "cells 0 and 1 lie on one side of their facet (1,)",
+            "cells 1 and 2 lie on one side of their facet (2,)",
+            "cell volumes sum to 1.5 times the simplex volume",
+        ],
+    )
+
+
+def test_validate_triangulation_names_a_degenerate_cell():
+    # A cell 1e-10 high over a unit edge: not flat for Triangulation
+    # (EPS_DEGENERATE), but degenerate at EPS_ORACLE; the others tile the
+    # rest, so its volume is missing from the sum only within tolerance.
+    verts = np.vstack([np.eye(3), [[0.5 - 5e-11, 0.5 - 5e-11, 1e-10]]])
+    assert validate_triangulation(Triangulation(verts, ((0, 1, 3), (0, 3, 2), (3, 1, 2)))) == (
+        False,
+        ["cell 0 is affinely degenerate"],
+    )
+
+
+def test_validate_triangulation_names_a_missing_sliver_that_fits_in_the_volume_slack():
+    # Cell 3 is 5e-10 of the simplex volume, a sliver along the segment
+    # from e2 to the middle of the opposite edge.  Without it, the three
+    # facets that bound it have no neighbour, though the volumes add up
+    # within EPS_ORACLE.
+    verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.25 + 5e-10, 0.25 - 5e-10, 0.5]]])
+    cells = ((0, 3, 4), (0, 4, 2), (3, 1, 2), (3, 4, 2))
+    assert validate_triangulation(Triangulation(verts, cells)) == (True, [])
+    assert validate_triangulation(Triangulation(verts, cells[:3])) == (
+        False,
+        [
+            "facet (2, 3) of cell 2 is in no other cell",
+            "facet (2, 4) of cell 1 is in no other cell",
+            "facet (3, 4) of cell 0 is in no other cell",
+        ],
+    )
 
 
 def test_validate_triangulation_sums_sliver_volumes_exactly():
-    # The flat-cell game's stage 1 has a cell 1e-8 wide with unit edges;
-    # its volume from a Gram determinant was off by 7.2e-9 (relative).
+    # The flat-cell game's stage 1 (reproducer D) has a cell 1e-8 wide with
+    # unit edges: its volume from a Gram determinant was off by 7.2e-9
+    # (relative), and an LP at HiGHS's feasibility tolerance saw it overlap.
     tri = solve(spec_from_dict(FLAT_CELL_GAME)).stage(1).triangulation
-    _, problems = validate_triangulation(tri)
-    assert not [p for p in problems if "volume" in p or "degenerate" in p]
+    ok, problems = validate_triangulation(tri)
+    assert ok, problems
+
+
+def test_validate_triangulation_passes_every_golden_and_bench_stage(monkeypatch):
+    specs = [spec_from_dict(game) for game in (GAME_1, GAME_3, GAME_3_2, GAME_RANDOM, NEAR_TIE_167, FLAT_CELL_GAME)]
+    for name, c in (("quickest_detection", 0.1), ("detector", 0.15)):
+        specs.append(builtin_example(name, horizon=14))
+        specs += [builtin_example(name, p=0.2, c=c, horizon=horizon) for horizon in (40, 100)]
+    specs += _simplex_dense_specs(monkeypatch)
+    tris = {}
+    for spec in specs:
+        for st in solve(spec).stages:
+            tri = st.triangulation
+            tris[tri.vertices.tobytes(), tri.simplices.tobytes()] = tri
+    failed = [problems for ok, problems in map(validate_triangulation, tris.values()) if not ok]
+    assert len(tris) == 37 and not failed
 
 
 def _polygon_facets_qhull(ids, proj):

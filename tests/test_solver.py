@@ -7,7 +7,7 @@ import pytest
 from test_geometry import _simplex_dense_specs
 from test_goldens import GAME_3
 from signalgame.cli import builtin_example
-from signalgame.game import GameSpec, SpecValidationError, bayes_update, push_forward, spec_from_dict
+from signalgame.game import Belief, GameSpec, SpecValidationError, bayes_update, push_forward, spec_from_dict
 from signalgame import solver
 from signalgame.geometry import (
     Triangulation,
@@ -159,6 +159,20 @@ def test_q_values_stage_mismatch():
     nxt = stage_backup(spec, 3)
     with pytest.raises(ValueError):
         q_values(spec, 1, [0.5, 0.5], nxt)  # stage-3 solution is not stage 2
+
+
+@pytest.mark.parametrize("t", [0, 4])
+def test_solution_stage_out_of_range(t):
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 3))
+    with pytest.raises(ValueError, match=f"stage {t} outside 1..3"):
+        sol.stage(t)
+
+
+def test_q_values_rejects_a_belief_stamped_for_another_stage():
+    spec = builtin_example("quickest_detection", 0.2, 0.1, 3)
+    with pytest.raises(ValueError, match="belief is stamped for stage 2, not 3"):
+        q_values(spec, 3, Belief(2, [0.5, 0.5]))
+    assert q_values(spec, 3, Belief(3, [0.5, 0.5]))[0] == pytest.approx((1.0, 0.0))
 
 
 def test_q_values_terminating_drops_continuation():
