@@ -10,9 +10,12 @@ exact forward evaluation, Monte Carlo simulation, and one-shot
 deviation tests.
 """
 
-# Import order does not change import time: star imports first or
-# `from . import cli, ...` first, `import signalgame` took a median of
-# 0.6-0.7 s over 7 fresh interpreters on a 2-vCPU VM (mostly scipy.spatial).
+# `import signalgame` loads numpy alone: a median of 0.18 s over 7 fresh
+# interpreters on a 2-vCPU VM, against 0.5-0.6 s when geometry imported
+# scipy.spatial at module level.  scipy.spatial (Qhull, the k-d tree) loads
+# on the first envelope with 3 or more states, inside geometry.ConvexHull,
+# or when geometry's point dedup meets a near pair.  Import order does not
+# change import time.
 from .geometry import *
 from .game import *
 from .solver import *

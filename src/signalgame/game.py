@@ -348,8 +348,6 @@ def induced_distribution(belief, experiment: Experiment) -> SupportMeasure:
         slot = merged.setdefault(key, [0.0, np.zeros(pi.size)])
         slot[0] += probs[m]
         slot[1] += probs[m] * post
-    if not merged:
-        raise ValueError("experiment induces no message with positive probability")
     atoms = np.vstack([slot[1] / slot[0] for slot in merged.values()])
     weights = np.asarray([slot[0] for slot in merged.values()])
     order = np.lexsort(atoms.T[::-1])

@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 # Tolerance table: every numeric tolerance of the package, one per role.
 # Point coincidence, zero mass, and simplex rows (beliefs, vertices, atoms,
@@ -261,6 +260,8 @@ def _dedup_sorted(points: np.ndarray) -> np.ndarray:
     near_first = np.flatnonzero(np.append(close, False) | np.insert(close, 0, False))
     # The tree only narrows the search; the predicate itself is applied
     # below with the same float arithmetic as a row-by-row scan.
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(rows[near_first], balanced_tree=False)
     earlier, later = near_first[tree.query_pairs(2.0 * EPS_GEOM, p=np.inf, output_type="ndarray").T]
     near = (np.max(np.abs(rows[earlier] - rows[later]), axis=1) <= EPS_GEOM) & (
@@ -966,7 +967,18 @@ def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     return VertexInterpolant(tri, corner_vals)
 
 
-def _hull_faces(hull: ConvexHull, rows: np.ndarray) -> list[np.ndarray]:
+def ConvexHull(points: np.ndarray):
+    """scipy.spatial.ConvexHull(points), importing scipy.spatial on the first call.
+
+    Only envelopes of 3 or more states build hulls, so 2-state games
+    run without loading scipy.
+    """
+    import scipy.spatial
+
+    return scipy.spatial.ConvexHull(points)
+
+
+def _hull_faces(hull, rows: np.ndarray) -> list[np.ndarray]:
     """The hull facets rows grouped into faces, each face as its ascending point indices.
 
     The first facet not yet in a face starts one and takes every later
@@ -997,6 +1009,8 @@ def _face_facets(ids: tuple[int, ...], proj: np.ndarray, k: int) -> list[tuple[i
         x, y = local[order].T
         ring = order[_upper_chain(x, -y, 1.0) + _upper_chain(x, y, 1.0)[-2::-1]].tolist()
         return [tuple(sorted((ids[a], ids[b]))) for a, b in zip(ring[:-1], ring[1:])]
+    from scipy.spatial import QhullError
+
     try:
         hull = ConvexHull(local)
     except QhullError as err:
@@ -1030,6 +1044,8 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         return VertexInterpolant(Triangulation(cands, np.arange(n)[None, :]), vals)
     proj = cands[:, :-1]
     lifted = np.column_stack([proj, vals])
+    from scipy.spatial import QhullError
+
     try:
         hull = ConvexHull(lifted)
     except QhullError:

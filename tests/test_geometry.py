@@ -1079,6 +1079,14 @@ def test_a_polygon_flat_to_qhull_is_walked_as_a_segment():
     assert geometry._pull_face(ids, proj, 2) == []
 
 
+def test_a_flat_3_face_fails_with_a_typed_error():
+    # Five points on the plane z = 0: Qhull's initial simplex is flat.
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.3, 0.6, 0.0]])
+    ids = tuple(range(5))
+    with pytest.raises(GeometryDomainError, match=r"hull of the 3-face on candidates \(0, 1, 2, 3, 4\) failed: QH6154"):
+        geometry._face_facets(ids, flat, 3)
+
+
 def _volume_sum(proj, cells):
     volumes = [abs(np.linalg.det(proj[list(cell[1:])] - proj[cell[0]])) for cell in cells]
     return sum(volumes) / math.factorial(proj.shape[1])
