@@ -24,12 +24,12 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .evaluator import TRAJECTORIES, exact_value, one_shot_deviation_check, simulate
-from .game import GameSpec, SpecValidationError, _horizon, load_spec
+from .game import GameSpec, SpecValidationError, _horizon, _whole, load_spec
 from .game import validate_spec  # noqa: F401  (solve validates; bench/tracing.py wraps this name)
 from .geometry import (
     EPS_EQUILIBRIUM,
@@ -39,7 +39,7 @@ from .geometry import (
     argcav,
     dedup_functionals,
 )
-from .solver import EnvelopeDivergence, EquilibriumSolution, solve
+from .solver import EnvelopeDivergence, EquilibriumSolution, StageSolution, solve
 
 __all__ = [
     "ConfigError",
@@ -178,11 +178,15 @@ def _load_game(cfg: RunConfig) -> GameSpec:
         raise ConfigError(f"cannot read {cfg.input_path}: {err}") from err
 
 
+def _vertex_columns(st: StageSolution):
+    """(belief, value_principal, value_receiver, action) per triangulation vertex."""
+    return zip(st.triangulation.vertices.tolist(), st.values_principal.tolist(),
+               st.values_receiver.tolist(), st.vertex_actions)
+
+
 def _stage_table(solution: EquilibriumSolution, t: int) -> dict:
     st = solution.stage(t)
     labels = solution.spec.actions[t - 1]
-    columns = zip(st.triangulation.vertices.tolist(), st.values_principal.tolist(),
-                  st.values_receiver.tolist(), st.vertex_actions)
     return {
         "stage": t,
         "states": list(solution.spec.states[t - 1]),
@@ -195,7 +199,7 @@ def _stage_table(solution: EquilibriumSolution, t: int) -> dict:
                 "action": action,
                 "action_label": labels[action],
             }
-            for belief, value_a, value_b, action in columns
+            for belief, value_a, value_b, action in _vertex_columns(st)
         ],
         "simplices": st.triangulation.simplices.tolist(),
     }
@@ -233,13 +237,10 @@ def _sweep_text(solution: EquilibriumSolution, depth: int) -> str:
     buf.write(f"# {SWEEP_FORMAT} columns: stage, belief, value_principal, value_receiver, action\n")
     writer.writerow(["stage", *belief_cols, "value_principal", "value_receiver", "action"])
     for t in range(top, bottom - 1, -1):
-        st = solution.stage(t)
         labels = spec.actions[t - 1]
         pad = [""] * (widest - spec.n_states(t))
-        columns = zip(st.triangulation.vertices.tolist(), st.values_principal.tolist(),
-                      st.values_receiver.tolist(), st.vertex_actions)
         # csv writes a float as its repr
-        for coords, value_a, value_b, action in columns:
+        for coords, value_a, value_b, action in _vertex_columns(solution.stage(t)):
             belief = coords[:1] if widest <= 2 else coords + pad
             writer.writerow([t, *belief, value_a, value_b, labels[action]])
     return buf.getvalue()
@@ -270,9 +271,9 @@ def _envelope_payload(data: dict) -> dict:
     if not isinstance(data, dict):
         raise ConfigError("envelope input must be a JSON object")
     try:
-        n = int(data["states"])
+        n = _whole(data["states"], "states")
         raw_pieces = data["pieces"]
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, SpecValidationError) as err:
         raise ConfigError(f"envelope input needs 'states' and 'pieces': {err}") from err
     if n < 1 or not isinstance(raw_pieces, list) or not raw_pieces:
         raise ConfigError("envelope input needs states >= 1 and a nonempty piece list")
@@ -311,8 +312,6 @@ def _envelope_payload(data: dict) -> dict:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(out, "w") as fh:
             fh.write(text)
@@ -351,16 +350,7 @@ def run(cfg: RunConfig) -> int:
 
     if cfg.command == "simulate":
         report = simulate(solution, seed=cfg.seed, trajectories=cfg.trajectories)
-        payload = {
-            "format": SIMULATION_FORMAT,
-            "trajectories": report.trajectories,
-            "seed": report.seed,
-            "mean_principal": report.mean_principal,
-            "mean_receiver": report.mean_receiver,
-            "stderr_principal": report.stderr_principal,
-            "stderr_receiver": report.stderr_receiver,
-        }
-        _emit(_to_json(payload), cfg.out)
+        _emit(_to_json({"format": SIMULATION_FORMAT, **asdict(report)}), cfg.out)
         return 0
 
     value_a, value_b = solution.values_at_prior()
@@ -374,11 +364,7 @@ def run(cfg: RunConfig) -> int:
         "exact_principal": exact_a,
         "exact_receiver": exact_b,
         "value_gap": gap,
-        "receiver_checked": report.receiver_checked,
-        "principal_checked": report.principal_checked,
-        "max_receiver_gain": report.max_receiver_gain,
-        "max_principal_gain": report.max_principal_gain,
-        "violations": [dict(v) for v in report.violations],
+        **asdict(report),
     }
     _emit(_to_json(payload), cfg.out)
     return 0 if report.ok and gap <= EPS_EQUILIBRIUM else 1

@@ -303,7 +303,7 @@ _PROBES_PER_STAGE = 20
 _EXPERIMENTS_PER_BELIEF = 20
 # Probe rows per scoring batch of the deviation check.  It bounds the
 # batch's arrays and decides no draw, so it changes no result.  Below
-# _PROBE_BLOCK, so a stage of several chunks is scored a chunk at a time.
+# _PROBE_BLOCK, so a full chunk is scored alone.
 _BATCH_PROBES = 128
 
 
@@ -351,10 +351,10 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
 
     The draws are made stage by stage: the random probes, then per
     chunk of _PROBE_BLOCK probes the experiments' support sizes, atoms
-    and weights.  Consecutive stages with the same state count are
-    scored together, up to _BATCH_PROBES probes per batch; a stage with
-    more goes alone, one chunk per batch.  Within a batch, the stages
-    that share a stage solution (see _shared_solution) are scored in one
+    and weights.  A chunk joins the pending batch unless its state
+    count differs or it would take the batch past _BATCH_PROBES probes;
+    then the batch is scored first.  Within a batch, the stages that
+    share a stage solution (see _shared_solution) are scored in one
     objective call, and a solution's vertices are checked once.
     """
     spec = solution.spec
@@ -369,8 +369,7 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     max_gain_p = 0.0
     # per shared solution: the first stage met, whose cached interp serves
     # them all, and its vertex checks (see _vertex_check)
-    solutions: dict[tuple[int, ...], StageSolution] = {}
-    vertex_checks: dict[tuple[int, ...], tuple[float, np.ndarray, np.ndarray]] = {}
+    checked: dict[tuple[int, ...], tuple[StageSolution, tuple[float, np.ndarray, np.ndarray]]] = {}
     batch: list[_ProbeChunk] = []
 
     def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad: np.ndarray) -> None:
@@ -401,15 +400,15 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         for i, c in enumerate(batch):
             groups.setdefault(_shared_solution(c.solution), []).append(i)
         for key, members in groups.items():
-            st = solutions.setdefault(key, batch[members[0]].solution)
+            st, vertex_check = checked.get(key, (batch[members[0]].solution, None))
             rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
             used = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in members])
-            vertices = st.triangulation.vertices if key not in vertex_checks else np.empty((0, n))
+            vertices = st.triangulation.vertices if vertex_check is None else np.empty((0, n))
             q_a, q_b = st.objective.q_many(np.vstack([vertices, probes[rows], np.eye(n), atoms[used]]))
             _, psi, top = receiver_best(q_a, q_b)
             nv = len(vertices)
-            if nv:
-                vertex_checks[key] = _vertex_check(st, q_b[:nv], top[:nv])
+            if vertex_check is None:
+                checked[key] = (st, _vertex_check(st, q_b[:nv], top[:nv]))
             psi_probes[rows], psi_corners, psi_atoms[used] = np.split(psi[nv:], [len(rows), len(rows) + n])
             v[rows] = st.interp.evaluate_many(probes[rows])[:, 0]
             full_value[rows] = full[rows] @ psi_corners
@@ -425,7 +424,7 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         any_bad = bad.any()
         for i, c in enumerate(batch):
             if c.first:
-                gain_r, gains_r, bad_r = vertex_checks[_shared_solution(c.solution)]
+                gain_r, gains_r, bad_r = checked[_shared_solution(c.solution)][1]
                 receiver_checked += len(gains_r)
                 max_gain_r = max(max_gain_r, gain_r)
                 flag(("receiver_action", "receiver_bellman"), c.stage, c.solution.triangulation.vertices,
@@ -440,12 +439,11 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         n = spec.n_states(t)
         reachable = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
         probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=_PROBES_PER_STAGE)])
-        wide = len(probes) > _BATCH_PROBES
-        pending = sum(len(c.probes) for c in batch)
-        if batch and (wide or n != batch[0].probes.shape[1] or pending + len(probes) > _BATCH_PROBES):
-            score()
         for lo in range(0, len(probes), _PROBE_BLOCK):
             chunk = probes[lo : lo + _PROBE_BLOCK]
+            if batch and (n != batch[0].probes.shape[1]
+                          or sum(len(c.probes) for c in batch) + len(chunk) > _BATCH_PROBES):
+                score()
             shape = (len(chunk), count)
             draws = (
                 rng.integers(2, n + 2, shape),
@@ -453,8 +451,6 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
                 rng.standard_exponential((*shape, n + 1)),
             )
             batch.append(_ProbeChunk(t, st, chunk, draws, lo == 0))
-            if wide:
-                score()
     if batch:
         score()
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,12 +63,31 @@ def _coords(belief) -> np.ndarray:
     return belief.coords if isinstance(belief, Belief) else np.asarray(belief, dtype=float)
 
 
-def _horizon(raw) -> int:
-    """raw as a whole horizon >= 1 (an integral float is accepted)."""
+def _check_stamp(belief, stage: int) -> None:
+    """Reject a Belief stamped for a stage other than stage."""
+    if isinstance(belief, Belief) and belief.stage != stage:
+        raise ValueError(f"belief is stamped for stage {belief.stage}, not {stage}")
+
+
+def _whole(raw, what: str) -> int:
+    """raw as an int no larger than sys.maxsize (an integral float is accepted).
+
+    Larger values cannot size a tuple or an array.
+    """
     whole = isinstance(raw, (int, np.integer)) or (isinstance(raw, float) and raw.is_integer())
-    if not whole or isinstance(raw, bool) or raw < 1:
-        raise SpecValidationError(f"horizon must be a whole number >= 1, got {raw!r}")
+    if not whole or isinstance(raw, bool):
+        raise SpecValidationError(f"{what} must be a whole number, got {raw!r}")
+    if raw > sys.maxsize:
+        raise SpecValidationError(f"{what} {raw!r} exceeds the largest index, {sys.maxsize}")
     return int(raw)
+
+
+def _horizon(raw) -> int:
+    """raw as a whole horizon >= 1."""
+    horizon = _whole(raw, "horizon")
+    if horizon < 1:
+        raise SpecValidationError(f"horizon must be a whole number >= 1, got {raw!r}")
+    return horizon
 
 
 def _float_arrays(raw, what: str) -> tuple[np.ndarray, ...]:

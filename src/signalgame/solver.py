@@ -19,7 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .game import Belief, GameSpec, SpecValidationError, _coords, validate_spec
+from .game import GameSpec, SpecValidationError, _check_stamp, _coords, validate_spec
 from .geometry import (
     EPS_EQUILIBRIUM,
     EPS_TIE,
@@ -280,8 +280,7 @@ def q_values(spec: GameSpec, stage: int, belief, next_solution: StageSolution | 
     stage); terminating actions contribute reward only.
     """
     _check_next_solution(spec, stage, next_solution)
-    if isinstance(belief, Belief) and belief.stage != stage:
-        raise ValueError(f"belief is stamped for stage {belief.stage}, not {stage}")
+    _check_stamp(belief, stage)
     objective = _build_objective(spec, stage, next_solution)
     return objective.q_single(belief)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .game import Belief, Experiment, _coords, split_experiment
+from .game import Experiment, _check_stamp, _coords, split_experiment
 from .geometry import SupportMeasure, barycentric_indices
 from .solver import EquilibriumSolution, receiver_best
 
@@ -23,13 +23,6 @@ __all__ = [
 ]
 
 
-def _check_stage(solution: EquilibriumSolution, stage: int, belief) -> None:
-    if not 1 <= stage <= solution.spec.horizon:
-        raise ValueError(f"stage {stage} outside 1..{solution.spec.horizon}")
-    if isinstance(belief, Belief) and belief.stage != stage:
-        raise ValueError(f"belief is stamped for stage {belief.stage}, not {stage}")
-
-
 def principal_action(solution: EquilibriumSolution, stage: int, belief) -> Experiment:
     """Equilibrium experiment at a belief: the barycentric split.
 
@@ -37,8 +30,8 @@ def principal_action(solution: EquilibriumSolution, stage: int, belief) -> Exper
     induce; at a vertex the experiment is a single uninformative
     message.
     """
-    _check_stage(solution, stage, belief)
     stage_solution = solution.stage(stage)
+    _check_stamp(belief, stage)
     pi = _coords(belief)
     ids, weights = barycentric_indices(stage_solution.triangulation, pi)
     atoms = stage_solution.triangulation.vertices[ids]
@@ -48,8 +41,8 @@ def principal_action(solution: EquilibriumSolution, stage: int, belief) -> Exper
 
 def receiver_action(solution: EquilibriumSolution, stage: int, belief) -> int:
     """Equilibrium action index at a post-experiment belief."""
-    _check_stage(solution, stage, belief)
     stage_solution = solution.stage(stage)
+    _check_stamp(belief, stage)
     q_a, q_b = stage_solution.objective.q_single(_coords(belief))
     return int(receiver_best(q_a[None, :], q_b[None, :])[0][0])
 

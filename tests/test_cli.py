@@ -563,6 +563,40 @@ def test_envelope_rejects_non_finite_offset(tmp_path, capsys):
         assert "pieces[1].min_of[0]" in err and "offset" in err
 
 
+def test_oversized_horizon_exits_2_naming_the_value(tmp_path, capsys):
+    # a horizon above sys.maxsize cannot size the per-stage tuples
+    path = tmp_path / "huge.json"
+    save_spec(builtin_example("detector", horizon=2), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), "horizon": 1e300}))
+    for argv, value in (
+        (["solve", "--builtin", "detector", "--horizon", str(10**20)], str(10**20)),
+        (["solve", "--input", str(path)], "1e+300"),
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: horizon {value} exceeds the largest index") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("states", [2.7, "2", True])
+def test_envelope_rejects_states_that_are_not_whole(tmp_path, capsys, states):
+    path = tmp_path / "envelope.json"
+    path.write_text(json.dumps({"states": states, "pieces": [{"weights": [1.0, 0.0]}]}))
+    assert main(["envelope", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: envelope input needs 'states' and 'pieces': states must be a whole number, got {states!r}\n"
+
+
+def test_envelope_accepts_an_integral_float_states(tmp_path):
+    outputs = []
+    for states in (2, 2.0):
+        path = tmp_path / f"envelope_{states}.json"
+        out = tmp_path / f"out_{states}.json"
+        path.write_text(json.dumps({"states": states, "pieces": [{"weights": [1.0, 0.0]}, {"weights": [0.0, 1.0]}]}))
+        assert main(["envelope", "--input", str(path), "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_saved_builtin_solves_identically(tmp_path):
     spec = builtin_example("detector", 0.2, 0.15, 5)
     path = tmp_path / "game.json"

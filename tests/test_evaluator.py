@@ -578,16 +578,22 @@ def _report_fields(report):
             report.max_principal_gain, report.violations)
 
 
+_BATCH_GAMES = {
+    "quickest_detection": builtin_example("quickest_detection", 0.2, 0.1, 40),
+    "game3_2": spec_from_dict(GAME_3_2),
+    "near_tie_167": spec_from_dict(near_tie_game(3, 167)),
+}
+
+
+# With 20 probes a stage is one chunk; with 300 it spans two, and the
+# last one is pooled with the next stages' chunks below the larger bounds.
 @pytest.mark.parametrize(
-    "spec",
-    [
-        builtin_example("quickest_detection", 0.2, 0.1, 40),
-        spec_from_dict(GAME_3_2),
-        spec_from_dict(near_tie_game(3, 167)),
-    ],
-    ids=["quickest_detection", "game3_2", "near_tie_167"],
+    "spec, probes",
+    [pytest.param(spec, 20, id=name) for name, spec in _BATCH_GAMES.items()]
+    + [pytest.param(spec, 300, id=f"{name}-300_probes") for name, spec in _BATCH_GAMES.items()],
 )
-def test_deviation_report_does_not_depend_on_the_batch_bound(monkeypatch, spec):
+def test_deviation_report_does_not_depend_on_the_batch_bound(monkeypatch, spec, probes):
+    monkeypatch.setattr(evaluator, "_PROBES_PER_STAGE", probes)
     sol = solve(spec)
     reports = []
     for bound in (1, evaluator._BATCH_PROBES, 10**9):
