@@ -91,7 +91,8 @@ _LOCATE_BLOCK = 1 << 18
 # np.lexsort; below them the NumPy call's fixed cost is smaller.  On a
 # 2-vCPU Xeon virtual machine (NumPy 2.4) the passes break even at 128-256
 # rows for _renormalize and 3-action receiver_best and at 256-512 for
-# 6 actions, and the split sort at 512-1024 rows of 3 and 4 columns.
+# 6 actions, and the split sort, whose first-column argsort uses NumPy's
+# default (SIMD) kind, at 384-512 rows of 3 and 4 columns.
 _COLUMN_PASS_ROWS = 256
 _LEX_SPLIT_ROWS = 512
 
@@ -212,14 +213,16 @@ def simplex_grid(n_states: int, resolution: int) -> np.ndarray:
 def _lex_order(points: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (first coordinate major).
 
-    The permutation of np.lexsort(points.T[::-1]): a stable sort on the
-    first column, then np.lexsort on the other columns inside each run of
-    tied first coordinates, which keeps each run's order of indices on
-    full ties.  NaNs sort last and tie with each other, as in np.lexsort.
+    The permutation of np.lexsort(points.T[::-1]): a sort on the first
+    column (NumPy's default kind, which may dispatch to a SIMD kernel and
+    need not be stable), then np.lexsort inside each run of tied first
+    coordinates on the other columns and, last, the original index, so
+    each run comes out as np.lexsort orders it whichever kernel sorted.
+    NaNs sort last and tie with each other, as in np.lexsort.
     """
     if len(points) < _LEX_SPLIT_ROWS or points.shape[1] == 1:
         return np.lexsort(points.T[::-1])
-    order = np.argsort(points[:, 0], kind="stable")
+    order = np.argsort(points[:, 0])
     first = points[order, 0]
     tied = first[1:] == first[:-1]
     if np.isnan(first[-1]):
@@ -229,9 +232,9 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     with_prev = np.concatenate([[False], tied])
     at = np.flatnonzero(with_prev | np.append(tied, False))
     run = np.cumsum(~with_prev[at])
-    rows = points[order[at]]
-    inner = np.lexsort((*rows[:, :0:-1].T, run))
-    order[at] = order[at][inner]
+    index = order[at]
+    rows = points[index]
+    order[at] = index[np.lexsort((index, *rows[:, :0:-1].T, run))]
     return order
 
 
@@ -758,8 +761,12 @@ def _subset_blocks(m: int, r: int, size: int):
         yield block
 
 
-def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Which subsets' linear systems provably solve outside the simplex.
+def _screen_subsets(
+    pool_w: np.ndarray, at_corners: np.ndarray, norms: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(off, transversal): masks of the subsets whose linear systems provably
+    solve outside the simplex, and of those whose systems pass the
+    determinant test |det| > EPS_DEGENERATE * scale.
 
     Pool row s has weights w_s (norms[s] = |w_s|_2) and corner values
     at_corners[s] = F_s = w_s + b_s.  The system of an (n-1)-subset S
@@ -768,9 +775,13 @@ def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.n
     c_k = (-1)^(n-1+k) det(F_S without column k) and sum(c) = det [F_S; 1]
     is the system's determinant.  The minors come from a Laplace
     expansion along the rows (for n = 3, c is the cross product).  A
-    subset is flagged only when the closed form puts a coordinate below
-    -EPS_MEMBER - slack, so the LAPACK solution fails the membership
-    test too; subsets near singular are never flagged.
+    subset is flagged off only when the closed form puts a coordinate
+    below -EPS_MEMBER - slack, so the LAPACK solution fails the membership
+    test too; subsets near singular are never flagged.  A subset is
+    transversal when |sum(c)| clears the threshold by more than a bound on
+    its distance from np.linalg.det's value, and not when it falls short
+    by more; np.linalg.det decides the subsets in that band, so the mask
+    is exactly np.abs(np.linalg.det(systems)) > EPS_DEGENERATE * scale.
     """
     m = subsets.shape[1]
     n = m + 1
@@ -793,12 +804,18 @@ def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.n
         minor = minors[tuple(j for j in range(n) if j != k)]
         c.append(-minor if (m + k) % 2 else minor)
     total = sum(c)
-    # Error bound.  With u the unit roundoff, g(p) = p u / (1 - p u) and
+    # the product of the systems' row norms, row by row in order as
+    # np.prod(np.linalg.norm(systems, axis=2), axis=1) multiplies them
+    scale = norms[subsets[:, 0]]
+    for r in range(1, m):
+        scale *= norms[subsets[:, r]]
+    scale *= math.sqrt(n)  # the ones row's norm: its squares sum to n exactly
+    # Error bounds.  With u the unit roundoff, g(p) = p u / (1 - p u) and
     # scale = sqrt(n) prod_s |w_s|_2 (the product of the system's row norms):
     # pool rows come from dedup_functionals (max |w| = 1) or are corners, so
-    # every system row a has |a|_2 >= 1 and |a|_1 <= n, and a row that
-    # crosses the simplex has corner values within 2 of zero (plus its
-    # tiny margin), so |F_s|_1 <= 2n.
+    # every system row a has |a|_2 >= 1, |a|_1 <= n and entries within 1 of
+    # zero, and a row that crosses the simplex has corner values within 2
+    # of zero (plus its tiny margin), so |F_s|_1 <= 2n.
     # (1) LAPACK.  GEPP gives (A + dA) x~ = r with |dA|_inf <= g(3n) (1 +
     #     2 (n^2 - n) 2^(n-1)) |A|_inf (Higham, Accuracy and Stability of
     #     Numerical Algorithms, 2nd ed., Thm 9.4 and Lemma 9.6, growth
@@ -819,19 +836,49 @@ def _solves_off_simplex(at_corners: np.ndarray, norms: np.ndarray, subsets: np.n
     # |x^ - x|_inf + |x~ - x|_inf <= rel (1 + |x^|_inf) = slack, with room
     # for the division's rounding.  Subsets with rel > 1/4 (sum(c^) near
     # zero) are never flagged: the determinant test decides them.
+    # (3) np.linalg.det, which returns D for the system A with d = det A.
+    #     (a) A crossing row's corner values straddle zero (within its margin)
+    #     and span at most 2, so |F_s|_1 <= 2 (n - 1); with scale >= sqrt(n),
+    #     (2) gives |sum(c^) - d| <= e' = g(p) (2n - 2)^(n-1) scale / sqrt(n).
+    #     (b) GEPP computes L^U^ = PA + dA with |dA| <= g(n + 1) |L^||U^|
+    #     (Higham, Thm 9.3, in any order of the inner products; the + 1 covers
+    #     multipliers formed with the pivot's reciprocal, as getf2 does), and
+    #     |L^| <= 1, |U^| <= 2^(n-1) entrywise (growth factor), so each row of
+    #     dA has 2-norm at most h = g(n + 1) n^(3/2) 2^(n-1) times its row of
+    #     A.  Expanding det(A + P^T dA) row by row into 2^n determinants, each
+    #     under Hadamard's bound, |v - |d|| <= ((1 + h)^n - 1) scale <= 1.1
+    #     (n + 1) n^(5/2) 2^(n-1) u scale, where v = prod_i |u^_ii|.
+    #     (c) NumPy's det is sign exp(sum_i log |u^_ii|).  As |u^_ii| <=
+    #     2^(n-1), sum_i |log |u^_ii|| <= 2n (n-1) log 2 + log(1 / v), and the
+    #     logs, their sum and exp (each within 1 ulp) keep |D| / v within
+    #     (n + 3) u (that sum + 1) of one.  With t = EPS_DEGENERATE scale >=
+    #     1e-12, that moves |D| by less than u scale where v <= 2t (v log(1/v)
+    #     grows up to 1/e), and keeps |D| > t where v > 2t.
+    # So with band = e' + (1.1 (n + 1) n^(5/2) 2^(n-1) + 1) u scale, doubled
+    # below to cover the rounding of the scale, the bound and the comparisons,
+    # |sum(c^)| > t + band gives |D| > t and |sum(c^)| < t - band gives |D| <=
+    # t; np.linalg.det decides the subsets between.
+    u = np.finfo(float).eps / 2
     p = (n - 1) * (n - 2) // 2 + 3 * n - 4
     growth = 2 * (3 * n**3 * (1 + (n * n - n) * 2**n) + p * (2 * n) ** (n - 1))
-    bound = growth * (np.finfo(float).eps / 2) * math.sqrt(n)
-    for r in range(m):
-        bound = bound * norms[subsets[:, r]]
+    band = 2 * (p * (2 * n - 2) ** (n - 1) / math.sqrt(n) + 1.1 * (n + 1) * n**2.5 * 2 ** (n - 1) + 1) * u
     size_of_total = np.abs(total)
+    transversal = size_of_total > (EPS_DEGENERATE + band) * scale
+    unsure = ~transversal & (size_of_total >= (EPS_DEGENERATE - band) * scale)
+    if unsure.any():
+        rows = subsets[unsure]
+        systems = np.empty((len(rows), n, n))
+        systems[:, :m, :] = pool_w[rows]
+        systems[:, m, :] = 1.0
+        transversal[unsure] = np.abs(np.linalg.det(systems)) > EPS_DEGENERATE * scale[unsure]
+    bound = growth * u * scale
     settled = 4.0 * bound < size_of_total
     with np.errstate(divide="ignore", invalid="ignore"):
         x = [ck / total for ck in c]
         lowest = reduce(np.minimum, x)
         largest = reduce(np.maximum, [np.abs(xk) for xk in x])
         slack = bound / size_of_total * (1.0 + largest)
-        return settled & (lowest < -EPS_MEMBER - slack)
+        return settled & (lowest < -EPS_MEMBER - slack), transversal
 
 
 def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
@@ -848,10 +895,14 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
     zero, so every subset using one fails the membership test anyway.
     Each block then drops the subsets whose closed-form vertex lies
     outside the simplex by more than EPS_MEMBER plus a bound on both
-    its rounding and LAPACK's (_solves_off_simplex).  The kept subsets
-    are solved in the same order, one matrix at a time, so the points
-    are bit for bit those of the full pool.  The corners always appear,
-    and a point within EPS_GEOM (sup norm) of a corner becomes that corner.
+    its rounding and LAPACK's, and the non-transversal ones: |det| <=
+    EPS_DEGENERATE times the product of the system's row norms, decided
+    from the closed form's determinant unless it lies within a bound of
+    that threshold, where np.linalg.det decides (_screen_subsets).  The
+    kept subsets are solved in the same order, one matrix at a time, so
+    the points are bit for bit those of the full pool.  The corners
+    always appear, and a point within EPS_GEOM (sup norm) of a corner
+    becomes that corner.
     Rows come back lexicographically sorted and deduped at EPS_GEOM.
     Raises CandidateBudgetExceeded, before enumerating, when the full
     deduped pool has more than CANDIDATE_CAP subsets.
@@ -885,7 +936,8 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
 
         points = [corners]
         for subsets in _subset_blocks(len(pool_w), n - 1, _CANDIDATE_BLOCK):
-            subsets = subsets[~_solves_off_simplex(pool_at_corners, pool_norms, subsets)]
+            off, transversal = _screen_subsets(pool_w, pool_at_corners, pool_norms, subsets)
+            subsets = subsets[transversal & ~off]
             size = len(subsets)
             if size == 0:
                 continue
@@ -895,26 +947,19 @@ def candidate_vertices(arrangement: CellArrangement) -> np.ndarray:
             rhs = np.empty((size, n))
             rhs[:, : n - 1] = -pool_b[subsets]
             rhs[:, n - 1] = 1.0
-            dets = np.abs(np.linalg.det(systems))
-            # the product of the systems' row norms, row by row in order as
-            # np.prod(np.linalg.norm(systems, axis=2), axis=1) multiplies them
-            scale = pool_norms[subsets[:, 0]]
-            for r in range(1, n - 1):
-                scale *= pool_norms[subsets[:, r]]
-            scale *= math.sqrt(n)  # the ones row's norm: its squares sum to n exactly
-            transversal = dets > EPS_DEGENERATE * np.maximum(scale, 1e-30)
-            if transversal.any():
-                sols = np.linalg.solve(systems[transversal], rhs[transversal][..., None])[..., 0]
-                inside = reduce(np.minimum, sols.T) >= -EPS_MEMBER
-                if inside.any():
-                    points.append(_renormalize(sols[inside]))
+            sols = np.linalg.solve(systems, rhs[..., None])[..., 0]
+            inside = reduce(np.minimum, sols.T) >= -EPS_MEMBER
+            points.append(_renormalize(sols if inside.all() else sols[inside]))
     allpts = np.vstack(points)
     # A row within EPS_GEOM (sup norm) of a corner is that corner, so that
     # dedup cannot keep a near copy in its place; only the row's largest
-    # coordinate's corner can be that close.
-    top = allpts.argmax(axis=1)
-    near = np.abs(allpts - corners[top]).max(axis=1) <= EPS_GEOM
-    allpts[near] = corners[top[near]]
+    # coordinate's corner can be that close, and only if that coordinate
+    # is at least 1 - EPS_GEOM (x - 1 is exact there), so only rows with
+    # a coordinate of at least 1 - 2 EPS_GEOM are tested.
+    high = np.flatnonzero(allpts >= 1.0 - 2.0 * EPS_GEOM) // n
+    top = allpts[high].argmax(axis=1)
+    near = np.abs(allpts[high] - corners[top]).max(axis=1) <= EPS_GEOM
+    allpts[high[near]] = corners[top[near]]
     allpts = allpts[_lex_order(allpts)]
     return allpts[_dedup_sorted(allpts)]
 

@@ -5,6 +5,7 @@ import math
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1331,15 +1332,26 @@ def test_candidate_vertices_skips_rows_that_miss_the_simplex(monkeypatch, n, cro
     want = _candidate_vertices_one_shot(arrangement)
     # the row EPS_MEMBER / 2 outside adds points, clipped onto the facet
     assert len(_candidate_vertices_one_shot(CellArrangement(n, np.delete(rows, -2, axis=0)))) < len(want)
-    solved = []
-    det = np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda a: solved.append(len(a)) or det(a))
+    kept, solved, determined = [], [], []
+    screen, det, solve_systems = geometry._screen_subsets, np.linalg.det, np.linalg.solve
+
+    def screened(*args):
+        off, transversal = screen(*args)
+        kept.append(int((~off).sum()))
+        return off, transversal
+
+    monkeypatch.setattr(geometry, "_screen_subsets", screened)
+    monkeypatch.setattr(np.linalg, "det", lambda a: determined.append(len(a)) or det(a))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solved.append(len(a)) or solve_systems(a, b))
     got = candidate_vertices(arrangement)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # of the subsets of crossing rows and facets, only those whose closed-form
-    # vertex is not provably outside the simplex reach det and solve
-    kept = {3: 548, 4: 845}[n]
-    assert sum(solved) == kept < math.comb(crossing + 2 + n, n - 1) < math.comb(pool + n, n - 1)
+    # vertex is not provably outside the simplex are kept; of those, the
+    # transversal ones reach solve, and the closed form settles every
+    # determinant test, so det sees none of them
+    assert sum(kept) == {3: 548, 4: 845}[n] < math.comb(crossing + 2 + n, n - 1) < math.comb(pool + n, n - 1)
+    assert sum(solved) == {3: 545, 4: 775}[n]
+    assert not determined
 
 
 def _rows_through(point, weights):
@@ -1469,3 +1481,82 @@ def test_candidate_vertices_subset_prefilter_is_bit_exact_on_a_near_tie_game():
     for arrangement in seen:
         want = _candidate_vertices_one_shot(arrangement)
         assert np.array_equal(candidate_vertices(arrangement).view(np.int64), want.view(np.int64))
+
+
+def _exact_det(rows):
+    """Exact determinant of a small float matrix, as a Fraction (Leibniz formula)."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= Fraction(float(rows[i][j]))
+        total += term
+    return total
+
+
+# (w1, w2, other rows): base = w1, or (w1 + 1) / 2, makes [w1; base; others; 1]
+# singular, and w2 - base is a unit vector, so w = base + delta (w2 - base) gives
+# a system whose exact determinant is delta times that of w2's.  Unit vectors
+# are the pool's facet rows (b = 0); the other rows pass through an interior
+# point.  Pool rows have max |w| = 1, so their norms range from 1 to sqrt(n).
+_BAND_FAMILIES = {
+    3: [
+        ([1.0, -1.0, 0.0], [1.0, -1.0, 1.0], []),
+        ([1.0, 0.0, 0.0], [1.0, 1.0, 0.0], []),
+        ([1.0, -1.0, 0.5], [1.0, 1.0, 0.75], []),
+    ],
+    4: [
+        ([1.0, -1.0, 0.0, 0.0], [1.0, -1.0, 1.0, 0.0], [[0.0, 1.0, 0.0, -1.0]]),
+        ([1.0, 0.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0], [[0.0, 0.0, 1.0, 0.0]]),
+        ([1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 0.0], [[0.5, 1.0, -1.0, 0.25]]),
+    ],
+}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_candidate_vertices_transversal_band_matches_det(monkeypatch, n):
+    point = np.array([0.2, 0.3, 0.5] if n == 3 else [0.1, 0.2, 0.3, 0.4])
+    # exact |det| / scale: 200 steps within 1e-4 of EPS_DEGENERATE, 40 from half to twice it
+    ratios = np.concatenate([1.0 + np.linspace(-1e-4, 1e-4, 200), np.geomspace(0.5, 2.0, 40)])
+    w_rows, b_rows, subsets = [], [], []
+
+    def add(w, shift=0.0):
+        w_rows.append(np.asarray(w, dtype=float))
+        b_rows.append((0.0 if np.count_nonzero(w) == 1 else -(w_rows[-1] @ point)) + shift)
+        return len(w_rows) - 1
+
+    for w1, w2, others in _BAND_FAMILIES[n]:
+        w1, w2 = np.array(w1), np.array(w2)
+        base = w1 if np.count_nonzero(w2 - w1) == 1 else (w1 + 1.0) / 2.0
+        unit = _exact_det(np.vstack([w1, w2, *others, np.ones(n)]))
+        assert unit != 0 and np.count_nonzero(w2 - base) == 1
+        head, tail = [add(w1)], [add(w) for w in others]
+        norms = np.linalg.norm(np.vstack([w1, base, *others, np.ones(n)]), axis=1)
+        for ratio in ratios:
+            delta = EPS_DEGENERATE * ratio * np.prod(norms) / abs(float(unit))
+            subsets.append(head + [add(base + delta * (w2 - base))] + tail)
+        # exactly singular: w1 again, and w1 with another offset
+        subsets.append(head + [add(w1)] + tail)
+        subsets.append(head + [add(w1, shift=0.3)] + tail)
+    pool_w, pool_b = np.array(w_rows), np.array(b_rows)
+    subsets = np.array(subsets, dtype=np.intp)
+    systems = np.empty((len(subsets), n, n))
+    systems[:, : n - 1] = pool_w[subsets]
+    systems[:, n - 1] = 1.0
+    scale = np.prod(np.linalg.norm(systems, axis=2), axis=1)
+    ratio = np.array([float(abs(_exact_det(system))) for system in systems]) / scale / EPS_DEGENERATE
+    fine = np.abs(ratio - 1.0) <= 1.001e-4
+    assert fine.sum() == 200 * len(_BAND_FAMILIES[n])
+    assert (ratio[fine] > 1.0).sum() > 50 and (ratio[fine] < 1.0).sum() > 50
+    assert (ratio == 0.0).sum() == 2 * len(_BAND_FAMILIES[n])
+    want = np.abs(np.linalg.det(systems)) > EPS_DEGENERATE * scale
+
+    determined = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: determined.append(len(a)) or det(a))
+    at_corners = pool_w + pool_b[:, None]
+    _, transversal = geometry._screen_subsets(pool_w, at_corners, np.linalg.norm(pool_w, axis=1), subsets)
+    assert np.array_equal(transversal, want)
+    # det decides every fine step, but the closed form decides some coarse ones
+    assert 200 * len(_BAND_FAMILIES[n]) <= sum(determined) < len(subsets) - 2 * len(_BAND_FAMILIES[n])
