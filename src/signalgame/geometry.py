@@ -76,16 +76,27 @@ class GeometryDomainError(ValueError):
 # 482,653, and after dropping the subsets whose vertex provably misses
 # the simplex it solves 130,230.  Subsets are enumerated in blocks of
 # _CANDIDATE_BLOCK, so enumeration memory stays near one block's systems
-# (15 MiB traced) whatever the count.  The cap bounds time on the full
-# pool, because pruning may keep every subset: 2,000,000 subsets of rows
-# that all cross the simplex take about 1.5 s at 3 and 4 states on a
-# 2-vCPU Xeon virtual machine.
+# (12.4 MiB traced on that stage) whatever the count.  The objective pass
+# over that stage's 128,818 candidates then traces 15.0 MiB: 88 bytes per
+# candidate (the action values, next beliefs and continuation values of
+# 3 states and 3 actions) plus one _EVALUATE_BLOCK.  The cap bounds time
+# on the full pool, because pruning may keep every subset: 2,000,000
+# subsets of rows that all cross the simplex take about 1.5 s at 3 and 4
+# states on a 2-vCPU Xeon virtual machine.
 CANDIDATE_CAP = 2_000_000
 # Subsets candidate_vertices enumerates and filters per batch of linear systems.
 _CANDIDATE_BLOCK = 1 << 15
 # Floats of scratch Triangulation.locate_many fills per block of points,
 # 2 * n * C * rows: 2 MiB whatever the cell count.
 _LOCATE_BLOCK = 1 << 18
+# Rows VertexInterpolant.evaluate_many locates and interpolates per block on
+# 3+ states, so the stage objective's pass over every candidate holds a few
+# (rows, n) arrays at a time (4 MiB at 3 states) besides its (P, n) input
+# and output.  On the two largest such passes of the simplex-dense
+# benchmark (128,818 and 36,062 candidates; a 2-vCPU Xeon virtual machine,
+# NumPy 2.4, medians of 15 interleaved rounds) time is flat from 2^14 to
+# 2^16 rows, 108-110 ms, against 108 ms unblocked; 2^12 rows take 120 ms.
+_EVALUATE_BLOCK = 1 << 15
 # Rows from which one pass per column beats a NumPy reduction over the
 # last axis (_column_passes), and from which _lex_order's split sort beats
 # np.lexsort; below them the NumPy call's fixed cost is smaller.  On a
@@ -138,9 +149,10 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _renormalize(rows: np.ndarray) -> np.ndarray:
-    """rows clipped at zero, then divided by their sums along the last axis."""
-    rows = np.clip(rows, 0.0, None)
+def _renormalize(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rows clipped at zero, then divided by their sums along the last axis,
+    in a new array or in out (which may be rows itself)."""
+    rows = np.clip(rows, 0.0, None, out=out)
     rows /= _row_sums(rows)[..., None]
     return rows
 
@@ -313,6 +325,15 @@ class SupportMeasure:
         return self.weights @ self.points
 
 
+def _point_rows(points, n_states: int) -> np.ndarray:
+    """points as a float (P, n_states) array, one point per row; a single
+    point is one row.  Any other shape raises GeometryDomainError."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != n_states:
+        raise GeometryDomainError(f"points of shape {pts.shape} do not have {n_states} coordinates, one per state")
+    return pts
+
+
 def _flat_cells(corners: np.ndarray) -> np.ndarray:
     """Mask of the flat cells of a (C, n, n) stack of vertex rows: |det| <= EPS_DEGENERATE
     * prod_j |v_j - v_0|, relative to the edges so that a 1e-9-sized corner cell is kept."""
@@ -421,7 +442,7 @@ class Triangulation:
         than a fat cell) is largest, if that is >= -EPS_MEMBER.  Raises
         GeometryDomainError naming the first point placed neither way.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _point_rows(points, self.n_states)
         cols = self._inverse_columns
         n, _, n_cells, _ = cols.shape
         if n_cells == 0 and len(pts):
@@ -457,7 +478,7 @@ class Triangulation:
                 first[lost] = best
             cell_idx[start : start + k] = first
             lam[start : start + k] = weights[:, first, picked].T
-        return cell_idx, _renormalize(lam)
+        return cell_idx, _renormalize(lam, out=lam)
 
     def split_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Barycentric split of each point onto vertex labels: (labels, weights), each (P, n).
@@ -522,14 +543,30 @@ class VertexInterpolant:
         return (xs[order], self.values[order]) if chained else None
 
     def evaluate_many(self, points) -> np.ndarray:
-        """Values at each row of points: shape (P,), or (P, k) for k columns."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        """Values at each row of points: shape (P,), or (P, k) for k columns.
+
+        Off the 2-state chain, rows are located and interpolated
+        _EVALUATE_BLOCK at a time into one output array.  A row's value
+        depends on that row alone, so its bits do not depend on the block.
+        """
         tri = self.triangulation
+        pts = _point_rows(points, tri.n_states)
         if tri.n_states == 2 and self._interp_xy is not None:
             xs, ys = self._interp_xy
             return _by_column(lambda col: np.interp(pts[:, 0], xs, col), ys, axis=-1)
-        cells, lam = tri.locate_many(pts)
-        corners = tri.simplices[cells]
+        out = np.empty((len(pts),) + self.values.shape[1:])
+        for start in range(0, len(pts), _EVALUATE_BLOCK):
+            block = pts[start : start + _EVALUATE_BLOCK]
+            out[start : start + len(block)] = self._located_values(block)
+        return out
+
+    def _located_values(self, points: np.ndarray) -> np.ndarray:
+        """evaluate_many of (P, n) points through Triangulation.locate_many.
+
+        Its own frame, so one block's arrays are freed before the next
+        block is located."""
+        cells, lam = self.triangulation.locate_many(points)
+        corners = self.triangulation.simplices[cells]
         return _by_column(lambda col: np.einsum("pi,pi->p", lam, col[corners]), self.values, axis=-1)
 
     def __call__(self, omega) -> float | np.ndarray:

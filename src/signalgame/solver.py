@@ -72,13 +72,22 @@ class StageObjective:
         """Action values for both players at each row of points.
 
         Returns (q_principal, q_receiver), each of shape (k, n_actions).
+        Each product is one whole-array call (its bits may depend on the
+        row count), written into preallocated arrays: the next beliefs
+        of every action share one buffer, renormalized in place.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        q = np.stack([pts @ self.reward_principal, pts @ self.reward_receiver])
+        q = np.empty((2, len(pts), len(self.kernels)))
+        np.matmul(pts, self.reward_principal, out=q[0])
+        np.matmul(pts, self.reward_receiver, out=q[1])
+        beliefs = None
         for u, kernel in enumerate(self.kernels):
             if kernel is None:
                 continue
-            q[:, :, u] += self.next_values.evaluate_many(_renormalize(pts @ kernel)).T
+            if beliefs is None:
+                beliefs = np.empty((len(pts), kernel.shape[1]))
+            _renormalize(np.matmul(pts, kernel, out=beliefs), out=beliefs)
+            q[:, :, u] += self.next_values.evaluate_many(beliefs).T
         return q[0], q[1]
 
     def q_single(self, belief) -> tuple[np.ndarray, np.ndarray]:

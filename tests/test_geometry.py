@@ -319,8 +319,9 @@ def _simplex_dense_specs(monkeypatch):
 
 
 def test_locate_many_matches_the_all_cells_reference_on_the_simplex_dense_solves(monkeypatch):
-    sizes = []
+    sizes, evaluated = [], []
     walk = Triangulation.locate_many
+    evaluate = VertexInterpolant.evaluate_many
 
     def checked(tri, points):
         got = walk(tri, points)
@@ -328,10 +329,17 @@ def test_locate_many_matches_the_all_cells_reference_on_the_simplex_dense_solves
         sizes.append(len(got[0]))
         return got
 
+    def counted(f, points):
+        evaluated.append(len(points))
+        return evaluate(f, points)
+
     monkeypatch.setattr(Triangulation, "locate_many", checked)
+    monkeypatch.setattr(VertexInterpolant, "evaluate_many", counted)
     for spec in _simplex_dense_specs(monkeypatch):
         solve(spec)
-    assert len(sizes) > 30 and max(sizes) > 100_000
+    # evaluate_many locates in blocks, so one call no longer holds the
+    # largest pass; its blocks are all checked above
+    assert len(sizes) > 30 and sum(sizes) > 500_000 and max(evaluated) > 100_000
 
 
 def _min_of_pieces_triangulation(n, pieces, seed):
@@ -500,6 +508,92 @@ def test_locate_many_memory_stays_near_one_points_array():
     # all cells' weights at once, (100,000, 14, 3) floats, are 33.6 MB
     assert peak < 16 * 2**20
     _assert_same_location(got, _locate_many_all_cells(tri, pts))
+
+
+def _holed_triangulation(n):
+    """A min-of-pieces triangulation less one cell, the hole, plus points:
+    (tri, the hole's centroid, a point in the hole that only the facet
+    distance places, its cell).  The point lies just past the steepest
+    facet that the hole shares with a kept cell."""
+    full = _min_of_pieces_triangulation(n, 7, seed=n)
+    slopes = full._cell_inverses - full._cell_inverses.mean(axis=2, keepdims=True)
+    steepness, owner, hole, k = max(
+        (np.linalg.norm(slopes[c, k]), c, h, k)
+        for c, h in itertools.permutations(range(len(full.simplices)), 2)
+        for k in range(n)
+        if set(full.simplices[c]) - {full.simplices[c][k]} <= set(full.simplices[h])
+    )
+    tri = Triangulation(full.vertices, np.delete(full.simplices, hole, axis=0))
+    facet = np.delete(full.vertices[full.simplices[owner]], k, axis=0).mean(axis=0)
+    # the weight drops by steepness per unit step: below -EPS_MEMBER, while
+    # the distance stays above it
+    step = EPS_MEMBER * (1.0 + 1.0 / steepness) / 2.0
+    point = facet - step * slopes[owner, k] / steepness
+    assert steepness > 2.0 and (_weights_in_index_order(tri, point).min(axis=1) < -EPS_MEMBER).all()
+    assert _facet_distances(tri, point).min(axis=1).max() >= -EPS_MEMBER
+    return tri, full.vertices[full.simplices[hole]].mean(axis=0), point, owner - (owner > hole)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("columns", [None, 2], ids=["1-d", "2-column"])
+def test_evaluate_many_gives_the_one_block_bits_in_blocks_of_any_size(n, columns, monkeypatch):
+    rng = np.random.default_rng(60 + n)
+    tri, centre, point, cell = _holed_triangulation(n)
+    values = rng.normal(size=(tri.n_vertices,) if columns is None else (tri.n_vertices, columns))
+    f = VertexInterpolant(tri, values)
+    corners = tri.vertices[tri.simplices]
+    first, second = np.array([edge for c in corners for edge in itertools.combinations(c, 2)]).transpose(1, 0, 2)
+    inside = np.einsum("cp,cpj->cj", rng.dirichlet(np.ones(n), size=len(corners)), corners)
+    # vertices and edge points lie on faces that cells share
+    pts = np.vstack([tri.vertices[np.unique(tri.simplices)], (first + second) / 2, (first + 2 * second) / 3, inside, point])
+    pts = np.insert(pts[rng.permutation(len(pts))], 5, point, axis=0)
+    assert tri.locate_many(point[None, :])[0].tolist() == [cell]
+    want = f.evaluate_many(pts)
+    empty = f.evaluate_many(np.empty((0, n)))
+    assert want.shape == (len(pts),) + values.shape[1:] and empty.shape == (0,) + values.shape[1:]
+    holed = np.insert(pts, [11, 23], [centre, centre + 1e-3 * (point - centre)], axis=0)
+    for block in (1, 7, geometry._EVALUATE_BLOCK):
+        monkeypatch.setattr(geometry, "_EVALUATE_BLOCK", block)
+        assert np.array_equal(f.evaluate_many(pts).view(np.int64), want.view(np.int64))
+        assert np.array_equal(f.evaluate_many(np.empty((0, n))), empty)
+        with pytest.raises(GeometryDomainError) as got:
+            f.evaluate_many(holed)
+        assert str(got.value) == f"point {holed[11]} is not covered by any cell"
+
+
+def test_evaluate_many_memory_stays_near_one_points_array():
+    # the 14-cell fan of test_locate_many_memory_stays_near_one_points_array,
+    # with two value columns
+    ts = np.linspace(0.0, 1.0, 15)
+    verts = np.vstack([[1.0, 0.0, 0.0], np.column_stack([np.zeros(15), 1.0 - ts, ts])])
+    tri = Triangulation(verts, tuple((0, k, k + 1) for k in range(1, 15)))
+    f = VertexInterpolant(tri, np.random.default_rng(6).normal(size=(16, 2)))
+    pts = np.random.default_rng(5).dirichlet(np.ones(3), size=100_000)
+    want = f.evaluate_many(pts)
+    tracemalloc.start()
+    try:
+        got = f.evaluate_many(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (100,000, 2) output is 1.5 MiB; located all at once the pass
+    # holds 10.5 MiB, in blocks 5.7 MiB
+    assert peak < 7 * 2**20
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_location_and_interpolation_reject_points_of_another_dimension():
+    segment = VertexInterpolant(_unit_triangulation(2), np.array([1.0, 2.0]))
+    with pytest.raises(GeometryDomainError, match=r"shape \(1, 3\) do not have 2 coordinates"):
+        segment.evaluate_many(np.array([[0.2, 0.3, 0.5]]))
+    with pytest.raises(GeometryDomainError, match=r"shape \(1, 3\) do not have 2 coordinates"):
+        segment([0.2, 0.3, 0.5])
+    tri = _unit_triangulation(3)
+    for point, shape in (([0.4, 0.6], r"\(1, 2\)"), ([0.1, 0.2, 0.3, 0.4], r"\(1, 4\)")):
+        with pytest.raises(GeometryDomainError, match=shape + " do not have 3 coordinates"):
+            tri.locate_many(np.array([point]))
+        with pytest.raises(GeometryDomainError, match=shape + " do not have 3 coordinates"):
+            VertexInterpolant(tri, np.zeros(3)).evaluate_many(np.array([point]))
 
 
 def test_split_many_rows():
