@@ -322,16 +322,6 @@ class _ProbeChunk:
     first: bool
 
 
-def _shared_solution(st: StageSolution) -> tuple[int, ...]:
-    """Stages with the same key share every object the deviation check reads.
-
-    Memo hits of solve share all of them; a stage rebuilt with some
-    field replaced gets a key of its own.
-    """
-    return tuple(map(id, (st.objective, st.triangulation, st.vertex_actions,
-                          st.values_principal, st.values_receiver)))
-
-
 def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> DeviationReport:
     """Search for profitable one-shot deviations by either player.
 
@@ -354,8 +344,8 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     and weights.  A chunk joins the pending batch unless its state
     count differs or it would take the batch past _BATCH_PROBES probes;
     then the batch is scored first.  Within a batch, the stages that
-    share a stage solution (see _shared_solution) are scored in one
-    objective call, and a solution's vertices are checked once.
+    share a StageSolution object are scored in one objective call, and
+    a solution's vertices are checked once.
     """
     spec = solution.spec
     rng = np.random.default_rng(np.random.SeedSequence(seed))
@@ -367,9 +357,8 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     principal_checked = 0
     max_gain_r = 0.0
     max_gain_p = 0.0
-    # per shared solution: the first stage met, whose cached interp serves
-    # them all, and its vertex checks (see _vertex_check)
-    checked: dict[tuple[int, ...], tuple[StageSolution, tuple[float, np.ndarray, np.ndarray]]] = {}
+    # id of each StageSolution met: its vertex checks (see _vertex_check)
+    checked: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     batch: list[_ProbeChunk] = []
 
     def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad: np.ndarray) -> None:
@@ -396,19 +385,19 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         full /= full.sum(axis=1, keepdims=True)
         psi_probes, v, full_value = np.empty((3, len(probes)))
         psi_atoms = np.empty(len(atoms))
-        groups: dict[tuple[int, ...], list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for i, c in enumerate(batch):
-            groups.setdefault(_shared_solution(c.solution), []).append(i)
+            groups.setdefault(id(c.solution), []).append(i)
         for key, members in groups.items():
-            st, vertex_check = checked.get(key, (batch[members[0]].solution, None))
+            st = batch[members[0]].solution
             rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
             used = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in members])
-            vertices = st.triangulation.vertices if vertex_check is None else np.empty((0, n))
+            vertices = np.empty((0, n)) if key in checked else st.triangulation.vertices
             q_a, q_b = st.objective.q_many(np.vstack([vertices, probes[rows], np.eye(n), atoms[used]]))
             _, psi, top = receiver_best(q_a, q_b)
             nv = len(vertices)
-            if vertex_check is None:
-                checked[key] = (st, _vertex_check(st, q_b[:nv], top[:nv]))
+            if key not in checked:
+                checked[key] = _vertex_check(st, q_b[:nv], top[:nv])
             psi_probes[rows], psi_corners, psi_atoms[used] = np.split(psi[nv:], [len(rows), len(rows) + n])
             v[rows] = st.interp.evaluate_many(probes[rows])[:, 0]
             full_value[rows] = full[rows] @ psi_corners
@@ -424,7 +413,7 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
         any_bad = bad.any()
         for i, c in enumerate(batch):
             if c.first:
-                gain_r, gains_r, bad_r = checked[_shared_solution(c.solution)][1]
+                gain_r, gains_r, bad_r = checked[id(c.solution)]
                 receiver_checked += len(gains_r)
                 max_gain_r = max(max_gain_r, gain_r)
                 flag(("receiver_action", "receiver_bellman"), c.stage, c.solution.triangulation.vertices,

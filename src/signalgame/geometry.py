@@ -713,10 +713,7 @@ def barycentric_indices(t: Triangulation, omega) -> tuple[np.ndarray, np.ndarray
     The kept slots of one row of Triangulation.split_many: indices
     ascend, and every returned atom carries strictly positive mass.
     """
-    point = as_simplex_point(omega)
-    if point.size != t.n_states:
-        raise GeometryDomainError("point dimension does not match the triangulation")
-    labels, weights = t.split_many(point[None, :])
+    labels, weights = t.split_many(as_simplex_point(omega)[None, :])
     kept = weights[0] > 0.0
     return labels[0, kept], weights[0, kept]
 

@@ -14,7 +14,7 @@ splits the belief onto those vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
@@ -142,7 +142,6 @@ def receiver_best(q_principal, q_receiver) -> tuple[np.ndarray, np.ndarray, np.n
 class StageSolution:
     """Solved stage: triangulation, vertex values, and vertex actions."""
 
-    stage: int
     triangulation: Triangulation
     values_principal: np.ndarray
     values_receiver: np.ndarray
@@ -183,7 +182,7 @@ class _StageSplits:
 
 @dataclass(frozen=True, eq=False)
 class EquilibriumSolution:
-    """Stage solutions for t = 1..horizon plus the underlying spec."""
+    """Stage solutions for t = 1..horizon, which stages may share, plus the underlying spec."""
 
     spec: GameSpec
     stages: tuple[StageSolution, ...]
@@ -272,14 +271,19 @@ def _build_objective(spec: GameSpec, stage: int, next_solution: StageSolution | 
 
 
 def _check_next_solution(spec: GameSpec, stage: int, next_solution: StageSolution | None) -> None:
-    """Stage in range, and next_solution is the solved stage t+1 (None only at the horizon)."""
+    """Stage in range, and next_solution fits stage t+1: given exactly below the horizon,
+    with t+1's state count, and a last-stage backup (next_values None) only for t+1 = T."""
     spec._check_stage(stage)
-    if stage < spec.horizon and next_solution is None:
-        raise ValueError(f"stage {stage} needs the stage-{stage + 1} solution")
-    if next_solution is not None and next_solution.stage != stage + 1:
-        raise ValueError(
-            f"expected the stage-{stage + 1} solution, got stage {next_solution.stage}"
-        )
+    if (next_solution is None) != (stage == spec.horizon):
+        raise ValueError(f"stage {stage} of {spec.horizon}: give a next solution exactly below the horizon")
+    if next_solution is None:
+        return
+    n, m = spec.n_states(stage + 1), next_solution.triangulation.n_states
+    if m != n:
+        raise ValueError(f"the stage-{stage + 1} solution needs {n} states, not {m}")
+    last = stage + 1 == spec.horizon
+    if (next_solution.objective.next_values is None) != last:
+        raise ValueError(f"stage {stage} needs a next solution {'' if last else 'not '}solved as the last stage")
 
 
 def q_values(spec: GameSpec, stage: int, belief, next_solution: StageSolution | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -321,7 +325,6 @@ def stage_backup(spec: GameSpec, stage: int, next_solution: StageSolution | None
             f"at vertex {i} ({float(envelope.values[i])!r} vs {float(psi[i])!r})"
         )
     return StageSolution(
-        stage=stage,
         triangulation=tri,
         values_principal=envelope.values,
         values_receiver=values_b,
@@ -350,7 +353,7 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
 
     A stage whose inputs (terminal flag, terminating set, rewards,
     kernel, and the next stage's triangulation and values) match an
-    already solved stage byte for byte reuses that backup, renumbered;
+    already solved stage byte for byte shares that StageSolution object;
     anything short of an exact match is solved afresh.  The memo lives
     for one call, so a stationary game pays one backup per distinct
     stage input.
@@ -366,10 +369,8 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
     nxt: StageSolution | None = None
     for t in range(spec.horizon, 0, -1):
         key = _stage_key(spec, t, nxt)
-        hit = memo.get(key)
-        if hit is None:
-            nxt = memo[key] = stage_backup(spec, t, nxt)
-        else:
-            nxt = replace(hit, stage=t)
+        if key not in memo:
+            memo[key] = stage_backup(spec, t, nxt)
+        nxt = memo[key]
         solved.append(nxt)
     return EquilibriumSolution(spec=spec, stages=tuple(reversed(solved)))

@@ -292,7 +292,7 @@ def test_deviation_check_flags_lowered_principal_value():
     lowered = st.values_principal.copy()
     lowered[interior] -= drop
     planted = dataclasses.replace(st, values_principal=lowered)
-    stages = tuple(planted if s.stage == t else s for s in sol.stages)
+    stages = tuple(planted if i == t else s for i, s in enumerate(sol.stages, start=1))
     report = one_shot_deviation_check(EquilibriumSolution(spec=sol.spec, stages=stages), seed=0)
     assert report.principal_checked == clean.principal_checked
     kinds = {(v["kind"], v["stage"]) for v in report.violations}
@@ -519,9 +519,9 @@ def test_deviation_check_at_long_horizon(long_detection):
 
 def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
     sol = solve(builtin_example("detector", 0.2, 0.15, 10))
-    shared = [evaluator._shared_solution(st) for st in sol.stages]
+    shared = list(sol.stages)
     # memo hits cycle with period 4, and the last stage stands alone
-    assert [shared.index(key) for key in shared] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 9]
+    assert [shared.index(s) for s in shared] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 9]
     objective = type(sol.stage(1).objective)
     calls = []
     original = objective.q_many
@@ -603,11 +603,11 @@ def test_deviation_report_does_not_depend_on_the_batch_bound(monkeypatch, spec, 
 
 
 def test_deviation_check_does_not_group_a_stage_rebuilt_by_hand():
-    # stage 5 shares its objective with stages 1 and 9; a wrong action at
-    # one of its vertices must be found at stage 5 and nowhere else
+    # stage 5 is the same object as stages 1 and 9; a wrong action at one
+    # of its vertices must be found at stage 5 and nowhere else
     sol = solve(builtin_example("detector", 0.2, 0.15, 10))
     st = sol.stage(5)
-    assert st.objective is sol.stage(1).objective is sol.stage(9).objective
+    assert st is sol.stage(1) is sol.stage(9)
     q_b = st.objective.q_many(st.triangulation.vertices)[1]
     stored = np.take_along_axis(q_b, np.array(st.vertex_actions)[:, None], axis=1)[:, 0]
     runner_up = np.sort(q_b, axis=1)[:, -2]
@@ -615,7 +615,9 @@ def test_deviation_check_does_not_group_a_stage_rebuilt_by_hand():
     assert stored[vertex] - runner_up[vertex] > EPS_EQUILIBRIUM
     other = int(np.argsort(q_b[vertex])[-2])
     flipped = tuple(other if i == vertex else a for i, a in enumerate(st.vertex_actions))
-    stages = tuple(dataclasses.replace(st, vertex_actions=flipped) if s.stage == 5 else s for s in sol.stages)
+    stages = tuple(
+        dataclasses.replace(st, vertex_actions=flipped) if i == 5 else s for i, s in enumerate(sol.stages, start=1)
+    )
     report = one_shot_deviation_check(EquilibriumSolution(spec=sol.spec, stages=stages), seed=2)
     flagged = [v for v in report.violations if v["kind"] == "receiver_action"]
     assert [v["stage"] for v in flagged] == [5]

@@ -217,7 +217,7 @@ def test_support_measure_validation_and_mean():
         (lambda: simplex_grid(3, 0), "n_states >= 1 and resolution >= 1"),
         (lambda: Triangulation(np.empty((0, 3)), ()), "nonempty 2-d array"),
         (lambda: VertexInterpolant(_unit_triangulation(2), [0.0, np.inf]), "must be finite"),
-        (lambda: barycentric_indices(_unit_triangulation(3), [0.5, 0.5]), "point dimension"),
+        (lambda: barycentric_indices(_unit_triangulation(3), [0.5, 0.5]), "do not have 3 coordinates"),
     ],
     ids=[
         "measure-1d", "measure-empty", "measure-weights", "measure-nan", "arrangement-states",

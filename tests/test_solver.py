@@ -204,6 +204,28 @@ def test_q_values_stage_mismatch():
         q_values(spec, 1, [0.5, 0.5], nxt)  # stage-3 solution is not stage 2
 
 
+def test_q_values_checks_what_a_shared_next_solution_shows():
+    # a stage solution can serve several stages, so it has no stage number:
+    # the check reads its presence, its state count and whether it was
+    # solved as the last stage
+    spec = builtin_example("quickest_detection", 0.2, 0.1, 3)
+    last = stage_backup(spec, 3)
+    with pytest.raises(ValueError, match="exactly below the horizon"):
+        q_values(spec, 3, [0.5, 0.5], last)
+    with pytest.raises(ValueError, match="the stage-3 solution needs 2 states, not 3"):
+        q_values(spec, 2, [0.5, 0.5], stage_backup(spec_from_dict(GAME_3), 4))
+    middle = stage_backup(spec, 2, last)
+    with pytest.raises(ValueError, match="stage 2 needs a next solution solved as the last stage"):
+        q_values(spec, 2, [0.5, 0.5], middle)
+    with pytest.raises(ValueError, match="stage 1 needs a next solution not solved as the last stage"):
+        q_values(spec, 1, [0.5, 0.5], last)
+    # a same-width solution of another stage below the horizon is accepted
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 4))
+    for got, want in zip(q_values(sol.spec, 1, [0.5, 0.5], sol.stage(3)),
+                         q_values(sol.spec, 2, [0.5, 0.5], sol.stage(3))):
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("t", [0, 4])
 def test_solution_stage_out_of_range(t):
     sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 3))
@@ -531,7 +553,6 @@ def _reference_stages(spec):
 def _assert_same_stages(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert a.stage == b.stage
         assert a.vertex_actions == b.vertex_actions
         for x, y in (
             (a.triangulation.simplices, b.triangulation.simplices),
@@ -592,15 +613,10 @@ def test_stage_memo_backs_up_each_distinct_stage_input_once(monkeypatch):
     assert calls == [100, 99, 98, 97, 96]
 
 
-def test_stage_memo_hits_share_the_backup_renumbered():
+def test_stage_memo_hits_share_the_backup():
     sol = solve(builtin_example("detector", 0.2, 0.15, 100))
     for t in range(1, 96):
-        st, hit = sol.stage(t), sol.stage(t + 4)
-        assert st.stage == t
-        assert st.triangulation is hit.triangulation
-        assert st.values_principal is hit.values_principal
-        assert st.values_receiver is hit.values_receiver
-        assert st.objective is hit.objective
+        assert sol.stage(t) is sol.stage(t + 4)
     assert sol.stage(96).triangulation is not sol.stage(100).triangulation
 
 
@@ -635,7 +651,7 @@ def test_stage_memo_misses_on_a_different_kernel(monkeypatch):
 def test_long_horizon_solve_backs_up_only_distinct_stage_inputs(monkeypatch, name, p, c, backups):
     calls = _counted_backups(monkeypatch)
     sol = solve(builtin_example(name, p, c, 10_000))
-    assert len(sol.stages) == 10_000 and sol.stage(1).stage == 1
+    assert len(sol.stages) == 10_000 and len({id(s) for s in sol.stages}) == backups
     # One backup per distinct stage solution, plus the one backup whose
     # input is the repeating solution itself: that input first closes
     # the cycle (quickest_detection's fixed point, detector's period 4).
