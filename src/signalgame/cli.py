@@ -53,7 +53,7 @@ SOLUTION_FORMAT = "signalgame-solution-v1"
 SWEEP_FORMAT = "signalgame-sweep-v1"
 ENVELOPE_FORMAT = "signalgame-envelope-v1"
 SIMULATION_FORMAT = "signalgame-simulation-v2"
-EVALUATION_FORMAT = "signalgame-evaluation-v3"
+EVALUATION_FORMAT = "signalgame-evaluation-v4"
 
 _COMMANDS = ("solve", "sweep", "evaluate", "simulate", "envelope")
 _BUILTINS = ("quickest_detection", "detector")

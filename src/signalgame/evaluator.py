@@ -13,6 +13,8 @@ Three independent routes confirm the backward-induction values:
   every alternative action at the triangulation vertices, the
   principal against alternative experiments at reachable and random
   beliefs, sampled and scored for a stage's probes in array passes.
+  The vertices and random beliefs of a stage solution that stages
+  share are checked once, and the verdict is reported for each stage.
 """
 
 from __future__ import annotations
@@ -312,14 +314,31 @@ class _ProbeChunk:
     """One chunk of a stage's probes and the raw draws of its experiments.
 
     draws holds the (sizes, atoms, expo) arrays that _inducible_splits
-    turns into experiments; first marks the stage's first chunk.
+    turns into experiments; the first `reachable` probes are the stage's
+    reachable beliefs, the rest its solution's random probes.
     """
 
     stage: int
     solution: StageSolution
     probes: np.ndarray
     draws: tuple[np.ndarray, np.ndarray, np.ndarray]
-    first: bool
+    reachable: int
+
+
+@dataclass(eq=False)
+class _Verdict:
+    """A stage solution's checks, made once and reported for every stage that holds it.
+
+    receiver holds its vertex checks' violations (None until they are
+    made), principal those of its random probes; each entry is a (kind,
+    belief, gain) triple.  The counts are one stage's share of
+    receiver_checked and principal_checked.
+    """
+
+    receiver: list | None = None
+    receiver_checked: int = 0
+    principal: list = field(default_factory=list)
+    principal_checked: int = 0
 
 
 def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> DeviationReport:
@@ -333,43 +352,51 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
     Principal: at every reachable belief and random probe, no
     alternative experiment (no split, full revelation, or one of
     _EXPERIMENTS_PER_BELIEF sampled mean-preserving splits) may beat the
-    stage value.  A stage's probes are its reachable beliefs in
-    ascending label order, then _PROBES_PER_STAGE random beliefs.  Gains
-    above EPS_EQUILIBRIUM are reported as violations, stage by stage:
-    vertices first, then probes in order, each probe's no-split,
-    full-revelation and sampled experiments in that order.
+    stage value.
 
-    The draws are made stage by stage: the random probes, then per
-    chunk of _PROBE_BLOCK probes the experiments' support sizes, atoms
-    and weights.  A chunk joins the pending batch unless its state
-    count differs or it would take the batch past _BATCH_PROBES probes;
-    then the batch is scored first.  Within a batch, the stages that
-    share a StageSolution object are scored in one objective call, and
-    a solution's vertices are checked once.
+    A stage's value function and objective are those of its
+    StageSolution, which stages may share (see solve).  So a solution's
+    checks that do not depend on the stage, its vertices and its
+    _PROBES_PER_STAGE random probes, are made at the first stage that
+    holds it, and their verdict is reported again for every later stage
+    that holds the same object (a stage rebuilt by hand is an object of
+    its own).  Reachable beliefs are probed at every stage.  Gains above
+    EPS_EQUILIBRIUM are reported as violations, stage by stage: the
+    vertices, then the stage's reachable beliefs in ascending label
+    order, then its solution's random probes, each probe's no-split,
+    full-revelation and sampled experiments in that order.  Both counts
+    add up these checks per stage, replayed ones included.
+
+    The draws are made stage by stage: the random probes, only at a
+    solution's first stage, then per chunk of _PROBE_BLOCK of the
+    stage's probes (reachable, then random) the experiments' support
+    sizes, atoms and weights.  A chunk joins the pending batch unless
+    its state count differs or it would take the batch past
+    _BATCH_PROBES probes; then the batch is scored first.  Within a
+    batch, the stages that share a StageSolution object are scored in
+    one objective call.
     """
     spec = solution.spec
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     record = solution.split_record
     count = _EXPERIMENTS_PER_BELIEF
     principal_kinds = ("principal_null_split",) + ("principal_experiment",) * (count + 1)
-    violations: list[dict] = []
-    receiver_checked = 0
     principal_checked = 0
     max_gain_r = 0.0
     max_gain_p = 0.0
-    # id of each StageSolution met: its vertex checks (see _vertex_check)
-    checked: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+    # id of each StageSolution met -> its verdict; stage -> violations at its reachable beliefs
+    verdicts: dict[int, _Verdict] = {}
+    at_reachable: dict[int, list] = {}
     batch: list[_ProbeChunk] = []
+    pending = 0  # probes in the batch
 
-    def flag(kinds: tuple[str, ...], t: int, beliefs: np.ndarray, gains: np.ndarray, bad: np.ndarray) -> None:
+    def flag(out: list, kinds: tuple[str, ...], beliefs: np.ndarray, gains: np.ndarray, bad: np.ndarray) -> None:
         # gains[i, j] is the gain of deviation kinds[j] at beliefs[i]; bad marks the violations
         for i, j in zip(*np.divmod(np.flatnonzero(bad), len(kinds))):
-            violations.append(
-                {"kind": kinds[j], "stage": t, "belief": beliefs[i].tolist(), "gain": float(gains[i, j])}
-            )
+            out.append((kinds[j], beliefs[i].tolist(), float(gains[i, j])))
 
     def score() -> None:
-        nonlocal receiver_checked, principal_checked, max_gain_r, max_gain_p
+        nonlocal principal_checked, max_gain_r, max_gain_p, pending
         n = batch[0].probes.shape[1]
         probes = np.vstack([c.probes for c in batch])
         atoms, weights, owner, kept = _inducible_splits(
@@ -390,14 +417,18 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
             groups.setdefault(id(c.solution), []).append(i)
         for key, members in groups.items():
             st = batch[members[0]].solution
+            verdict = verdicts[key]
             rows = np.concatenate([np.arange(offsets[i], offsets[i + 1]) for i in members])
             used = np.concatenate([np.arange(bounds[i], bounds[i + 1]) for i in members])
-            vertices = np.empty((0, n)) if key in checked else st.triangulation.vertices
+            vertices = st.triangulation.vertices if verdict.receiver is None else np.empty((0, n))
             q_a, q_b = st.objective.q_many(np.vstack([vertices, probes[rows], np.eye(n), atoms[used]]))
             _, psi, top = receiver_best(q_a, q_b)
             nv = len(vertices)
-            if key not in checked:
-                checked[key] = _vertex_check(st, q_b[:nv], top[:nv])
+            if verdict.receiver is None:
+                gain_r, gains_r, bad_r = _vertex_check(st, q_b[:nv], top[:nv])
+                max_gain_r = max(max_gain_r, gain_r)
+                verdict.receiver, verdict.receiver_checked = [], nv
+                flag(verdict.receiver, ("receiver_action", "receiver_bellman"), vertices, gains_r, bad_r)
             psi_probes[rows], psi_corners, psi_atoms[used] = np.split(psi[nv:], [len(rows), len(rows) + n])
             v[rows] = st.interp.evaluate_many(probes[rows])[:, 0]
             full_value[rows] = full[rows] @ psi_corners
@@ -407,31 +438,36 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
             np.where(revealing, full_value - v, -np.inf),
             np.where(kept, sampled - v[:, None], -np.inf),
         ])
-        principal_checked += len(probes) + int(revealing.sum()) + int(kept.sum())
         max_gain_p = max(max_gain_p, float(gains.max()))
+        # checks per probe, and their running sum at each chunk's split into reachable and random rows
+        checks = np.cumsum(np.concatenate([[0], 1 + revealing + kept.sum(axis=1)]))
         bad = gains > EPS_EQUILIBRIUM
         any_bad = bad.any()
         for i, c in enumerate(batch):
-            if c.first:
-                gain_r, gains_r, bad_r = checked[id(c.solution)]
-                receiver_checked += len(gains_r)
-                max_gain_r = max(max_gain_r, gain_r)
-                flag(("receiver_action", "receiver_bellman"), c.stage, c.solution.triangulation.vertices,
-                     gains_r, bad_r)
+            lo, hi = offsets[i], offsets[i + 1]
+            mid = lo + c.reachable
+            principal_checked += int(checks[mid] - checks[lo])
+            verdict = verdicts[id(c.solution)]
+            verdict.principal_checked += int(checks[hi] - checks[mid])
             if any_bad:
-                lo, hi = offsets[i], offsets[i + 1]
-                flag(principal_kinds, c.stage, c.probes, gains[lo:hi], bad[lo:hi])
+                flag(at_reachable.setdefault(c.stage, []), principal_kinds, probes[lo:mid], gains[lo:mid], bad[lo:mid])
+                flag(verdict.principal, principal_kinds, probes[mid:hi], gains[mid:hi], bad[mid:hi])
         batch.clear()
+        pending = 0
 
-    for t in range(1, spec.horizon + 1):
-        st = solution.stage(t)
-        n = spec.n_states(t)
-        reachable = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
-        probes = np.vstack(reachable + [rng.dirichlet(np.ones(n), size=_PROBES_PER_STAGE)])
+    for t, st in enumerate(solution.stages, start=1):
+        parts = [record[t - 1].beliefs[record[t - 1].reached]] if t <= len(record) else []
+        n_reachable = len(parts[0]) if parts else 0
+        if id(st) not in verdicts:
+            verdicts[id(st)] = _Verdict()
+            parts.append(rng.dirichlet(np.ones(spec.n_states(t)), size=_PROBES_PER_STAGE))
+        if not parts:
+            continue
+        probes = np.vstack(parts)
+        n = probes.shape[1]
         for lo in range(0, len(probes), _PROBE_BLOCK):
             chunk = probes[lo : lo + _PROBE_BLOCK]
-            if batch and (n != batch[0].probes.shape[1]
-                          or sum(len(c.probes) for c in batch) + len(chunk) > _BATCH_PROBES):
+            if batch and (n != batch[0].probes.shape[1] or pending + len(chunk) > _BATCH_PROBES):
                 score()
             shape = (len(chunk), count)
             draws = (
@@ -439,10 +475,19 @@ def one_shot_deviation_check(solution: EquilibriumSolution, seed: int = 0) -> De
                 rng.dirichlet(np.ones(n), (*shape, n + 1)),
                 rng.standard_exponential((*shape, n + 1)),
             )
-            batch.append(_ProbeChunk(t, st, chunk, draws, lo == 0))
+            batch.append(_ProbeChunk(t, st, chunk, draws, min(max(n_reachable - lo, 0), len(chunk))))
+            pending += len(chunk)
     if batch:
         score()
 
+    violations = []
+    receiver_checked = 0
+    for t, st in enumerate(solution.stages, start=1):
+        verdict = verdicts[id(st)]
+        receiver_checked += verdict.receiver_checked
+        principal_checked += verdict.principal_checked
+        for kind, belief, gain in (verdict.receiver or []) + at_reachable.get(t, []) + verdict.principal:
+            violations.append({"kind": kind, "stage": t, "belief": list(belief), "gain": gain})
     return DeviationReport(
         receiver_checked=receiver_checked,
         principal_checked=principal_checked,

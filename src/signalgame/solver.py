@@ -121,12 +121,14 @@ def receiver_best(q_principal, q_receiver) -> tuple[np.ndarray, np.ndarray, np.n
     if q_a.shape != q_b.shape or q_a.ndim != 2 or q_a.size == 0:
         raise ValueError("need two nonempty action value arrays of the same (k, n_actions) shape")
     if not _column_passes(q_b):
-        top_b = q_b.max(axis=1)
+        # + 0.0 turns -0.0 into 0.0: NumPy's baseline and dispatched max
+        # kernels give zeros of either sign, and the column pass may differ
+        top_b = q_b.max(axis=1) + 0.0
         tied = np.where(_tie_set(q_b, top_b), q_a, -np.inf)
         action = tied.argmax(axis=1)
         return action, tied[np.arange(len(action)), action], top_b
     # The same max, tie set and first argmax, one pass per action column.
-    top_b = reduce(np.maximum, q_b.T)
+    top_b = reduce(np.maximum, q_b.T) + 0.0
     tied = np.where(_tie_set(q_b, top_b), q_a, -np.inf).T
     action = np.zeros(len(q_b), dtype=np.intp)
     psi = tied[0].copy()

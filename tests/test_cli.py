@@ -438,13 +438,24 @@ def test_evaluate_payload_and_exit_code(tmp_path):
     ])
     assert code == 0
     payload = json.loads(out.read_text())
-    assert payload["format"] == "signalgame-evaluation-v3"
+    assert payload["format"] == "signalgame-evaluation-v4"
     assert payload["violations"] == []
     assert payload["value_gap"] <= 1e-9
     assert payload["max_receiver_gain"] <= 1e-9
     assert payload["max_principal_gain"] <= 1e-9
     assert payload["receiver_checked"] > 0
     assert payload["value_principal"] == pytest.approx(payload["exact_principal"], abs=1e-9)
+
+
+def test_evaluate_at_a_long_stationary_horizon(tmp_path):
+    # 10^5 stages hold 5 distinct stage solutions: the deviation check
+    # draws random probes for those 5 and replays their verdicts
+    out = tmp_path / "eval.json"
+    code = main(["evaluate", "--builtin", "detector", "--horizon", "100000", "--out", str(out)])
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["violations"] == [] and payload["value_gap"] <= 1e-9
+    assert payload["receiver_checked"] > 100000
 
 
 def test_simulate_payload_matches_library_call(tmp_path):

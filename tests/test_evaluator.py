@@ -518,10 +518,10 @@ def test_deviation_check_at_long_horizon(long_detection):
 
 
 def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
-    sol = solve(builtin_example("detector", 0.2, 0.15, 10))
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 200))
     shared = list(sol.stages)
-    # memo hits cycle with period 4, and the last stage stands alone
-    assert [shared.index(s) for s in shared] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 9]
+    # memo hits: the first 43 stages hold one solution, the other 157 stand alone
+    assert [shared.index(s) for s in shared] == [0] * 43 + list(range(43, 200))
     objective = type(sol.stage(1).objective)
     calls = []
     original = objective.q_many
@@ -532,12 +532,19 @@ def test_deviation_check_batches_objective_calls_per_stage(monkeypatch):
 
     monkeypatch.setattr(objective, "q_many", counted)
     report = one_shot_deviation_check(sol, seed=2)
-    # stages fill a batch in order up to _BATCH_PROBES probes, and each
+    # a stage's probes are its reachable beliefs, plus _PROBES_PER_STAGE
+    # random ones at the first stage that holds its solution; stages with
+    # probes fill a batch in order up to _BATCH_PROBES probes, and each
     # batch makes one objective call per stage solution it holds
     record = sol.split_record
-    batches, rows = [[]], 0
+    batches, rows, met = [[]], 0, set()
     for t in range(1, sol.spec.horizon + 1):
-        width = evaluator._PROBES_PER_STAGE + (int(record[t - 1].reached.sum()) if t <= len(record) else 0)
+        width = int(record[t - 1].reached.sum()) if t <= len(record) else 0
+        if shared[t - 1] not in met:
+            met.add(shared[t - 1])
+            width += evaluator._PROBES_PER_STAGE
+        if not width:
+            continue
         if rows + width > evaluator._BATCH_PROBES:
             batches.append([])
             rows = 0
@@ -580,6 +587,8 @@ def _report_fields(report):
 
 _BATCH_GAMES = {
     "quickest_detection": builtin_example("quickest_detection", 0.2, 0.1, 40),
+    # stages that share a solution replay its random probes' verdict
+    "detector": builtin_example("detector", 0.2, 0.15, 14),
     "game3_2": spec_from_dict(GAME_3_2),
     "near_tie_167": spec_from_dict(near_tie_game(3, 167)),
 }
@@ -622,6 +631,44 @@ def test_deviation_check_does_not_group_a_stage_rebuilt_by_hand():
     flagged = [v for v in report.violations if v["kind"] == "receiver_action"]
     assert [v["stage"] for v in flagged] == [5]
     assert flagged[0]["belief"] == st.triangulation.vertices[vertex].tolist()
+
+
+def test_deviation_check_reports_a_shared_verdict_at_every_stage_that_holds_it():
+    # stages 1, 5 and 9 hold one solution; lowering its principal values
+    # at the interior vertices makes its random probes flag violations,
+    # drawn and scored once at stage 1 and reported again at 5 and 9
+    sol = solve(builtin_example("detector", 0.2, 0.15, 10))
+    st = sol.stage(1)
+    assert [t for t, s in enumerate(sol.stages, start=1) if s is st] == [1, 5, 9]
+    lowered = st.values_principal.copy()
+    lowered[st.triangulation.vertices.min(axis=1) > 0] -= 0.5
+    planted = dataclasses.replace(st, values_principal=lowered)
+    stages = tuple(planted if s is st else s for s in sol.stages)
+    report = one_shot_deviation_check(EquilibriumSolution(spec=sol.spec, stages=stages), seed=0)
+    assert report.principal_checked == one_shot_deviation_check(sol, seed=0).principal_checked
+    found = [v["stage"] for v in report.violations]
+    assert found == sorted(found) and set(found) == {1, 5, 9}
+
+    def at(t):
+        return [(v["kind"], v["belief"], v["gain"]) for v in report.violations if v["stage"] == t]
+
+    # stages 5 and 9 are past the split record, so they have no reachable
+    # beliefs: their violations are the random probes' verdict alone,
+    # which closes stage 1's list after its reachable belief, the prior
+    assert at(5) and at(5) == at(9)
+    prior = as_simplex_point(sol.spec.prior).tolist()
+    assert at(1)[: -len(at(5))] and all(belief == prior for _, belief, _ in at(1)[: -len(at(5))])
+    assert at(1)[-len(at(5)):] == at(5)
+
+
+def test_deviation_check_draws_random_probes_once_per_distinct_stage_solution(monkeypatch, long_detection):
+    calls = _record_draws(monkeypatch)
+    for sol, distinct in ((solve(builtin_example("detector", 0.2, 0.15, 1000)), 5), (long_detection, 158)):
+        calls.clear()
+        assert len({id(st) for st in sol.stages}) == distinct
+        assert one_shot_deviation_check(sol).ok
+        n = sol.spec.n_states(1)
+        assert calls.count(("dirichlet", (evaluator._PROBES_PER_STAGE, n))) == distinct
 
 
 def test_deviation_check_memory_is_bounded():
@@ -735,8 +782,9 @@ def test_sample_inducible_matches_per_state_loop():
     assert np.array_equal(pooled[3], np.vstack([first[3], second[3]]))
 
 
-def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
-    sol = solve(builtin_example("detector", 0.2, 0.15, 4))
+def _record_draws(monkeypatch) -> list:
+    # every generator made from np.random.default_rng records each draw's
+    # method name and output shape in the returned list
     calls = []
     original = np.random.default_rng
 
@@ -755,6 +803,12 @@ def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
             return recorded
 
     monkeypatch.setattr(np.random, "default_rng", lambda *args, **kw: Recorded(original(*args, **kw)))
+    return calls
+
+
+def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
+    sol = solve(builtin_example("detector", 0.2, 0.15, 4))
+    calls = _record_draws(monkeypatch)
     monkeypatch.setattr(evaluator, "_PROBES_PER_STAGE", 2 * _PROBE_BLOCK + 3)
     monkeypatch.setattr(evaluator, "_EXPERIMENTS_PER_BELIEF", 2)
     report = one_shot_deviation_check(sol)
@@ -763,8 +817,8 @@ def test_deviation_check_draws_experiments_in_probe_chunks(monkeypatch):
     def chunk(size):
         return [("integers", (size, 2)), ("dirichlet", (size, 2, 3, 2)), ("standard_exponential", (size, 2, 3))]
 
-    # every stage: its random probes, then two full chunks, then the rest
-    # with the reachable beliefs
+    # every stage: its random probes, then two full chunks (the reachable
+    # beliefs open the first), then the rest of the random probes
     per_stage = len(calls) // sol.spec.horizon
     assert len(calls) == 10 * sol.spec.horizon
     for t in range(sol.spec.horizon):

@@ -146,7 +146,7 @@ def test_row_sums_are_numpy_sums(monkeypatch, pass_rows):
 
 
 def _receiver_best_reference(q_a, q_b):
-    top_b = q_b.max(axis=1)
+    top_b = q_b.max(axis=1) + 0.0
     tied = np.where(q_b >= top_b[:, None] - EPS_TIE, q_a, -np.inf)
     action = tied.argmax(axis=1)
     return action, tied[np.arange(len(action)), action], top_b

@@ -174,10 +174,10 @@ CASES = _cases()
 # case -> (exit status, sha256 of the artifact, artifact length in bytes)
 GOLDENS = {
     "detector-evaluate": (
-        0, "6bf4dbcc80b28ecc8ec63d9a2dad4aaa987769b16b9d62ec32d62dd176aba2a4", 333,
+        0, "4b4ce9a4896c33b91ec02d8a379513684e9dc95abd47c3f94a4797a2c1036e22", 333,
     ),
     "detector-evaluate-100": (
-        0, "1fa038eade1d3859965f7d62c4fd535f43125a2c67343d6250e362a247d5664a", 370,
+        0, "0eef9a88f9efde5bcb8447697f415b1bfb4ece32b2943a7f3a99345d23fe7ccc", 370,
     ),
     "detector-simulate": (
         0, "a52cc2853febbcb21686bb5952995aa0f54140449ced2fa7c888a2de8582fbb8", 215,
@@ -192,7 +192,7 @@ GOLDENS = {
         0, "92e8f07df42584ee7142d8dc48c5ed69d5945bc4d31761698fc6afcfc6d57f8c", 1693,
     ),
     "game1-evaluate": (
-        0, "49e313d4c711ce26dc7f3583bb3a944dff872b932d3c4777b175f1be36d69899", 314,
+        0, "f5ee4a282a8055c5ed276041774bfcd0da093017fd6534705ce55f6b4ea2a01b", 314,
     ),
     "game1-simulate": (
         0, "872f9135eb5c81ae7eaa798c48253dba4750b01db631dcec0dbdf4ba1ab45008", 215,
@@ -201,7 +201,7 @@ GOLDENS = {
         0, "e82cbf3fc50223abfaa8a2a42e3490e523f3d66ea5ec5a15b592b91a0a18c245", 1364,
     ),
     "game3-evaluate": (
-        0, "9a5288b0e09a66ffd77b47800fa84b765be15366dcbe8daea70f70a127031a9b", 411,
+        0, "270e1de3d347a074656ca8a7d421af7aff8d4905502d6b73b388fe0406f94d05", 411,
     ),
     "game3-simulate": (
         0, "2f479f25d3366897f4c456552378c806aa5029d00d5b5859dafd18d05d59dd39", 221,
@@ -213,16 +213,16 @@ GOLDENS = {
         0, "25ccc76f037bb4054a1e7ebbb1a75504b07b35cd40096858166c9cab5e78460b", 3760,
     ),
     "game3_2-evaluate": (
-        0, "e9370bace19e2af72ab64e6f6dfde4853d9fa6fb057c2558e2f847b45f882e2d", 319,
+        0, "be3071126aaae900a11b1a3dacbc96daa4e82fca328153cff3b7c6690e7a9094", 319,
     ),
     "game3_2-sweep": (
         0, "984d69d3082b8ad4201fe0a95d24d1cc726dcc81ef1ce9a59ab41d3a64f33155", 291,
     ),
     "game_random-evaluate": (
-        0, "90b434c6250d77bc4e32bccc5649e5c4005bd2fd8d44a00efbb1da82292ba507", 393,
+        0, "66e0502a526ef4cffec91e3e000eef4778fa8c5ea511900b6524a07a311544e6", 393,
     ),
     "near_tie_167-evaluate": (
-        1, "666f9c396f4e3f4e78e559850bb99d68b75f66166651439c42e40c55337e971b", 10944,
+        1, "f29da56493a24168ccb7ac53fe79da4d85219c958e87fa08f9f52471bcc22862", 10944,
     ),
     "objective2-envelope": (
         0, "ceac697d3c45594c20f7cc9217d777e8fe56497bd997682d7b1ae7ea4197bc9b", 232,
@@ -231,10 +231,10 @@ GOLDENS = {
         0, "20feb89de7f29605220759aaae7bf1c9bb61df3615ff2afb6a2ef1fa4d3229bd", 788,
     ),
     "quickest_detection-evaluate": (
-        0, "ee9233e816687d28b5c63d776f6aac0e185e3c8d5d8e5d3f2911c7122d4772e6", 413,
+        0, "f46c352aea84679be3e441a8ea0e6f174e62a0f7859864d25c4640c9f38d2877", 413,
     ),
     "quickest_detection-evaluate-100": (
-        0, "7fc41c7d17779e2908da7789609528b4b27f876f6554fdedbefa9712da58594a", 415,
+        0, "75bb7b479cce3ac05a724eefe37768ad24465829c4ab4ba724bf9b98aa19898e", 415,
     ),
     "quickest_detection-simulate": (
         0, "0e57b08fd07b7a8c5d1d1121a21f111464b771d6cac6668ce4d95dde254d3198", 221,
