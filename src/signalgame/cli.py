@@ -312,9 +312,12 @@ def _envelope_payload(data: dict) -> dict:
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {out}: {err}") from err
 
 
 def _to_json(payload: dict) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -424,6 +425,13 @@ class Triangulation:
         raw = invs.reshape(-1, invs.shape[2])
         return dedup_functionals(np.column_stack([raw, np.zeros(len(raw))]))
 
+    @cached_property
+    def _pulled_boundaries(self) -> dict[tuple, np.ndarray]:
+        """pullback_affine's deduped pulled boundary per kernel, keyed by the
+        kernel's shape, strides and bytes: the pull's matmul rounds by the
+        layout, so a hit returns exactly what the uncached call would."""
+        return {}
+
     def locate_many(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Cell index and barycentric weights for each query point.
 
@@ -741,8 +749,10 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     cell facets of f, deduped (constants dropped).  Raises
     GeometryDomainError if the kernel can carry a source simplex point
     outside the domain of f: some kernel row fails as_simplex_points
-    (EPS_GEOM per coordinate).  The kernel is used as given, without
-    renormalizing its rows.
+    (EPS_GEOM per coordinate), checked on every call.  The kernel is
+    used as given, without renormalizing its rows.  The boundary is
+    read-only and cached on f's triangulation per kernel (shape,
+    strides and bytes), so interpolants on one triangulation share it.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[1] != f.triangulation.n_states:
@@ -752,7 +762,13 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     except GeometryDomainError as err:
         raise GeometryDomainError(f"kernel sends the simplex outside the target simplex: {err}") from None
     pieces = _pull_rows(kernel, f.cell_pieces)
-    boundary = dedup_functionals(_pull_rows(kernel, f.triangulation.boundary_functionals))
+    pulled = f.triangulation._pulled_boundaries
+    key = (kernel.shape, kernel.strides, kernel.tobytes())
+    boundary = pulled.get(key)
+    if boundary is None:
+        boundary = dedup_functionals(_pull_rows(kernel, f.triangulation.boundary_functionals))
+        boundary.setflags(write=False)
+        pulled[key] = boundary
     return pieces, boundary
 
 
@@ -1017,6 +1033,29 @@ def _upper_chain(x: np.ndarray, y: np.ndarray, scale: float) -> list[int]:
     return keep
 
 
+# argcav's triangulations by content: the shape, dtype and bytes of the
+# vertex rows and cell labels it passes in.  Stages of a long horizon
+# often land on one geometry byte for byte, and then share one object,
+# validated, inverted and pulled back once.  The table is weak: an entry
+# lives as long as some solution holds its triangulation.  Two threads
+# that miss on one key each build a correct object; only sharing is lost.
+_ENVELOPE_TRIANGULATIONS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _shared_triangulation(vertices: np.ndarray, simplices: np.ndarray) -> Triangulation:
+    """Triangulation(vertices, simplices), shared by every caller with the
+    same input bytes.  Its vertices and simplices are read-only, so no
+    holder can change another's geometry; a failed validation is not kept."""
+    key = tuple((a.shape, a.dtype.str, a.tobytes()) for a in (vertices, simplices))
+    tri = _ENVELOPE_TRIANGULATIONS.get(key)
+    if tri is None:
+        tri = Triangulation(vertices, simplices)
+        tri.vertices.setflags(write=False)
+        tri.simplices.setflags(write=False)
+        _ENVELOPE_TRIANGULATIONS[key] = tri
+    return tri
+
+
 def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     """Upper concave envelope on a segment via a monotone chain.
 
@@ -1026,7 +1065,7 @@ def _chain_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     """
     keep = _upper_chain(cands[:, 0], vals, max(1.0, float(np.ptp(vals))))
     labels = np.arange(len(keep))
-    tri = Triangulation(cands[keep], np.column_stack([labels[:-1], labels[1:]]))
+    tri = _shared_triangulation(cands[keep], np.column_stack([labels[:-1], labels[1:]]))
     return VertexInterpolant(tri, vals[keep])
 
 
@@ -1042,7 +1081,7 @@ def _affine_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     scale = max(1.0, float(np.max(np.abs(vals))))
     if np.max(np.abs(cands @ corner_vals - vals)) > EPS_FUNCTIONAL * scale:
         raise GeometryDomainError("degenerate lifted hull for a non-affine objective")
-    tri = Triangulation(np.eye(n), np.arange(n)[None, :])
+    tri = _shared_triangulation(np.eye(n), np.arange(n)[None, :])
     return VertexInterpolant(tri, corner_vals)
 
 
@@ -1120,7 +1159,7 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
     d = n - 1
     if len(cands) == n:
         # Corners only (always so in 1 state): the envelope is the affine interpolant.
-        return VertexInterpolant(Triangulation(cands, np.arange(n)[None, :]), vals)
+        return VertexInterpolant(_shared_triangulation(cands, np.arange(n)[None, :]), vals)
     proj = cands[:, :-1]
     lifted = np.column_stack([proj, vals])
     from scipy.spatial import QhullError
@@ -1144,7 +1183,7 @@ def _lifted_envelope(cands: np.ndarray, vals: np.ndarray) -> VertexInterpolant:
         raise GeometryDomainError("upper-hull faces failed to tile the simplex")
     # An increasing relabel keeps the sorted cell order.
     used, labels = np.unique(simplices[kept], return_inverse=True)
-    tri = Triangulation(cands[used], labels.reshape(-1, n))
+    tri = _shared_triangulation(cands[used], labels.reshape(-1, n))
     return VertexInterpolant(tri, vals[used])
 
 
@@ -1158,7 +1197,9 @@ def argcav(psi, arrangement: CellArrangement) -> VertexInterpolant:
     psi at the returned triangulation's vertices and majorizes psi
     everywhere.  Output is deterministic: candidates are evaluated in
     lexicographic order and upper-hull faces are triangulated by the
-    pulling rule anchored at lex-least vertices.
+    pulling rule anchored at lex-least vertices.  The triangulation is
+    one object with every live argcav result of byte-equal geometry,
+    with read-only vertices and simplices; do not key on its identity.
     """
     cands = candidate_vertices(arrangement)
     vals = np.asarray(psi(cands), dtype=float)

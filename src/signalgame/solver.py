@@ -358,7 +358,10 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
     already solved stage byte for byte shares that StageSolution object;
     anything short of an exact match is solved afresh.  The memo lives
     for one call, so a stationary game pays one backup per distinct
-    stage input.
+    stage input.  Envelope triangulations with equal bytes are one
+    object, validated and inverted once, with their pull-backs cached
+    per kernel, within and across calls; the table that shares them is
+    weak, and no code may key on a triangulation's identity.
 
     Raises SpecValidationError when the specification fails its
     numeric invariants.

@@ -510,6 +510,28 @@ def test_envelope_input_errors(tmp_path, capsys):
     assert "pieces[0]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--builtin", "detector", "--horizon", "3"],
+        ["sweep", "--builtin", "detector", "--horizon", "3", "--depth", "1"],
+        ["evaluate", "--builtin", "detector", "--horizon", "3"],
+        ["simulate", "--builtin", "detector", "--horizon", "3", "--trajectories", "10"],
+        ["envelope"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_a_typed_error(tmp_path, capsys, argv):
+    if argv == ["envelope"]:
+        src = tmp_path / "objective.json"
+        src.write_text(json.dumps({"states": 2, "pieces": [{"weights": [1.0, 0.0], "offset": 0.0}]}))
+        argv = argv + ["--input", str(src)]
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 def test_game_input_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     assert main(["solve", "--input", str(missing)]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from test_geometry import _simplex_dense_specs
 from test_goldens import GAME_3
 from signalgame.cli import builtin_example
 from signalgame.game import Belief, GameSpec, SpecValidationError, bayes_update, push_forward, spec_from_dict
-from signalgame import solver
+from signalgame import geometry, solver
 from signalgame.geometry import (
     CellArrangement,
     GeometryDomainError,
@@ -617,7 +618,97 @@ def test_stage_memo_hits_share_the_backup():
     sol = solve(builtin_example("detector", 0.2, 0.15, 100))
     for t in range(1, 96):
         assert sol.stage(t) is sol.stage(t + 4)
-    assert sol.stage(96).triangulation is not sol.stage(100).triangulation
+    # Stage 96 is backed up afresh, onto the horizon stage's geometry,
+    # which argcav shares byte for byte.
+    assert sol.stage(96) is not sol.stage(100)
+    assert sol.stage(96).triangulation is sol.stage(100).triangulation
+
+
+def _geometry_key(tri):
+    return tuple((a.shape, a.tobytes()) for a in (tri.vertices, tri.simplices))
+
+
+def test_shared_triangulations_one_object_per_distinct_geometry():
+    sol = solve(builtin_example(*_BINARY_LONG[0], 100))
+    tris = {id(s.triangulation): s.triangulation for s in sol.stages}
+    geometries = {_geometry_key(tri) for tri in tris.values()}
+    assert len(tris) == len(geometries) < len({id(s) for s in sol.stages})
+
+
+def test_shared_triangulations_match_unshared_ones_bit_for_bit(monkeypatch):
+    spec = builtin_example(*_BINARY_LONG[0], 100)
+    sol = solve(spec)
+    monkeypatch.setattr(geometry, "_shared_triangulation", Triangulation)
+    ref = solve(spec)
+    assert len({id(s.triangulation) for s in ref.stages}) > len({id(s.triangulation) for s in sol.stages})
+    for t in range(1, spec.horizon + 1):
+        got, want = sol.stage(t).triangulation, ref.stage(t).triangulation
+        assert _geometry_key(got) == _geometry_key(want)
+        for x, y in ((got.boundary_functionals, want.boundary_functionals), (got._cell_inverses, want._cell_inverses)):
+            assert x.shape == y.shape and x.strides == y.strides and x.tobytes() == y.tobytes()
+        if t == spec.horizon:
+            continue
+        for u in range(spec.n_actions(t)):
+            if spec.is_terminating(t, u):
+                continue
+            kernel = spec.kernels[t - 1][:, u, :]
+            cached = sol.stage(t + 1).triangulation._pulled_boundaries
+            assert (kernel.shape, kernel.strides, kernel.tobytes()) in cached
+            pulled = (pullback_affine(s.stage(t + 1).interp, kernel) for s in (sol, ref))
+            for x, y in zip(*pulled):
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_shared_triangulations_die_with_their_solution():
+    gc.collect()
+    table = geometry._ENVELOPE_TRIANGULATIONS
+    sol = solve(builtin_example(*_BINARY_LONG[0], 100))
+    assert {id(tri) for tri in table.values()} >= {id(s.triangulation) for s in sol.stages}
+    del sol
+    gc.collect()
+    assert len(table) == 0
+
+
+def test_shared_triangulations_are_read_only_and_user_ones_are_not_shared():
+    tri = solve(builtin_example(*_BINARY_LONG[0], 10)).stage(1).triangulation
+    with pytest.raises(ValueError, match="read-only"):
+        tri.vertices[0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        tri.simplices[0, 0] = 1
+    mine = Triangulation(np.array(tri.vertices), np.array(tri.simplices))
+    assert mine is not Triangulation(np.array(tri.vertices), np.array(tri.simplices))
+    assert mine.vertices.flags.writeable and mine.simplices.flags.writeable
+
+
+def test_shared_triangulation_keeps_no_failed_geometry():
+    before = len(geometry._ENVELOPE_TRIANGULATIONS)
+    with pytest.raises(GeometryDomainError, match="degenerate"):
+        geometry._shared_triangulation(np.array([[0.5, 0.5], [0.5, 0.5]]), np.array([[0, 1]]))
+    assert len(geometry._ENVELOPE_TRIANGULATIONS) == before
+
+
+def test_shared_triangulation_pullback_cache_checks_every_kernel():
+    spec = builtin_example(*_BINARY_LONG[0], 10)
+    interp = solve(spec).stage(2).interp
+    kernel = spec.kernels[0][:, 0, :]
+    pulled = interp.triangulation._pulled_boundaries
+    _, boundary = pullback_affine(interp, kernel)
+    assert pullback_affine(interp, kernel)[1] is boundary
+    assert not boundary.flags.writeable
+    # A kernel that fails as_simplex_points raises on every call.
+    for _ in range(2):
+        with pytest.raises(GeometryDomainError, match="outside the target simplex"):
+            pullback_affine(interp, 2.0 * kernel)
+    # One ulp, or the same bytes in another layout, is another key.
+    bumped = np.array(kernel)
+    bumped[0, 0] = np.nextafter(bumped[0, 0], np.inf)
+    count = len(pulled)
+    for other in (bumped, np.array(kernel)):
+        _, fresh = pullback_affine(interp, other)
+        assert fresh is not boundary
+        want = dedup_functionals(geometry._pull_rows(other, interp.triangulation.boundary_functionals))
+        assert fresh.shape == want.shape and fresh.tobytes() == want.tobytes()
+    assert len(pulled) == count + 2
 
 
 def test_stage_memo_misses_on_a_one_ulp_reward_change(monkeypatch):
