@@ -423,6 +423,11 @@ def main(argv=None) -> int:
     ) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError as err:
+        # NumPy's _ArrayMemoryError names the allocation; a bare MemoryError says nothing
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory in {args.command}{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from .geometry import (
     GeometryDomainError,
     SupportMeasure,
     _renormalize,
-    _simplex_row_faults,
     as_simplex_point,
     as_simplex_points,
 )
@@ -90,10 +89,23 @@ def _horizon(raw) -> int:
     return horizon
 
 
+def _once_each(raw, convert) -> tuple:
+    """convert(x) for each entry x of raw, called once per distinct object."""
+    raw = tuple(raw)  # holds every entry, so no two distinct entries share an id
+    converted = {key: convert(x) for key, x in {id(x): x for x in raw}.items()}
+    return tuple(converted[id(x)] for x in raw)
+
+
+def _read_only(x) -> np.ndarray:
+    a = np.array(x, dtype=float)  # a copy; order="K" keeps an F-ordered layout, which pull-backs key on
+    a.setflags(write=False)
+    return a
+
+
 def _float_arrays(raw, what: str) -> tuple[np.ndarray, ...]:
-    """Each entry of raw as a float array; SpecValidationError naming what otherwise."""
+    """Each distinct entry of raw as one read-only float array; SpecValidationError naming what otherwise."""
     try:
-        return tuple(np.asarray(x, dtype=float) for x in raw)
+        return _once_each(raw, _read_only)
     except (TypeError, ValueError) as err:
         raise SpecValidationError(f"{what} must hold numeric arrays: {err}") from None
 
@@ -105,7 +117,10 @@ class GameSpec:
     kernels[t-1] has shape (|X_t|, |U_t|, |X_{t+1}|) and is only
     needed for t < horizon, so the tuple has length horizon-1.
     Rewards have shape (|X_t|, |U_t|) per stage.  terminating[t-1]
-    holds action indices that end the game at stage t.
+    holds action indices that end the game at stage t.  A stage input
+    object given for many stages is converted and held once; arrays are
+    read-only copies, so no write through one stage reaches another, nor
+    the caller's array.
     """
 
     horizon: int
@@ -123,14 +138,14 @@ class GameSpec:
         object.__setattr__(self, "horizon", horizon)
 
         def _label_stages(raw, what):
-            stages = tuple(tuple(str(x) for x in stage) for stage in raw)
+            stages = _once_each(raw, lambda stage: tuple(str(x) for x in stage))
             if len(stages) != horizon:
                 problems.append(f"{what} must list one label set per stage")
             return stages
 
         states = _label_stages(self.states, "states")
         actions = _label_stages(self.actions, "actions")
-        term = tuple(frozenset(int(i) for i in s) for s in self.terminating)
+        term = _once_each(self.terminating, lambda s: frozenset(int(i) for i in s))
         if len(term) != horizon:
             problems.append("terminating must list one action set per stage")
         kernels = _float_arrays(self.kernels, "kernels")
@@ -245,23 +260,13 @@ class Experiment:
         return pi @ self.kernel
 
 
-def _failing_stages(arrays: tuple[np.ndarray, ...], faults) -> set[int]:
-    """Indices of the nonempty arrays in which faults(stack) marks an entry.
-
-    Arrays of one shape are stacked and checked in one call, so the cost
-    is one array pass per distinct shape, not one call per stage.
-    faults maps a stack of shape (k, *shape) to a boolean array whose
-    first axis indexes the stack.
-    """
-    by_shape: dict[tuple[int, ...], list[int]] = {}
-    for i, a in enumerate(arrays):
-        if a.size:
-            by_shape.setdefault(a.shape, []).append(i)
-    failing = set()
-    for idx in by_shape.values():
-        marks = faults(np.stack([arrays[i] for i in idx]))
-        failing.update(np.asarray(idx)[marks.reshape(len(idx), -1).any(axis=1)].tolist())
-    return failing
+def _kernel_fault(kernel: np.ndarray) -> str | None:
+    if kernel.size:
+        try:
+            as_simplex_points(kernel)
+        except GeometryDomainError as err:
+            return f"kernel rows must be finite, nonnegative and sum to one: {err}"
+    return None
 
 
 def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
@@ -271,13 +276,13 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
     (each row, indexed (state, action), passes as_simplex_points: finite,
     nonnegative within EPS_GEOM, summing to one within EPS_GEOM per next
     state), a prior on the simplex, and in-range terminating action
-    indices.
-    Returns (ok, problems) without raising.
+    indices.  A stage input the spec holds once, read-only, is checked
+    once for all its stages.  Returns (ok, problems) without raising.
     """
     problems = []
-    bad_kernels = _failing_stages(spec.kernels, lambda k: _simplex_row_faults(k)[0])
-    bad_rewards = {
-        name: _failing_stages(rewards, lambda r: ~np.isfinite(r))
+    kernel_faults = _once_each(spec.kernels, _kernel_fault)
+    finite = {
+        name: _once_each(rewards, lambda r: bool(np.isfinite(r).all()))
         for name, rewards in (("principal", spec.rewards_principal), ("receiver", spec.rewards_receiver))
     }
     for t in range(1, spec.horizon + 1):
@@ -293,16 +298,11 @@ def validate_spec(spec: GameSpec) -> tuple[bool, list[str]]:
         for idx in spec.terminating[t - 1]:
             if not 0 <= idx < len(acts):
                 problems.append(f"stage {t}: terminating action index {idx} out of range")
-        for name, bad in bad_rewards.items():
-            if t - 1 in bad:
+        for name, finite_at in finite.items():
+            if not finite_at[t - 1]:
                 problems.append(f"stage {t}: non-finite {name} reward")
-        if t - 1 in bad_kernels:
-            try:
-                as_simplex_points(spec.kernels[t - 1])
-            except GeometryDomainError as err:
-                problems.append(
-                    f"stage {t}: kernel rows must be finite, nonnegative and sum to one: {err}"
-                )
+        if t < spec.horizon and kernel_faults[t - 1]:
+            problems.append(f"stage {t}: {kernel_faults[t - 1]}")
     try:
         as_simplex_point(spec.prior)
     except GeometryDomainError as err:
@@ -468,26 +468,26 @@ def spec_from_dict(data: dict) -> GameSpec:
     if len(term_labels) != horizon:
         raise SpecValidationError("terminating must give one action list per stage")
     terminating = []
+    by_labels: dict[tuple[int, int], frozenset[int]] = {}  # keys: ids of label tuples that term_labels, actions hold
     for t, labels in enumerate(term_labels):
-        idxs = set()
-        for lab in labels:
-            if lab not in actions[t]:
-                raise SpecValidationError(
-                    f"stage {t + 1}: terminating action {lab!r} is not an action"
-                )
-            idxs.add(actions[t].index(lab))
-        terminating.append(frozenset(idxs))
+        key = (id(labels), id(actions[t]))
+        if key not in by_labels:
+            for lab in labels:
+                if lab not in actions[t]:
+                    raise SpecValidationError(f"stage {t + 1}: terminating action {lab!r} is not an action")
+            by_labels[key] = frozenset(actions[t].index(lab) for lab in labels)
+        terminating.append(by_labels[key])
 
     if "kernel" in data:
-        kernels = [data["kernel"]] * (horizon - 1)
+        kernels = (data["kernel"],) * (horizon - 1)
     else:
         kernels = data.get("kernels", [])
     if "rewards_A" in data and _nesting_depth(data["rewards_A"]) == 2:
-        rew_a = [data["rewards_A"]] * horizon
+        rew_a = (data["rewards_A"],) * horizon
     else:
         rew_a = data.get("rewards_A", [])
     if "rewards_B" in data and _nesting_depth(data["rewards_B"]) == 2:
-        rew_b = [data["rewards_B"]] * horizon
+        rew_b = (data["rewards_B"],) * horizon
     else:
         rew_b = data.get("rewards_B", [])
     prior = data.get("prior")

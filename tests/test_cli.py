@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -608,6 +611,35 @@ def test_oversized_horizon_exits_2_naming_the_value(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: horizon {value} exceeds the largest index") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--builtin", "detector", "--horizon", "1000000000"],
+        ["simulate", "--builtin", "detector", "--horizon", "5", "--trajectories", "1000000000000"],
+    ],
+    ids=["solve-horizon", "simulate-trajectories"],
+)
+def test_out_of_memory_exits_2_with_one_error_line(argv):
+    # a bare MemoryError (the per-stage tuples) and NumPy's _ArrayMemoryError
+    # (the trajectory arrays), in a child whose address space is capped at 2 GiB
+    resource = pytest.importorskip("resource")
+    cap = 2 << 30
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; from signalgame.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert out.returncode == 2, out.stderr
+    assert "Traceback" not in out.stderr
+    (line,) = out.stderr.splitlines()
+    assert line.startswith(f"error: out of memory in {argv[0]}"), line
 
 
 @pytest.mark.parametrize("states", [2.7, "2", True])

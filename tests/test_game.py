@@ -1,11 +1,13 @@
 import dataclasses
+import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from signalgame import game
-from signalgame.cli import builtin_example
+from signalgame.cli import builtin_example, main
 from signalgame.game import (
     Belief,
     Experiment,
@@ -23,6 +25,7 @@ from signalgame.game import (
 )
 from signalgame.game import _signal_kernel
 from signalgame.geometry import EPS_GEOM, SupportMeasure
+from signalgame.solver import solve
 
 
 def _tiny_spec(horizon=2):
@@ -131,24 +134,33 @@ def _counting(monkeypatch, name):
     return calls
 
 
-def test_validate_spec_checks_each_kernel_shape_in_one_pass(monkeypatch):
+def test_validate_spec_checks_each_distinct_kernel_once(monkeypatch):
     spec = builtin_example("detector", 0.2, 0.15, 20_000)
     kernels = list(spec.kernels)
     bad = kernels[12_344].copy()
     bad[1, 0] = [0.8, 0.3]
     kernels[12_344] = bad
     bad_spec = dataclasses.replace(spec, kernels=tuple(kernels))
-    passes = _counting(monkeypatch, "_simplex_row_faults")
-    per_stage = _counting(monkeypatch, "as_simplex_points")
+    checks = _counting(monkeypatch, "as_simplex_points")
     assert validate_spec(spec) == (True, [])
-    assert len(passes) <= len({k.shape for k in spec.kernels}) == 1
-    assert not per_stage
-    # only the failing stage is checked on its own, for its message
+    assert len(checks) == 1
+    checks.clear()
+    # the shared kernel and the replaced one
     assert validate_spec(bad_spec) == (False, [
         "stage 12345: kernel rows must be finite, nonnegative and sum to one: "
         "row (1, 0): coordinates sum to 1.1, expected 1"
     ])
-    assert len(per_stage) == 1
+    assert len(checks) == 2
+
+
+def test_validate_spec_reports_each_stage_of_a_shared_bad_kernel(monkeypatch):
+    spec = _tiny_spec(horizon=4)
+    bad = np.array([[[0.8, 0.1], [0.4, 0.6]], [[0.0, 1.0], [0.0, 1.0]]])
+    checks = _counting(monkeypatch, "as_simplex_points")
+    ok, problems = validate_spec(dataclasses.replace(spec, kernels=(bad, spec.kernels[0], bad)))
+    rows = "kernel rows must be finite, nonnegative and sum to one: row (0, 0): coordinates sum to 0.9, expected 1"
+    assert (ok, problems) == (False, [f"stage 1: {rows}", f"stage 3: {rows}"])
+    assert len(checks) == 2
 
 
 def test_validate_spec_reports_problems_stage_by_stage():
@@ -440,6 +452,84 @@ def test_spec_from_dict_stage_constant_shorthand():
     assert spec.terminating == (frozenset({1}),) * 3
     assert len(spec.kernels) == 2
     assert np.allclose(spec.kernels[0], spec.kernels[1])
+
+
+def _distinct_stage_inputs(spec):
+    fields = (spec.states, spec.actions, spec.terminating, spec.kernels, spec.rewards_principal, spec.rewards_receiver)
+    return [len({id(x) for x in field}) for field in fields]
+
+
+def _shorthand_game(horizon, n=3, nu=3, seed=5):
+    """A stationary game in the JSON shorthand, drawn as the benchmark's random games are."""
+    rng = np.random.default_rng(seed)
+    return {
+        "horizon": horizon,
+        "states": [f"x{i}" for i in range(n)],
+        "actions": [f"u{i}" for i in range(nu)],
+        "terminating": [],
+        "kernel": rng.dirichlet(np.ones(n), size=(n, nu)).tolist(),
+        "rewards_A": rng.uniform(-1, 1, (n, nu)).tolist(),
+        "rewards_B": rng.uniform(-1, 1, (n, nu)).tolist(),
+        "prior": rng.dirichlet(np.ones(n)).tolist(),
+    }
+
+
+@pytest.mark.parametrize("horizon", [2, 20_000])
+def test_a_stationary_spec_holds_each_stage_input_once(horizon):
+    specs = [builtin_example(name, 0.2, 0.15, horizon) for name in ("quickest_detection", "detector")]
+    specs.append(spec_from_dict(_shorthand_game(horizon)))
+    for spec in specs:
+        assert _distinct_stage_inputs(spec) == [1] * 6
+        assert len(spec.kernels) == horizon - 1
+
+
+def test_per_stage_copies_stay_per_stage_and_solve_like_the_shorthand(tmp_path):
+    expanded = json.loads(json.dumps(spec_to_dict(builtin_example("detector", 0.2, 0.1, 20))))
+    shorthand = {key: value if key in ("horizon", "prior") else value[0] for key, value in expanded.items()}
+    shorthand["kernel"] = shorthand.pop("kernels")
+    assert _distinct_stage_inputs(spec_from_dict(expanded)) == [20, 20, 20, 19, 20, 20]
+    outputs = []
+    for name, data in (("shorthand", shorthand), ("expanded", expanded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--input", str(path), "--out", str(tmp_path / f"{name}.out")]) == 0
+        outputs.append((tmp_path / f"{name}.out").read_bytes())
+    # the solve memo matches stages by content, not by the identity of their arrays
+    assert outputs[0] == outputs[1]
+    distinct = [len({id(st) for st in solve(spec_from_dict(d)).stages}) for d in (shorthand, expanded)]
+    assert distinct[0] == distinct[1] < 20
+
+
+def test_spec_arrays_are_read_only_copies():
+    kernel = np.asfortranarray(_tiny_spec().kernels[0])
+    reward = np.array([[1.0, 0.0], [0.0, 1.0]])
+    spec = GameSpec(**_tiny_fields(kernels=(kernel,), rewards_principal=(reward, reward)))
+    with pytest.raises(ValueError, match="read-only"):
+        spec.kernels[0][0, 0, 0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        spec.rewards_principal[0][0, 0] = 0.5
+    # the caller's arrays stay writable and the spec's own
+    reward[0, 0] = 2.0
+    kernel[0, 0] = [0.5, 0.5]
+    assert spec.rewards_principal[1][0, 0] == 1.0 and spec.kernels[0][0, 0, 0] == 0.8
+    # the copy keeps the input's layout, which pull-backs key on
+    assert spec.kernels[0].flags.f_contiguous and not spec.kernels[0].flags.c_contiguous
+
+
+def test_stationary_spec_memory_does_not_grow_with_the_horizon():
+    peaks = []
+    tracemalloc.start()
+    try:
+        for build in (
+            lambda: builtin_example("detector", 0.2, 0.15, 20_000),
+            lambda: spec_from_dict(_shorthand_game(20_000)),
+        ):
+            tracemalloc.reset_peak()
+            assert validate_spec(build()) == (True, [])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 4 * 2**20, peaks
 
 
 def test_save_load_round_trip(tmp_path):
