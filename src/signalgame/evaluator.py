@@ -25,7 +25,7 @@ import numpy as np
 
 from .game import _signal_kernel
 from .geometry import EPS_EQUILIBRIUM, EPS_GEOM, _renormalize, as_simplex_point
-from .solver import EquilibriumSolution, StageSolution, _tie_set, receiver_best
+from .solver import EquilibriumSolution, StageSolution, _StageSplits, _tie_set, receiver_best
 
 __all__ = [
     "BeliefEdge",
@@ -157,37 +157,62 @@ class _StagePlay:
 
 
 def _stage_plays(solution: EquilibriumSolution) -> list[_StagePlay]:
-    """simulate's tables, one per stage of the split record."""
+    """simulate's tables, one per stage of the split record.
+
+    A stage's tables depend only on its record row and the next stage's
+    row (None at the record's last stage), its vertex actions, both
+    reward matrices (shape and bytes) and, below the record's last
+    stage, its kernel (shape, strides and bytes).  Stages that match in
+    all of these share one _StagePlay, built once per call: record rows
+    are shared by content (see EquilibriumSolution.split_record), so the
+    work grows with the distinct rows, not with the horizon.
+    """
     spec = solution.spec
     record = solution.split_record
+    memo: dict[tuple, _StagePlay] = {}
     plays = []
     for t, rec in enumerate(record, start=1):
         st = solution.stage(t)
-        tri = st.triangulation
-        n = spec.n_states(t)
-        rows, width = rec.labels.shape
-        n_next = spec.n_states(t + 1) if t < len(record) else 0
-        kernel = _signal_kernel(rec.beliefs, rec.weights, tri.vertices[rec.labels])
-        message = np.cumsum(kernel, axis=2).reshape(rows * n, width).T.repeat(width + 1, axis=1)
-        # zero-weight messages come last, so the clamp keeps them unsent
-        sent = np.minimum(np.arange(width + 1), (rec.weights > 0.0).sum(axis=1)[:, None] - 1)
-        labels = rec.labels[np.arange(rows)[:, None], sent]
-        pick = (labels[:, None, :] * n + np.arange(n)[:, None]) * (n_next + 1)
-        actions = np.asarray(st.vertex_actions, dtype=np.intp)
-        reward_a = spec.rewards_principal[t - 1][:, actions].T.repeat(n_next + 1)
-        reward_b = spec.rewards_receiver[t - 1][:, actions].T.repeat(n_next + 1)
-        if t == len(record):
-            going, transition, step = np.zeros(reward_a.size, dtype=bool), None, None
-        else:
-            going = record[t].reached.repeat(n * (n_next + 1))
-            # kernel[x, action(label), :] cumulated over next states, by label * n + x
-            cdf = np.cumsum(spec.kernels[t - 1], axis=2)[:, actions, :].transpose(2, 1, 0)
-            transition = cdf.reshape(n_next, -1).repeat(n_next + 1, axis=1)
-            state = np.minimum(np.arange(n_next + 1), n_next - 1)
-            step = (np.arange(tri.n_vertices)[:, None] * n_next + state) * (record[t].labels.shape[1] + 1)
-            step = step.repeat(n, axis=0).reshape(-1)
-        plays.append(_StagePlay(message, pick.reshape(-1), reward_a, reward_b, going, transition, step))
+        nxt, kernel = (record[t], spec.kernels[t - 1]) if t < len(record) else (None, None)
+        arrays = [spec.rewards_principal[t - 1], spec.rewards_receiver[t - 1]]
+        key = (id(rec), id(nxt), st.vertex_actions, *((a.shape, a.tobytes()) for a in arrays))
+        if kernel is not None:
+            key += (kernel.shape, kernel.strides, kernel.tobytes())
+        if key not in memo:
+            memo[key] = _stage_play(rec, nxt, st, *arrays, kernel)
+        plays.append(memo[key])
     return plays
+
+
+def _stage_play(
+    rec: _StageSplits, nxt: _StageSplits | None, st: StageSolution, rewards_a, rewards_b, kernel
+) -> _StagePlay:
+    """The _StagePlay of record row rec, whose next row is nxt and kernel the
+    stage's kernel (both None at the record's last stage)."""
+    tri = st.triangulation
+    n = rec.beliefs.shape[1]
+    rows, width = rec.labels.shape
+    n_next = 0 if nxt is None else nxt.beliefs.shape[1]
+    signals = _signal_kernel(rec.beliefs, rec.weights, tri.vertices[rec.labels])
+    message = np.cumsum(signals, axis=2).reshape(rows * n, width).T.repeat(width + 1, axis=1)
+    # zero-weight messages come last, so the clamp keeps them unsent
+    sent = np.minimum(np.arange(width + 1), (rec.weights > 0.0).sum(axis=1)[:, None] - 1)
+    labels = rec.labels[np.arange(rows)[:, None], sent]
+    pick = (labels[:, None, :] * n + np.arange(n)[:, None]) * (n_next + 1)
+    actions = np.asarray(st.vertex_actions, dtype=np.intp)
+    reward_a = rewards_a[:, actions].T.repeat(n_next + 1)
+    reward_b = rewards_b[:, actions].T.repeat(n_next + 1)
+    if nxt is None:
+        going, transition, step = np.zeros(reward_a.size, dtype=bool), None, None
+    else:
+        going = nxt.reached.repeat(n * (n_next + 1))
+        # kernel[x, action(label), :] cumulated over next states, by label * n + x
+        cdf = np.cumsum(kernel, axis=2)[:, actions, :].transpose(2, 1, 0)
+        transition = cdf.reshape(n_next, -1).repeat(n_next + 1, axis=1)
+        state = np.minimum(np.arange(n_next + 1), n_next - 1)
+        step = (np.arange(tri.n_vertices)[:, None] * n_next + state) * (nxt.labels.shape[1] + 1)
+        step = step.repeat(n, axis=0).reshape(-1)
+    return _StagePlay(message, pick.reshape(-1), reward_a, reward_b, going, transition, step)
 
 
 def _draw(cdf: np.ndarray, slot, u: np.ndarray) -> np.ndarray:

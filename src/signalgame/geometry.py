@@ -426,6 +426,31 @@ class Triangulation:
         return dedup_functionals(np.column_stack([raw, np.zeros(len(raw))]))
 
     @cached_property
+    def _chain_order(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The sorted first coordinates and their vertex order, if the cells chain
+        the vertices across the segment, else None.
+
+        They chain when they are the V - 1 consecutive pairs in
+        first-coordinate order and the end vertices lie within EPS_GEOM of
+        0 and 1.  VertexInterpolant._interp_xy reads it on 2 states.
+        """
+        xs = self.vertices[:, 0]
+        order = np.argsort(xs)
+        low, high = np.sort(np.argsort(order)[self.simplices], axis=1).T
+        chained = (
+            np.array_equal(np.sort(low), np.arange(len(xs) - 1))
+            and np.array_equal(high, low + 1)
+            and xs[order[0]] <= EPS_GEOM
+            and xs[order[-1]] >= 1.0 - EPS_GEOM
+        )
+        if not chained:
+            return None
+        sorted_xs = xs[order]
+        for a in (sorted_xs, order):
+            a.setflags(write=False)
+        return sorted_xs, order
+
+    @cached_property
     def _pulled_boundaries(self) -> dict[tuple, np.ndarray]:
         """pullback_affine's deduped pulled boundary per kernel, keyed by the
         kernel's shape, strides and bytes: the pull's matmul rounds by the
@@ -535,20 +560,15 @@ class VertexInterpolant:
     def _interp_xy(self) -> tuple[np.ndarray, np.ndarray] | None:
         """A 2-state interpolant's sorted first coordinates and values for np.interp.
 
-        None unless the cells chain the vertices across the segment: they are
-        the V - 1 consecutive pairs in first-coordinate order, and the end
-        vertices lie within EPS_GEOM of 0 and 1.
+        None unless the cells chain the vertices across the segment (see
+        Triangulation._chain_order, derived once per triangulation and
+        shared by its interpolants); else the values gathered in its order.
         """
-        xs = self.triangulation.vertices[:, 0]
-        order = np.argsort(xs)
-        low, high = np.sort(np.argsort(order)[self.triangulation.simplices], axis=1).T
-        chained = (
-            np.array_equal(np.sort(low), np.arange(len(xs) - 1))
-            and np.array_equal(high, low + 1)
-            and xs[order[0]] <= EPS_GEOM
-            and xs[order[-1]] >= 1.0 - EPS_GEOM
-        )
-        return (xs[order], self.values[order]) if chained else None
+        chain = self.triangulation._chain_order
+        if chain is None:
+            return None
+        xs, order = chain
+        return xs, self.values[order]
 
     def evaluate_many(self, points) -> np.ndarray:
         """Values at each row of points: shape (P,), or (P, k) for k columns.
@@ -749,27 +769,28 @@ def pullback_affine(f: VertexInterpolant, kernel) -> tuple[np.ndarray, np.ndarra
     cell facets of f, deduped (constants dropped).  Raises
     GeometryDomainError if the kernel can carry a source simplex point
     outside the domain of f: some kernel row fails as_simplex_points
-    (EPS_GEOM per coordinate), checked on every call.  The kernel is
-    used as given, without renormalizing its rows.  The boundary is
-    read-only and cached on f's triangulation per kernel (shape,
-    strides and bytes), so interpolants on one triangulation share it.
+    (EPS_GEOM per coordinate).  The kernel is used as given, without
+    renormalizing its rows.  The boundary is read-only and cached on f's
+    triangulation per kernel (shape, strides and bytes), so interpolants
+    on one triangulation share it.  The kernel is checked only when that
+    cache misses: a hit means the same bytes have passed, and a kernel
+    that fails is never cached, so it raises on every call.
     """
     kernel = np.asarray(kernel, dtype=float)
     if kernel.ndim != 2 or kernel.shape[1] != f.triangulation.n_states:
         raise GeometryDomainError("kernel target does not match the interpolant domain")
-    try:
-        as_simplex_points(kernel)
-    except GeometryDomainError as err:
-        raise GeometryDomainError(f"kernel sends the simplex outside the target simplex: {err}") from None
-    pieces = _pull_rows(kernel, f.cell_pieces)
     pulled = f.triangulation._pulled_boundaries
     key = (kernel.shape, kernel.strides, kernel.tobytes())
     boundary = pulled.get(key)
     if boundary is None:
+        try:
+            as_simplex_points(kernel)
+        except GeometryDomainError as err:
+            raise GeometryDomainError(f"kernel sends the simplex outside the target simplex: {err}") from None
         boundary = dedup_functionals(_pull_rows(kernel, f.triangulation.boundary_functionals))
         boundary.setflags(write=False)
         pulled[key] = boundary
-    return pieces, boundary
+    return _pull_rows(kernel, f.cell_pieces), boundary
 
 
 def _subset_blocks(m: int, r: int, size: int):

@@ -174,6 +174,8 @@ class _StageSplits:
     onto the stage's triangulation: weights <= EPS_GEOM are dropped and
     the rest renormalized, labels ascend, and dropped slots come last
     with weight 0.  reached (k,) marks the rows on the path of play.
+    Stages with equal rows share one object, whose arrays are read-only
+    (see EquilibriumSolution.split_record).
     """
 
     beliefs: np.ndarray
@@ -205,36 +207,60 @@ class EquilibriumSolution:
         Every induced posterior is a triangulation vertex, so the next
         stage's beliefs are indexed by this stage's vertex labels: a stage
         has at most as many reached rows as the previous stage has vertices.
+
+        Stages whose beliefs, reached set and triangulation (vertices and
+        cells) match byte for byte share one _StageSplits object, split
+        once, with read-only arrays.  A stage whose row object, vertex
+        actions, terminating set and kernel (shape, strides and bytes)
+        match an earlier stage's takes that stage's push-forward.  Both
+        memos live for one call, so the work grows with the distinct rows,
+        not with the horizon.
         """
         spec = self.spec
         beliefs = as_simplex_point(spec.prior)[None, :]
         reached = np.ones(1, dtype=bool)
+        rows: dict[tuple, _StageSplits] = {}
+        # (id of a row in rows, actions, terminating, kernel) -> the next
+        # stage's (beliefs, reached), or None where play ends
+        moves: dict[tuple, tuple[np.ndarray, np.ndarray] | None] = {}
         record = []
         for t in range(1, spec.horizon + 1):
             st = self.stage(t)
             tri = st.triangulation
-            try:
-                labels, weights = tri.split_many(_renormalize(beliefs))
-            except GeometryDomainError as err:
-                raise GeometryDomainError(f"stage {t}: {err}") from err
-            record.append(_StageSplits(beliefs, labels, weights, reached))
+            key = tuple((a.shape, a.tobytes()) for a in (beliefs, reached, tri.vertices, tri.simplices))
+            row = rows.get(key)
+            if row is None:
+                try:
+                    labels, weights = tri.split_many(_renormalize(beliefs))
+                except GeometryDomainError as err:
+                    raise GeometryDomainError(f"stage {t}: {err}") from err
+                for a in (beliefs, labels, weights, reached):
+                    a.setflags(write=False)
+                row = rows[key] = _StageSplits(beliefs, labels, weights, reached)
+            record.append(row)
             if t == spec.horizon:
                 break
-            sent = labels[reached][weights[reached] > 0.0]
-            reached = np.zeros(tri.n_vertices, dtype=bool)
-            reached[sent] = True
-            reached &= [u not in spec.terminating[t - 1] for u in st.vertex_actions]
-            if not reached.any():
-                break
-            # One stack of vector-matrix products per action against the
-            # kernel[:, u, :] view rounds like vertex @ kernel[:, u, :] row by
-            # row; a stack of gathered per-row kernels can differ in the last bit.
             kernel = spec.kernels[t - 1]
-            actions = np.asarray(st.vertex_actions)
-            beliefs = np.empty((tri.n_vertices, kernel.shape[2]))
-            for u in set(st.vertex_actions):
-                pick = actions == u
-                beliefs[pick] = np.matmul(tri.vertices[pick, None, :], kernel[:, u, :])[:, 0, :]
+            step = (id(row), st.vertex_actions, spec.terminating[t - 1], kernel.shape, kernel.strides, kernel.tobytes())
+            if step not in moves:
+                sent = row.labels[row.reached][row.weights[row.reached] > 0.0]
+                reached = np.zeros(tri.n_vertices, dtype=bool)
+                reached[sent] = True
+                reached &= [u not in spec.terminating[t - 1] for u in st.vertex_actions]
+                moves[step] = None
+                if reached.any():
+                    # One stack of vector-matrix products per action against the
+                    # kernel[:, u, :] view rounds like vertex @ kernel[:, u, :] row by
+                    # row; a stack of gathered per-row kernels can differ in the last bit.
+                    actions = np.asarray(st.vertex_actions)
+                    beliefs = np.empty((tri.n_vertices, kernel.shape[2]))
+                    for u in set(st.vertex_actions):
+                        pick = actions == u
+                        beliefs[pick] = np.matmul(tri.vertices[pick, None, :], kernel[:, u, :])[:, 0, :]
+                    moves[step] = (beliefs, reached)
+            if moves[step] is None:
+                break
+            beliefs, reached = moves[step]
         return tuple(record)
 
 

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,13 +18,14 @@ from signalgame.evaluator import (
     reachable_tree,
     simulate,
 )
-from signalgame.game import GameSpec, _signal_kernel, spec_from_dict
+from signalgame.game import GameSpec, _signal_kernel, spec_from_dict, spec_to_dict
 from signalgame.geometry import (
     EPS_EQUILIBRIUM,
     EPS_GEOM,
     EPS_MEMBER,
     GeometryDomainError,
     Triangulation,
+    _renormalize,
     as_simplex_point,
 )
 from signalgame.solver import EquilibriumSolution, solve
@@ -682,8 +684,7 @@ def test_deviation_check_memory_is_bounded():
     assert peak < 16 * 2**20
 
 
-def test_split_record_is_built_once_per_solution(monkeypatch):
-    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 14))
+def _counted_splits(monkeypatch) -> list:
     calls = []
     original = Triangulation.split_many
 
@@ -692,11 +693,155 @@ def test_split_record_is_built_once_per_solution(monkeypatch):
         return original(self, points)
 
     monkeypatch.setattr(Triangulation, "split_many", counted)
-    exact_value(sol)
-    one_shot_deviation_check(sol)
-    simulate(sol, trajectories=100)
-    assert sol.split_record is sol.split_record
-    assert len(calls) == len(sol.split_record)
+    return calls
+
+
+def test_split_record_is_built_once_per_solution(monkeypatch):
+    calls = _counted_splits(monkeypatch)
+    # stages split once per distinct row: none repeat at T = 14
+    for horizon, distinct in ((14, 14), (100, 16)):
+        calls.clear()
+        sol = solve(builtin_example("quickest_detection", 0.2, 0.1, horizon))
+        exact_value(sol)
+        one_shot_deviation_check(sol)
+        simulate(sol, trajectories=100)
+        assert sol.split_record is sol.split_record
+        assert len(sol.split_record) == horizon
+        assert len(calls) == len({id(rec) for rec in sol.split_record}) == distinct
+
+
+def _reference_record(solution):
+    # the split record stage by stage, with no sharing: the bit-exact
+    # reference for EquilibriumSolution.split_record
+    spec = solution.spec
+    beliefs = as_simplex_point(spec.prior)[None, :]
+    reached = np.ones(1, dtype=bool)
+    record = []
+    for t in range(1, spec.horizon + 1):
+        st = solution.stage(t)
+        tri = st.triangulation
+        labels, weights = tri.split_many(_renormalize(beliefs))
+        record.append((beliefs, labels, weights, reached))
+        if t == spec.horizon:
+            break
+        sent = labels[reached][weights[reached] > 0.0]
+        reached = np.zeros(tri.n_vertices, dtype=bool)
+        reached[sent] = True
+        reached &= [u not in spec.terminating[t - 1] for u in st.vertex_actions]
+        if not reached.any():
+            break
+        kernel = spec.kernels[t - 1]
+        beliefs = np.empty((tri.n_vertices, kernel.shape[2]))
+        for v, (vertex, u) in enumerate(zip(tri.vertices, st.vertex_actions)):
+            beliefs[v] = vertex @ kernel[:, u, :]
+    return record
+
+
+def _bytes_of(arrays) -> tuple:
+    return tuple((a.shape, a.dtype.str, a.tobytes()) for a in arrays)
+
+
+def _row_key(solution, t):
+    rec, tri = solution.split_record[t - 1], solution.stage(t).triangulation
+    return _bytes_of((rec.beliefs, rec.reached, tri.vertices, tri.simplices))
+
+
+def _classes(keys) -> list[int]:
+    # each key's class, numbered by first appearance: equal lists mean the same partition
+    first = {}
+    return [first.setdefault(k, len(first)) for k in keys]
+
+
+def _sharing(items) -> list[int]:
+    return _classes(id(x) for x in items)
+
+
+def _assert_record_matches_reference(solution):
+    record = solution.split_record
+    want = _reference_record(solution)
+    assert len(record) == len(want)
+    for rec, ref in zip(record, want):
+        assert _bytes_of((rec.beliefs, rec.labels, rec.weights, rec.reached)) == _bytes_of(ref)
+
+
+def test_split_record_shares_a_row_exactly_when_its_key_matches(monkeypatch):
+    spec = builtin_example("quickest_detection", 0.2, 0.1, 100)
+    sol = solve(spec)
+    splits = _counted_splits(monkeypatch)
+    signals = []
+    original = evaluator._signal_kernel
+
+    def counted(*args):
+        signals.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(evaluator, "_signal_kernel", counted)
+    record = sol.split_record
+    keys = [_row_key(sol, t) for t in range(1, len(record) + 1)]
+    assert _sharing(record) == _classes(keys)
+    assert len(splits) == len(set(keys)) == 16
+    _assert_record_matches_reference(sol)
+    # simulate's tables: one per distinct (row, next row), since the
+    # builtin's rewards and kernel are the same at every stage; each equals
+    # the tables built afresh for its stage
+    plays = evaluator._stage_plays(sol)
+    assert _sharing(plays) == _classes((id(a), id(b)) for a, b in zip(record, record[1:] + (None,)))
+    assert len(signals) == len({id(play) for play in plays}) == 17
+    for t, play in enumerate(plays, start=1):
+        nxt = record[t] if t < len(record) else None
+        kernel = spec.kernels[t - 1] if nxt is not None else None
+        fresh = evaluator._stage_play(
+            record[t - 1], nxt, sol.stage(t), spec.rewards_principal[t - 1], spec.rewards_receiver[t - 1], kernel
+        )
+        for got, want in zip(dataclasses.astuple(play), dataclasses.astuple(fresh)):
+            assert (got is None and want is None) or _bytes_of([got]) == _bytes_of([want])
+
+
+def test_split_record_shares_rows_across_per_stage_copies_of_a_game():
+    spec = builtin_example("quickest_detection", 0.2, 0.1, 100)
+    copied = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+    # one kernel and reward object per stage, byte-equal to the shorthand's
+    assert len({id(k) for k in copied.kernels}) == 99 and len({id(k) for k in spec.kernels}) == 1
+    assert len({id(r) for r in copied.rewards_principal}) == 100
+    sol, sol_copy = solve(spec), solve(copied)
+    for a, b in zip(sol.split_record, sol_copy.split_record):
+        assert _bytes_of((a.beliefs, a.labels, a.weights, a.reached)) == _bytes_of(
+            (b.beliefs, b.labels, b.weights, b.reached)
+        )
+    assert _sharing(sol_copy.split_record) == _sharing(sol.split_record)
+    assert len({id(rec) for rec in sol_copy.split_record}) == 16
+    assert _sharing(evaluator._stage_plays(sol_copy)) == _sharing(evaluator._stage_plays(sol))
+    assert simulate(sol_copy, seed=3, trajectories=1000) == simulate(sol, seed=3, trajectories=1000)
+
+
+def test_split_record_sharing_breaks_at_a_one_ulp_kernel_change():
+    spec = builtin_example("quickest_detection", 0.2, 0.1, 100)
+    sol = solve(spec)
+    kernels = list(spec.kernels)
+    bumped = kernels[49].copy()
+    bumped[0, 0, 0] = np.nextafter(bumped[0, 0, 0], np.inf)
+    kernels[49] = bumped
+    # the same stage solutions: only stage 50's push-forward changes
+    changed = EquilibriumSolution(spec=dataclasses.replace(spec, kernels=tuple(kernels)), stages=sol.stages)
+    _assert_record_matches_reference(changed)
+    before, after = _sharing(sol.split_record), _sharing(changed.split_record)
+    row = changed.split_record[50]
+    assert row.beliefs.tobytes() != sol.split_record[50].beliefs.tobytes()
+    # stage 51's row was shared; now it is its own, and the rest share as before
+    assert before.count(before[50]) > 1
+    assert [id(rec) for rec in changed.split_record].count(id(row)) == 1
+    assert _sharing(rec for t, rec in enumerate(changed.split_record) if t != 50) == _sharing(
+        rec for t, rec in enumerate(sol.split_record) if t != 50
+    )
+
+
+def test_split_record_shares_read_only_rows():
+    sol = solve(builtin_example("quickest_detection", 0.2, 0.1, 100))
+    for rec in sol.split_record:
+        for a in (rec.beliefs, rec.labels, rec.weights, rec.reached):
+            assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        sol.split_record[50].weights[0, 0] = 0.5
 
 
 def _sample_inducible_loop(probes, k, atoms, expo):

@@ -711,6 +711,25 @@ def test_shared_triangulation_pullback_cache_checks_every_kernel():
     assert len(pulled) == count + 2
 
 
+def test_shared_triangulation_pullback_cache_checks_each_kernel_once(monkeypatch):
+    # a triangulation of its own, so no earlier pull has filled its cache
+    tri = Triangulation(np.array([[1.0, 0.0], [0.4, 0.6], [0.0, 1.0]]), np.array([[0, 1], [1, 2]]))
+    interp = VertexInterpolant(tri, np.array([0.0, 1.0, 0.5]))
+    kernel = np.array([[0.7, 0.3], [0.2, 0.8]])
+    checked = []
+    original = geometry.as_simplex_points
+
+    def counted(rows):
+        checked.append(np.asarray(rows).tobytes())
+        return original(rows)
+
+    monkeypatch.setattr(geometry, "as_simplex_points", counted)
+    first = pullback_affine(interp, kernel)
+    second = pullback_affine(interp, kernel.copy())
+    assert checked == [kernel.tobytes()]
+    assert second[1] is first[1] and second[0].tobytes() == first[0].tobytes()
+
+
 def test_stage_memo_misses_on_a_one_ulp_reward_change(monkeypatch):
     spec = builtin_example("detector", 0.2, 0.15, 12)
     calls = _counted_backups(monkeypatch)
