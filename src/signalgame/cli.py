@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass
+from functools import cache
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -184,66 +186,128 @@ def _vertex_columns(st: StageSolution):
                st.values_receiver.tolist(), st.vertex_actions)
 
 
-def _stage_table(solution: EquilibriumSolution, t: int) -> dict:
-    st = solution.stage(t)
-    labels = solution.spec.actions[t - 1]
-    return {
-        "stage": t,
-        "states": list(solution.spec.states[t - 1]),
-        "actions": list(labels),
-        "vertices": [
-            {
-                "belief": belief,
-                "value_principal": value_a,
-                "value_receiver": value_b,
-                "action": action,
-                "action_label": labels[action],
-            }
-            for belief, value_a, value_b, action in _vertex_columns(st)
-        ],
-        "simplices": st.triangulation.simplices.tolist(),
-    }
+def _json_array(items: list[str], pad: str) -> str:
+    """Encoded items as json.dumps(indent=2) lays out an array whose line starts with pad."""
+    if not items:
+        return "[]"
+    sep = ",\n" + pad + "  "
+    return "[" + sep[1:] + sep.join(items) + "\n" + pad + "]"
 
 
-def _solution_payload(solution: EquilibriumSolution) -> dict:
-    value_a, value_b = solution.values_at_prior()
-    return {
-        "format": SOLUTION_FORMAT,
-        "horizon": solution.spec.horizon,
-        "prior": [float(x) for x in solution.spec.prior],
-        "value_principal": value_a,
-        "value_receiver": value_b,
-        "stages": [_stage_table(solution, t) for t in range(1, solution.spec.horizon + 1)],
-    }
+def _json_object(fields: dict[str, str], pad: str) -> str:
+    """Encoded values as json.dumps(indent=2, sort_keys=True) lays out their object."""
+    sep = ",\n" + pad + "  "
+    body = sep.join(f"{_json_str(key)}: {fields[key]}" for key in sorted(fields))
+    return "{" + sep[1:] + body + "\n" + pad + "}"
 
 
-def _sweep_text(solution: EquilibriumSolution, depth: int) -> str:
-    """CSV stage tables for t = T down to max(1, T - depth).
+def _solution_chunks(solution: EquilibriumSolution, value_a: float, value_b: float) -> Iterator[str]:
+    """The solve artifact: json.dumps(payload, indent=2, sort_keys=True) + "\\n", in chunks.
+
+    payload holds the format, horizon, prior, both values at the prior
+    (value_a, value_b) and one table per stage: its state and action
+    labels, vertices (belief, both values, action and its label) and
+    simplices.  A table's text is formatted once per distinct (stage
+    solution, state labels, action labels) as the text before and after
+    its stage number, which sorts between "simplices" and "states".
+    Vertex coordinates and cells are formatted once per distinct array,
+    keyed on its dtype, shape and bytes.  The solution holds every stage
+    object for the call, so keying tables on id(st) is safe.
+    """
+    spec = solution.spec
+    mark = "\0"  # no encoded value holds a raw NUL, so it splits the text
+    head, _, foot = _json_object({
+        "format": _json_str(SOLUTION_FORMAT),
+        "horizon": int.__repr__(spec.horizon),
+        "prior": _json_array([float.__repr__(x) for x in spec.prior.tolist()], "  "),
+        "stages": mark,
+        "value_principal": float.__repr__(value_a),
+        "value_receiver": float.__repr__(value_b),
+    }, "").partition(mark)
+    # a vertex object with %s for its values, keys in sorted order
+    vertex = _json_object(dict.fromkeys(
+        ("action", "action_label", "belief", "value_principal", "value_receiver"), "%s"), " " * 8)
+    tables: dict[tuple, tuple[str, str]] = {}
+    geometry: dict[tuple, list[str] | str] = {}
+
+    def geometry_text(a: np.ndarray, build):
+        key = (a.dtype.str, a.shape, a.tobytes())
+        if key not in geometry:
+            geometry[key] = build(a.tolist())
+        return geometry[key]
+
+    sep = head + "[\n    "
+    for t, st in enumerate(solution.stages, 1):
+        states, labels = spec.states[t - 1], spec.actions[t - 1]
+        key = (id(st), states, labels)
+        if key not in tables:
+            tri = st.triangulation
+            beliefs = geometry_text(tri.vertices, lambda rows: [
+                _json_array([float.__repr__(x) for x in row], " " * 10) for row in rows])
+            names = [_json_str(label) for label in labels]
+            vertices = [
+                vertex % (int.__repr__(u), names[u], belief, float.__repr__(principal), float.__repr__(receiver))
+                for belief, principal, receiver, u in zip(
+                    beliefs, st.values_principal.tolist(), st.values_receiver.tolist(), st.vertex_actions)
+            ]
+            table = _json_object({
+                "actions": _json_array([_json_str(s) for s in labels], " " * 6),
+                "simplices": geometry_text(tri.simplices, lambda cells: _json_array(
+                    [_json_array([int.__repr__(i) for i in cell], " " * 8) for cell in cells], " " * 6)),
+                "stage": mark,
+                "states": _json_array([_json_str(s) for s in states], " " * 6),
+                "vertices": _json_array(vertices, " " * 6),
+            }, " " * 4)
+            before, _, after = table.partition(mark)
+            tables[key] = (before, after)
+        before, after = tables[key]
+        yield sep + before + int.__repr__(t) + after
+        sep = ",\n    "
+    yield "\n  ]" + foot + "\n"
+
+
+class _Rows(list):
+    """A csv.writer target that keeps each written row as one string."""
+
+    write = list.append
+
+
+def _sweep_chunks(solution: EquilibriumSolution, depth: int) -> Iterator[str]:
+    """CSV stage tables for t = T down to max(1, T - depth), in chunks.
 
     Binary-state stages export the single coordinate pi(first state);
     larger state spaces export every coordinate.  One row per
-    triangulation vertex, vertices in ascending coordinate order.
+    triangulation vertex, vertices in ascending coordinate order.  The
+    rows after the stage column are written once per distinct (stage
+    solution, action labels) and prefixed with each stage's number.
     """
     spec = solution.spec
     top = spec.horizon
     bottom = max(1, top - depth)
     widest = max(spec.n_states(t) for t in range(bottom, top + 1))
-    buf = io.StringIO()
     if widest <= 2:
         belief_cols = [f"pi({spec.states[top - 1][0]})"]
     else:
         belief_cols = [f"pi_{k}" for k in range(widest)]
-    writer = csv.writer(buf, lineterminator="\n")
-    buf.write(f"# {SWEEP_FORMAT} columns: stage, belief, value_principal, value_receiver, action\n")
-    writer.writerow(["stage", *belief_cols, "value_principal", "value_receiver", "action"])
+    header = _Rows([f"# {SWEEP_FORMAT} columns: stage, belief, value_principal, value_receiver, action\n"])
+    csv.writer(header, lineterminator="\n").writerow(
+        ["stage", *belief_cols, "value_principal", "value_receiver", "action"])
+    yield "".join(header)
+    tables: dict[tuple, _Rows] = {}
     for t in range(top, bottom - 1, -1):
+        st = solution.stage(t)
         labels = spec.actions[t - 1]
-        pad = [""] * (widest - spec.n_states(t))
-        # csv writes a float as its repr
-        for coords, value_a, value_b, action in _vertex_columns(solution.stage(t)):
-            belief = coords[:1] if widest <= 2 else coords + pad
-            writer.writerow([t, *belief, value_a, value_b, labels[action]])
-    return buf.getvalue()
+        key = (id(st), labels)
+        if key not in tables:
+            rows = tables[key] = _Rows()
+            writer = csv.writer(rows, lineterminator="\n")
+            pad = [""] * (widest - spec.n_states(t))
+            # csv writes a float as its repr
+            for coords, value_a, value_b, action in _vertex_columns(st):
+                belief = coords[:1] if widest <= 2 else coords + pad
+                writer.writerow([*belief, value_a, value_b, labels[action]])
+        prefix = f"{t},"
+        yield prefix + prefix.join(tables[key])
 
 
 def _parse_affine(raw, where: str, n: int) -> np.ndarray:
@@ -309,13 +373,14 @@ def _envelope_payload(data: dict) -> dict:
     }
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write an artifact's text chunks to stdout, or to the file out."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as err:
         raise ConfigError(f"cannot write {out}: {err}") from err
 
@@ -334,26 +399,27 @@ def run(cfg: RunConfig) -> int:
             raise ConfigError(f"{cfg.input_path}:{err.lineno}:{err.colno}: {err.msg}") from err
         except OSError as err:
             raise ConfigError(f"cannot read {cfg.input_path}: {err}") from err
-        _emit(_to_json(_envelope_payload(data)), cfg.out)
+        _emit([_to_json(_envelope_payload(data))], cfg.out)
         return 0
 
     spec = _load_game(cfg)
     solution = solve(spec)
 
     if cfg.command == "solve":
-        _emit(_to_json(_solution_payload(solution)), cfg.out)
+        # the values come first, so that an error there leaves no file behind
+        _emit(_solution_chunks(solution, *solution.values_at_prior()), cfg.out)
         return 0
 
     if cfg.command == "sweep":
         depth = spec.horizon - 1 if cfg.depth is None else cfg.depth
         if depth > spec.horizon:
             raise ConfigError(f"depth {depth} exceeds horizon {spec.horizon}")
-        _emit(_sweep_text(solution, depth), cfg.out)
+        _emit(_sweep_chunks(solution, depth), cfg.out)
         return 0
 
     if cfg.command == "simulate":
         report = simulate(solution, seed=cfg.seed, trajectories=cfg.trajectories)
-        _emit(_to_json({"format": SIMULATION_FORMAT, **asdict(report)}), cfg.out)
+        _emit([_to_json({"format": SIMULATION_FORMAT, **asdict(report)})], cfg.out)
         return 0
 
     value_a, value_b = solution.values_at_prior()
@@ -369,10 +435,11 @@ def run(cfg: RunConfig) -> int:
         "value_gap": gap,
         **asdict(report),
     }
-    _emit(_to_json(payload), cfg.out)
+    _emit([_to_json(payload)], cfg.out)
     return 0 if report.ok and gap <= EPS_EQUILIBRIUM else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="signalgame",

@@ -1,4 +1,7 @@
+import collections
 import contextlib
+import csv
+import dataclasses
 import io
 import json
 import os
@@ -6,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from near_tie_corpus import near_tie_game
+from test_goldens import GAME_3
 
 from signalgame.cli import (
     ConfigError,
@@ -23,7 +28,7 @@ from signalgame.cli import (
 )
 from signalgame import cli, geometry, solver
 from signalgame.evaluator import simulate
-from signalgame.game import save_spec, spec_from_dict
+from signalgame.game import load_spec, save_spec, spec_from_dict, spec_to_dict
 from signalgame.solver import solve
 
 
@@ -431,6 +436,223 @@ def test_artifacts_are_byte_identical(tmp_path):
         assert main(["evaluate", *base, "--seed", "9", "--out", str(ev)]) == 0
         pairs.append((sol.read_bytes(), swp.read_bytes(), sim.read_bytes(), ev.read_bytes()))
     assert pairs[0] == pairs[1]
+
+
+def _reference_payload(solution):
+    """The solve artifact's payload as one dict: the artifact is
+    json.dumps(payload, indent=2, sort_keys=True) plus a newline."""
+    spec = solution.spec
+
+    def table(t):
+        st = solution.stage(t)
+        labels = spec.actions[t - 1]
+        return {
+            "stage": t,
+            "states": list(spec.states[t - 1]),
+            "actions": list(labels),
+            "vertices": [
+                {
+                    "belief": belief,
+                    "value_principal": value_a,
+                    "value_receiver": value_b,
+                    "action": action,
+                    "action_label": labels[action],
+                }
+                for belief, value_a, value_b, action in zip(
+                    st.triangulation.vertices.tolist(), st.values_principal.tolist(),
+                    st.values_receiver.tolist(), st.vertex_actions)
+            ],
+            "simplices": st.triangulation.simplices.tolist(),
+        }
+
+    value_a, value_b = solution.values_at_prior()
+    return {
+        "format": "signalgame-solution-v1",
+        "horizon": spec.horizon,
+        "prior": [float(x) for x in spec.prior],
+        "value_principal": value_a,
+        "value_receiver": value_b,
+        "stages": [table(t) for t in range(1, spec.horizon + 1)],
+    }
+
+
+def _reference_sweep(solution, depth):
+    """The sweep artifact, one csv.writer row per vertex of every exported stage."""
+    spec = solution.spec
+    top = spec.horizon
+    bottom = max(1, top - depth)
+    widest = max(spec.n_states(t) for t in range(bottom, top + 1))
+    buf = io.StringIO()
+    if widest <= 2:
+        belief_cols = [f"pi({spec.states[top - 1][0]})"]
+    else:
+        belief_cols = [f"pi_{k}" for k in range(widest)]
+    writer = csv.writer(buf, lineterminator="\n")
+    buf.write("# signalgame-sweep-v1 columns: stage, belief, value_principal, value_receiver, action\n")
+    writer.writerow(["stage", *belief_cols, "value_principal", "value_receiver", "action"])
+    for t in range(top, bottom - 1, -1):
+        st = solution.stage(t)
+        labels = spec.actions[t - 1]
+        pad = [""] * (widest - spec.n_states(t))
+        for coords, value_a, value_b, action in zip(
+            st.triangulation.vertices.tolist(), st.values_principal.tolist(),
+            st.values_receiver.tolist(), st.vertex_actions,
+        ):
+            belief = coords[:1] if widest <= 2 else coords + pad
+            writer.writerow([t, *belief, value_a, value_b, labels[action]])
+    return buf.getvalue()
+
+
+def _random_game_4(seed=1):
+    # 4 states, 2 actions, T=3: 28, 21 and 8 envelope vertices at seed 1
+    rng = np.random.default_rng(seed)
+    n, nu = 4, 2
+    return {
+        "horizon": 3,
+        "states": [f"x{i}" for i in range(n)],
+        "actions": [f"u{i}" for i in range(nu)],
+        "terminating": ["u0"],
+        "kernel": rng.dirichlet(np.ones(n), size=(n, nu)).tolist(),
+        "rewards_A": rng.uniform(-1, 1, (n, nu)).tolist(),
+        "rewards_B": rng.uniform(-1, 1, (n, nu)).tolist(),
+        "prior": rng.dirichlet(np.ones(n)).tolist(),
+    }
+
+
+def _labelled_detector():
+    # detector's numbers under labels that JSON escapes and CSV quotes: non-ASCII,
+    # a quote, a comma, a backslash, a NUL, a line separator and a newline
+    data = spec_to_dict(builtin_example("detector", 0.2, 0.15, 6))
+    states = ["état\u2028\"à\"", "状態,\\\x00"]
+    actions = ["déclarer_-1", "attendre\n\U0001f600", "déclarer\u2028_1"]
+    data["states"] = [states] * data["horizon"]
+    data["actions"] = [actions] * data["horizon"]
+    data["terminating"] = [[actions[0], actions[2]]] * data["horizon"]
+    return data
+
+
+_ONE_STATE = {
+    "horizon": 3, "states": ["only"], "actions": ["a", "b"], "terminating": ["b"],
+    "kernel": [[[1.0], [1.0]]], "rewards_A": [[1.0, 0.5]], "rewards_B": [[0.2, 0.3]], "prior": [1.0],
+}
+
+
+def _artifact_games():
+    games = {
+        f"{name}-{horizon}": builtin_example(name, 0.2, 0.1, horizon)
+        for name in ("quickest_detection", "detector") for horizon in (1, 2, 14, 100)
+    }
+    games["game3"] = spec_from_dict(GAME_3)
+    games["random4"] = spec_from_dict(_random_game_4())
+    # one kernel, reward and label object per stage, byte-equal to the shorthand's
+    games["quickest_detection-100-per-stage"] = spec_from_dict(
+        json.loads(json.dumps(spec_to_dict(builtin_example("quickest_detection", 0.2, 0.1, 100)))))
+    games["labels"] = spec_from_dict(_labelled_detector())
+    # equal numbers under other labels at each stage: the stages share
+    # their solutions, and each table must still carry its own labels
+    data = spec_to_dict(builtin_example("detector", 0.2, 0.1, 8))
+    data["states"] = [[f"low{t}", f"high{t}"] for t in range(8)]
+    data["actions"] = [[f"down{t}", f"wait{t}", f"up{t}"] for t in range(8)]
+    data["terminating"] = [[f"down{t}", f"up{t}"] for t in range(8)]
+    games["relabelled"] = spec_from_dict(data)
+    games["one-state"] = spec_from_dict(_ONE_STATE)
+    return games
+
+
+_ARTIFACT_GAMES = _artifact_games()
+
+
+@pytest.mark.parametrize("name", list(_ARTIFACT_GAMES))
+def test_solve_artifact_is_json_dumps_of_the_reference_payload(tmp_path, name):
+    path = tmp_path / "game.json"
+    save_spec(_ARTIFACT_GAMES[name], path)
+    out = tmp_path / "solution.json"
+    assert main(["solve", "--input", str(path), "--out", str(out)]) == 0
+    want = json.dumps(_reference_payload(solve(load_spec(path))), indent=2, sort_keys=True) + "\n"
+    assert out.read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("name", list(_ARTIFACT_GAMES))
+def test_sweep_artifact_is_the_csv_writer_reference(tmp_path, name):
+    path = tmp_path / "game.json"
+    save_spec(_ARTIFACT_GAMES[name], path)
+    sol = solve(load_spec(path))
+    for depth in sorted({0, 1, sol.spec.horizon - 1, sol.spec.horizon}):
+        out = tmp_path / f"sweep_{depth}.csv"
+        assert main(["sweep", "--input", str(path), "--depth", str(depth), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            assert fh.read() == _reference_sweep(sol, depth), depth
+
+
+@pytest.mark.parametrize("name", ["detector-100", "quickest_detection-100", "quickest_detection-100-per-stage"])
+def test_solve_formats_each_distinct_table_and_geometry_once(monkeypatch, name):
+    sol = solve(_ARTIFACT_GAMES[name])
+    calls = collections.Counter()
+    for helper in ("_json_array", "_json_object"):
+        original = getattr(cli, helper)
+        monkeypatch.setattr(cli, helper, lambda items, pad, f=original, h=helper: calls.update([(h, pad)]) or f(items, pad))
+    text = "".join(cli._solution_chunks(sol, *sol.values_at_prior()))
+    assert text == json.dumps(_reference_payload(sol), indent=2, sort_keys=True) + "\n"
+    # the per-stage copy holds a label tuple per stage: tables key on the labels' values
+    tables = {(id(st), sol.spec.states[t], sol.spec.actions[t]) for t, st in enumerate(sol.stages)}
+    assert calls["_json_object", " " * 4] == len({id(st) for st in sol.stages}) == len(tables)
+    vertices = {tri.vertices.tobytes(): tri.n_vertices for tri in (st.triangulation for st in sol.stages)}
+    cells = {tri.simplices.tobytes(): len(tri.simplices) for tri in (st.triangulation for st in sol.stages)}
+    assert calls["_json_array", " " * 10] == sum(vertices.values())
+    assert calls["_json_array", " " * 8] == sum(cells.values())
+    if name.startswith("quickest_detection"):
+        # 100 distinct stage solutions on 10 triangulations
+        assert len(tables) == 100 and len(vertices) == 10
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_stdout_and_out_write_the_same_bytes(tmp_path, command):
+    argv = [command, "--builtin", "quickest_detection", "--horizon", "20"]
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == 0
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(argv) == 0
+    assert buf.getvalue().encode() == out.read_bytes()
+
+
+def test_writing_a_long_solve_artifact_holds_little_memory(tmp_path, monkeypatch):
+    # the artifact is 23 MB, and its text is streamed in per-stage chunks
+    sol = solve(builtin_example("detector", 0.2, 0.1, 20_000))
+    monkeypatch.setattr(cli, "_load_game", lambda cfg: sol.spec)
+    monkeypatch.setattr(cli, "solve", lambda spec: sol)
+    out = tmp_path / "long.json"
+    tracemalloc.start()
+    try:
+        assert run(RunConfig(command="solve", builtin="detector", horizon=20_000, out=str(out))) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    with open(out, "rb") as fh:
+        fh.seek(-200_000, os.SEEK_END)
+        tail = fh.read().decode()
+    assert tail.endswith('\n    }\n  ],\n  "value_principal": %r,\n  "value_receiver": %r\n}\n' % sol.values_at_prior())
+    assert '"stage": 20000,' in tail
+
+
+def test_main_builds_its_parser_once_and_keeps_each_artifact(tmp_path):
+    cli._build_parser.cache_clear()
+    commands = {
+        "solve": ["solve", "--builtin", "detector", "--horizon", "6"],
+        "simulate": ["simulate", "--builtin", "detector", "--horizon", "6", "--seed", "4", "--trajectories", "500"],
+    }
+    written = {name: [] for name in commands}
+    for name in ("solve", "simulate", "solve", "simulate"):
+        out = tmp_path / "artifact"
+        assert main([*commands[name], "--out", str(out)]) == 0
+        written[name].append(out.read_bytes())
+    assert cli._build_parser.cache_info().misses == 1
+    sol = solve(builtin_example("detector", 0.2, 0.1, 6))
+    assert written["solve"] == [(json.dumps(_reference_payload(sol), indent=2, sort_keys=True) + "\n").encode()] * 2
+    report = simulate(sol, seed=4, trajectories=500)
+    want = json.dumps({"format": "signalgame-simulation-v2", **dataclasses.asdict(report)}, indent=2, sort_keys=True)
+    assert written["simulate"] == [(want + "\n").encode()] * 2
 
 
 def test_evaluate_payload_and_exit_code(tmp_path):
