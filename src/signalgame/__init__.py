@@ -10,6 +10,8 @@ exact forward evaluation, Monte Carlo simulation, and one-shot
 deviation tests.
 """
 
+import importlib
+
 # `import signalgame` loads numpy alone: a median of 0.18 s over 7 fresh
 # interpreters on a 2-vCPU VM, against 0.5-0.6 s when geometry imported
 # scipy.spatial at module level.  scipy.spatial (Qhull, the k-d tree) loads
@@ -21,16 +23,27 @@ from .game import *
 from .solver import *
 from .strategy import *
 from .evaluator import *
-from .cli import *
-from . import cli, evaluator, game, geometry, solver, strategy
+from . import evaluator, game, geometry, solver, strategy
 
+# The last five names are cli's, which loads on first use (__getattr__), so
+# that `python -m signalgame.cli` runs a module the package has not yet
+# imported and Python has nothing to warn about.
 __all__ = (
     geometry.__all__
     + game.__all__
     + solver.__all__
     + strategy.__all__
     + evaluator.__all__
-    + cli.__all__
+    + ["ConfigError", "RunConfig", "builtin_example", "run", "main"]
 )
+
+
+def __getattr__(name: str):
+    """signalgame.cli and the names it exports, imported on first use (PEP 562)."""
+    if name != "cli" and name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cli = importlib.import_module(".cli", __name__)
+    return cli if name == "cli" else getattr(cli, name)
+
 
 __version__ = "0.1.0"

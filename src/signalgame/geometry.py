@@ -342,6 +342,32 @@ def _flat_cells(corners: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(corners)) <= EPS_DEGENERATE * edges.prod(axis=1)
 
 
+def _cells_reached(cols: np.ndarray, x: np.ndarray) -> np.ndarray | None:
+    """The cells, as ascending indices, that locate_many's weights may put
+    some point of the block x, (n, k), in; None for every cell.
+
+    cols is locate_many's (n, n, C, 1) layout of the cell inverses.  On the
+    box lo <= x <= hi, weight i of cell c is at most
+    sum_j max(inv_c[i, j] lo_j, inv_c[i, j] hi_j).  Its products and sums
+    are rounded in the same order as the weights', and rounding to nearest
+    is monotone, so each rounded term, and then each rounded partial sum,
+    is at least the point's own: the rounded bound is at least every
+    point's computed weight, with no slack.  A cell whose bound is below
+    -EPS_MEMBER in some row therefore holds no point of the block.  (A
+    bound that overflows to NaN has a -inf term, and then every point's
+    weight is -inf or NaN too.)  A block with a non-finite coordinate, or
+    one that reaches no cell, gets None.
+    """
+    lo, hi = x.min(axis=1), x.max(axis=1)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        return None
+    bound = np.maximum(cols[0] * lo[0], cols[0] * hi[0])
+    for j in range(1, len(cols)):
+        bound += np.maximum(cols[j] * lo[j], cols[j] * hi[j])
+    reached = np.flatnonzero((bound >= -EPS_MEMBER).all(axis=0))
+    return reached if len(reached) else None
+
+
 @dataclass(frozen=True, eq=False)
 class Triangulation:
     """Vertices on the simplex plus one (C, n) np.intp array of cell vertex labels.
@@ -462,18 +488,29 @@ class Triangulation:
 
         A point goes to the first cell in listing order whose weights are
         all >= -EPS_MEMBER, so a point on shared faces resolves to the
-        first feasible cell.  Points go in blocks, and each block gets its
-        weights in every cell at once: weight i of a point x in cell c is
+        first feasible cell.  Weight i of a point x in cell c is
         inv_c[i, 0] x_0 + inv_c[i, 1] x_1 + ..., one elementwise product
         and sum at a time in index order, so its bits do not depend on the
-        kernel NumPy picks.  A block fills about _LOCATE_BLOCK floats of
-        one scratch array, so memory stays near one (P, n) array.
+        kernel NumPy picks.  Points go in blocks, and a block fills about
+        _LOCATE_BLOCK floats of one scratch array, so memory stays near one
+        (P, n) array.
+
+        A block whose weights in every cell would fill at least a sixteenth
+        of _LOCATE_BLOCK gets weights only in the cells that its bounding
+        box can reach (_cells_reached): each weight's upper bound on the
+        box, rounded like the weights, is at least every point's computed
+        weight, so a dropped cell holds no point of the block.  The first
+        kept cell that holds a point is then the first cell that holds it,
+        and a kept cell's weights are the same products and sums, so the
+        result does not depend on the bound.  Smaller blocks keep every
+        cell: there the bound costs more than the weights it saves.
 
         A point that no cell holds by weights goes to the cell whose
         smallest signed facet distance (weight over the length of its
         gradient along the simplex, so a sliver gets no stricter bound
-        than a fat cell) is largest, if that is >= -EPS_MEMBER.  Raises
-        GeometryDomainError naming the first point placed neither way.
+        than a fat cell) is largest, if that is >= -EPS_MEMBER; its weights
+        in every cell are computed for this.  Raises GeometryDomainError
+        naming the first point placed neither way.
         """
         pts = _point_rows(points, self.n_states)
         cols = self._inverse_columns
@@ -488,29 +525,37 @@ class Triangulation:
         for start in range(0, len(pts), rows):
             x = coords[:, start : start + rows]
             k = x.shape[1]
-            # weights[i, c, p]: weight i of point p in cell c
-            weights, term = scratch[: 2 * n * n_cells * k].reshape(2, n, n_cells, k)
+            kept = _cells_reached(cols, x) if 16 * k >= rows else None
+            block = cols if kept is None else cols[:, :, kept]
+            m = block.shape[2]
             with np.errstate(invalid="ignore"):
-                np.multiply(cols[0], x[0], out=weights)
+                # weights[i, c, p]: weight i of point p in kept cell c
+                weights, term = scratch[: 2 * n * m * k].reshape(2, n, m, k)
+                np.multiply(block[0], x[0], out=weights)
                 for j in range(1, n):
-                    np.multiply(cols[j], x[j], out=term)
+                    np.multiply(block[j], x[j], out=term)
                     weights += term
                 inside = weights.min(axis=0) >= -EPS_MEMBER
             first = inside.argmax(axis=0)
             picked = np.arange(k)
             missing = ~inside[first, picked]
+            cell_idx[start : start + k] = first if kept is None else kept[first]
+            lam[start : start + k] = weights[:, first, picked].T
             if missing.any():
                 lost = np.flatnonzero(missing)
+                with np.errstate(invalid="ignore"):
+                    every = cols[0] * x[0, lost]
+                    for j in range(1, n):
+                        every += cols[j] * x[j, lost]
                 slopes = self._cell_inverses - self._cell_inverses.mean(axis=2, keepdims=True)
                 steepness = np.linalg.norm(slopes, axis=2).T[:, :, None]
-                nearest = (weights[:, :, lost] / steepness).min(axis=0)
+                nearest = (every / steepness).min(axis=0)
                 best = nearest.argmax(axis=0)
                 far = ~(nearest[best, np.arange(len(lost))] >= -EPS_MEMBER)
                 if far.any():
                     raise GeometryDomainError(f"point {pts[start + lost[far.argmax()]]} is not covered by any cell")
-                first[lost] = best
-            cell_idx[start : start + k] = first
-            lam[start : start + k] = weights[:, first, picked].T
+                cell_idx[start + lost] = best
+                lam[start + lost] = every[:, best, np.arange(len(lost))].T
         return cell_idx, _renormalize(lam, out=lam)
 
     def split_many(self, points) -> tuple[np.ndarray, np.ndarray]:

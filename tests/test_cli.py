@@ -865,17 +865,20 @@ def test_out_of_memory_exits_2_with_one_error_line(argv):
 
 
 def test_module_form_runs_the_command_line():
+    # both module forms, with nothing on stderr: the package imports cli
+    # lazily, so running it as __main__ draws no RuntimeWarning
     argv = ["solve", "--builtin", "detector", "--horizon", "3"]
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-m", "signalgame", *argv], env=env, capture_output=True, timeout=120
-    )
-    assert out.returncode == 0 and out.stderr == b""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         assert main(argv) == 0
-    assert out.stdout == buf.getvalue().encode()
+    for module in ("signalgame", "signalgame.cli"):
+        out = subprocess.run(
+            [sys.executable, "-m", module, *argv], env=env, capture_output=True, timeout=120
+        )
+        assert out.returncode == 0 and out.stderr == b"", module
+        assert out.stdout == buf.getvalue().encode()
 
 
 @pytest.mark.parametrize("states", [2.7, "2", True])

@@ -1,6 +1,7 @@
 import bisect
 import importlib.util
 import itertools
+import json
 import math
 import sys
 import time
@@ -13,10 +14,11 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 from test_cli import FLAT_CELL_GAME
 from near_tie_corpus import near_tie_game
-from test_goldens import GAME_1, GAME_3, GAME_3_2, GAME_RANDOM, NEAR_TIE_167
+from test_goldens import CASES as GOLDEN_CASES
+from test_goldens import GAME_1, GAME_3, GAME_3_2, GAME_RANDOM, NEAR_TIE_167, run_case
 
 from signalgame import geometry
-from signalgame.cli import builtin_example
+from signalgame.cli import builtin_example, main
 from signalgame.game import spec_from_dict
 from signalgame.geometry import (
     CANDIDATE_CAP,
@@ -302,20 +304,63 @@ def _locate_many_all_cells(tri, points):
     return cell_idx, lam
 
 
+def _reference_locate_many(tri, points):
+    """locate_many as it was before the block bound, kept as the bit-exact
+    reference: each block of points gets its weights in every cell."""
+    pts = geometry._point_rows(points, tri.n_states)
+    cols = tri._inverse_columns
+    n, _, n_cells, _ = cols.shape
+    if n_cells == 0 and len(pts):
+        raise GeometryDomainError(f"point {pts[0]} is not covered by any cell")
+    coords = np.ascontiguousarray(pts.T)
+    cell_idx = np.empty(len(pts), dtype=np.intp)
+    lam = np.empty(pts.shape)
+    rows = max(1, geometry._LOCATE_BLOCK // (2 * n * max(1, n_cells)))
+    for start in range(0, len(pts), rows):
+        x = coords[:, start : start + rows]
+        k = x.shape[1]
+        with np.errstate(invalid="ignore"):
+            weights = cols[0] * x[0]
+            for j in range(1, n):
+                weights = weights + cols[j] * x[j]
+            inside = weights.min(axis=0) >= -EPS_MEMBER
+        first = inside.argmax(axis=0)
+        picked = np.arange(k)
+        missing = ~inside[first, picked]
+        if missing.any():
+            lost = np.flatnonzero(missing)
+            slopes = tri._cell_inverses - tri._cell_inverses.mean(axis=2, keepdims=True)
+            steepness = np.linalg.norm(slopes, axis=2).T[:, :, None]
+            nearest = (weights[:, :, lost] / steepness).min(axis=0)
+            best = nearest.argmax(axis=0)
+            far = ~(nearest[best, np.arange(len(lost))] >= -EPS_MEMBER)
+            if far.any():
+                raise GeometryDomainError(f"point {pts[start + lost[far.argmax()]]} is not covered by any cell")
+            first[lost] = best
+        cell_idx[start : start + k] = first
+        lam[start : start + k] = weights[:, first, picked].T
+    return cell_idx, geometry._renormalize(lam, out=lam)
+
+
 def _assert_same_location(got, want):
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1].view(np.int64), want[1].view(np.int64))
 
 
-def _simplex_dense_specs(monkeypatch):
-    """The games of bench/workloads.py's simplex-dense workload, loaded without writing to bench/."""
+def _simplex_dense_games(monkeypatch):
+    """The games of bench/workloads.py's simplex-dense workload as --input
+    dicts, loaded without writing to bench/."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)
     spec.loader.exec_module(workloads)
     games = workloads.WORKLOADS["simplex-dense"].games
-    return [spec_from_dict(workloads.random_game(*game.generated)) for game in games]
+    return [workloads.random_game(*game.generated) for game in games]
+
+
+def _simplex_dense_specs(monkeypatch):
+    return [spec_from_dict(game) for game in _simplex_dense_games(monkeypatch)]
 
 
 def test_locate_many_matches_the_all_cells_reference_on_the_simplex_dense_solves(monkeypatch):
@@ -450,12 +495,13 @@ def _facet_distances(tri, point):
     return np.einsum("cij,j->ci", invs, point) / np.linalg.norm(slopes, axis=2)
 
 
-def _weights_in_index_order(tri, point):
-    """(C, n): the point's weights in every cell as locate_many sums them."""
-    invs = tri._cell_inverses
-    weights = invs[:, :, 0] * point[0]
+def _weights_in_index_order(tri, points):
+    """(..., C, n): each point's weights in every cell as locate_many sums
+    them, for one point (n,) or a stack of them (..., n)."""
+    invs, x = tri._cell_inverses, np.asarray(points)[..., None, None, :]
+    weights = invs[:, :, 0] * x[..., 0]
     for j in range(1, tri.n_states):
-        weights = weights + invs[:, :, j] * point[j]
+        weights = weights + invs[:, :, j] * x[..., j]
     return weights
 
 
@@ -508,6 +554,184 @@ def test_locate_many_memory_stays_near_one_points_array():
     # all cells' weights at once, (100,000, 14, 3) floats, are 33.6 MB
     assert peak < 16 * 2**20
     _assert_same_location(got, _locate_many_all_cells(tri, pts))
+
+
+def _assert_located_like_the_reference(tri, points, blocks):
+    """locate_many at each of the block sizes (points per block, None for
+    the default) gives the reference's cells and weight bits, or its error."""
+    try:
+        want = _reference_locate_many(tri, points)
+    except GeometryDomainError as error:
+        want = error
+    default = geometry._LOCATE_BLOCK
+    try:
+        for rows in blocks:
+            size = default if rows is None else 2 * tri.n_states * max(1, len(tri.simplices)) * rows
+            geometry._LOCATE_BLOCK = size
+            if isinstance(want, GeometryDomainError):
+                with pytest.raises(GeometryDomainError) as got:
+                    tri.locate_many(points)
+                assert str(got.value) == str(want)
+            else:
+                _assert_same_location(tri.locate_many(points), want)
+    finally:
+        geometry._LOCATE_BLOCK = default
+
+
+def test_locate_many_matches_the_reference_on_every_golden_and_bench_stage(monkeypatch, tmp_path):
+    # Every location the golden artifacts and the bench games make: the
+    # objective pass pushes candidates through each action's kernel into
+    # the next stage's triangulation, and split_many and the deviation
+    # check locate beliefs.  Blocks of 3 points (499 in calls of 2,000 or
+    # more) put the bound on every block.
+    calls, walk = [], Triangulation.locate_many
+
+    def recorded(tri, points):
+        calls.append((tri, np.array(points, dtype=float)))
+        return walk(tri, points)
+
+    monkeypatch.setattr(Triangulation, "locate_many", recorded)
+    for name in sorted(GOLDEN_CASES):
+        run_case(name, tmp_path)
+    for k, game in enumerate(_simplex_dense_games(monkeypatch)):
+        path = tmp_path / f"simplex-dense-{k}.json"
+        path.write_text(json.dumps(game))
+        assert main(["evaluate", "--input", str(path), "--out", str(tmp_path / "out.json")]) == 0
+    monkeypatch.setattr(Triangulation, "locate_many", walk)
+    for tri, points in calls:
+        _assert_located_like_the_reference(tri, points, (None, 3 if len(points) < 2000 else 499))
+    assert {tri.n_states for tri, _ in calls} == {1, 2, 3, 4}
+    assert len(calls) > 250 and sum(len(points) for _, points in calls) > 500_000
+
+
+def _sliver_fan(n, width=2.0**-10):
+    """The corners e_0 .. e_{n-3} coned over a split edge from e_{n-2} to
+    e_{n-1}: cells of width `width` along the edge's first eighth, then one
+    fat cell, so the sliver inverses reach 1 / width."""
+    ts = np.append(np.arange(9) * width, 1.0)
+    edge = np.zeros((len(ts), n))
+    edge[:, n - 2], edge[:, n - 1] = 1.0 - ts, ts
+    verts = np.vstack([np.eye(n)[: n - 2], edge])
+    cone = tuple(range(n - 2))
+    return Triangulation(verts, tuple((*cone, n - 2 + k, n - 1 + k) for k in range(len(ts) - 1)))
+
+
+def _location_inputs(tri, rng):
+    """Points for the reference comparison: random ones, the vertices,
+    points on shared facets, and rows up to EPS_MEMBER off the simplex."""
+    n = tri.n_states
+    corners = tri.vertices[tri.simplices]
+    first, second = np.array([edge for c in corners for edge in itertools.combinations(c, 2)]).transpose(1, 0, 2)
+    facets = np.einsum("cp,cpj->cj", rng.dirichlet(np.ones(n - 1), size=len(corners)), corners[:, 1:])
+    pts = np.vstack([rng.dirichlet(np.ones(n), size=400), tri.vertices, (first + second) / 2, (first + 2 * second) / 3, facets])
+    off = pts[rng.integers(len(pts), size=40)] + rng.uniform(-1.0, 1.0, size=(40, n)) * EPS_MEMBER / n
+    return rng.permutation(np.vstack([pts, off]))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("shape", ["min-of-pieces", "sliver-fan"])
+def test_locate_many_matches_the_reference_on_random_and_sliver_triangulations(n, shape):
+    rng = np.random.default_rng(70 + n)
+    tri = _min_of_pieces_triangulation(n, 9, seed=n) if shape == "min-of-pieces" else _sliver_fan(n)
+    assert np.abs(tri._cell_inverses).max() > (1e3 if shape == "sliver-fan" else 2.0)
+    pts = _location_inputs(tri, rng)
+    blocks = (None, 1, 7, 64)
+    _assert_located_like_the_reference(tri, pts, blocks)
+    for empty_or_one in (pts[:0], pts[:1], pts[0]):
+        _assert_located_like_the_reference(tri, empty_or_one, blocks)
+    # a row far off the simplex, or with a NaN or an infinity, is named by
+    # the error wherever it sits, and a block of clean rows around it is
+    # located as before
+    bad_rows = ([np.nan] + [0.5] * (n - 1), [np.inf] + [0.0] * (n - 1), [-np.inf] + [1.0] * (n - 1), [2.0] + [-1.0 / (n - 1)] * (n - 1))
+    for bad in bad_rows:
+        for at in (0, 33, len(pts)):
+            _assert_located_like_the_reference(tri, np.insert(pts, at, bad, axis=0), blocks)
+
+
+def test_locate_many_matches_the_reference_on_distance_rule_points():
+    # seed 13's point, which only the facet distance places, in a block of
+    # points that cells hold, and a point of the hole that no rule places
+    tri = solve(spec_from_dict(near_tie_game(3, 13))).stage(2).triangulation
+    point = np.array([0.32810588058123613, 0.2748644645029597, 0.3970296549158042])
+    pts = np.insert(_location_inputs(tri, np.random.default_rng(13)), 17, point, axis=0)
+    _assert_located_like_the_reference(tri, pts, (None, 1, 7, 64))
+    holed, centre, placed, _ = _holed_triangulation(3)
+    pts = _location_inputs(holed, np.random.default_rng(3))
+    _assert_located_like_the_reference(holed, np.insert(pts, 9, placed, axis=0), (None, 1, 7, 64))
+    _assert_located_like_the_reference(holed, np.insert(pts, [9, 40], [placed, centre], axis=0), (None, 1, 7, 64))
+
+
+def _threshold_points(tri):
+    """Points whose computed weight in some cell lies at -EPS_MEMBER: for
+    each cell and each facet inside the simplex, the two points nearest the
+    threshold on either side, along the segment toward the opposite vertex."""
+    pts = []
+    for c, cell in enumerate(tri.simplices):
+        corners = tri.vertices[cell]
+        for i in range(tri.n_states):
+            rest = np.delete(corners, i, axis=0).mean(axis=0)
+            toward = corners[i] - rest
+            on_level = rest - EPS_MEMBER * toward
+            if on_level.min() < 1e-3:
+                continue  # a facet on the simplex boundary
+            quantum = np.spacing(np.abs(tri._cell_inverses[c, i]).sum())
+            along = on_level + np.linspace(-8.0, 8.0, 129)[:, None] * quantum * toward
+            weights = _weights_in_index_order(tri, along)[:, c, i]
+            inside = weights >= -EPS_MEMBER
+            pts += [along[inside][weights[inside].argmin()], along[~inside][weights[~inside].argmax()]]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_cells_reached_keeps_every_cell_that_holds_a_point_of_the_block(n):
+    # The block bound drops a cell only if no point of the block is in it
+    # by weights: checked on points at the membership threshold, alone, in
+    # pairs that straddle it, and in blocks with random points, on slivers
+    # whose inverses reach 1e3.
+    tri = _sliver_fan(n)
+    assert np.abs(tri._cell_inverses).max() > 1e3
+    threshold = _threshold_points(tri)
+    # each point's weight is within a rounding quantum of -EPS_MEMBER in
+    # some cell, and half of them lie outside that cell
+    lowest = _weights_in_index_order(tri, threshold).min(axis=2)
+    assert len(threshold) > 2 * len(tri.simplices)
+    assert (np.abs(lowest + EPS_MEMBER) < 1e-12).any(axis=1).all()
+    assert ((lowest < -EPS_MEMBER) & (lowest > -EPS_MEMBER - 1e-12)).any(axis=1).sum() >= len(threshold) // 2
+    rng = np.random.default_rng(n)
+    blocks = [threshold[k : k + 1] for k in range(len(threshold))]
+    blocks += [threshold[k : k + 2] for k in range(len(threshold) - 1)]
+    mixed = rng.permutation(np.vstack([threshold, rng.dirichlet(np.ones(n), size=3 * len(threshold))]))
+    blocks += [mixed[k : k + 7] for k in range(0, len(mixed), 7)] + [mixed]
+    pruned = 0
+    for block in blocks:
+        held = np.flatnonzero((_weights_in_index_order(tri, block).min(axis=2) >= -EPS_MEMBER).any(axis=0))
+        kept = geometry._cells_reached(tri._inverse_columns, np.ascontiguousarray(block.T))
+        if kept is not None:
+            assert set(held) <= set(kept.tolist())
+            pruned += len(kept) < len(tri.simplices)
+    assert pruned > len(blocks) // 2
+    # and locate_many, one point per block or several, places them as before
+    _assert_located_like_the_reference(tri, mixed, (None, 1, 2, 7))
+
+
+def test_cells_reached_keeps_a_cell_whose_weight_is_exactly_minus_eps_member():
+    # The midpoint subdivision.  Off the edge from e1 to e2, next to its
+    # midpoint, the corner cells 1 and 2 have the weight 2 x_0, so a point
+    # with x_0 = -EPS_MEMBER / 2 has weight exactly -EPS_MEMBER there, and
+    # the middle cell, listed last, holds it with room to spare.  A bound
+    # one ulp too low, or a strict test, would send it to the middle cell.
+    verts = np.vstack([np.eye(3), [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]])
+    tri = Triangulation(verts, ((0, 3, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)))
+    levels = (np.nextafter(-EPS_MEMBER, -1.0), -EPS_MEMBER, np.nextafter(-EPS_MEMBER, 0.0))
+    pts = np.array([[level / 2, 0.5 + EPS_MEMBER / 4, 0.5 + EPS_MEMBER / 4] for level in levels])
+    weights = _weights_in_index_order(tri, pts)
+    assert weights[:, 1, 1].tolist() == weights[:, 2, 1].tolist() == list(levels)
+    assert (weights[:, 3] > -EPS_MEMBER).all() and (np.delete(weights[:, 1:3], 1, axis=2) > 0).all()
+    for point, cells in zip(pts, ([3], [1, 2, 3], [1, 2, 3])):
+        kept = geometry._cells_reached(tri._inverse_columns, point[:, None])
+        assert kept.tolist() == cells
+    assert _reference_locate_many(tri, pts)[0].tolist() == [3, 1, 1]
+    _assert_located_like_the_reference(tri, pts, (None, 1, 3))
 
 
 def _holed_triangulation(n):

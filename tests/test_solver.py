@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from test_geometry import _simplex_dense_specs
-from test_goldens import GAME_3
+from test_goldens import GAME_3, GAME_3_2, NEAR_TIE_167
 from signalgame.cli import builtin_example
 from signalgame.game import Belief, GameSpec, SpecValidationError, bayes_update, push_forward, spec_from_dict
 from signalgame import geometry, solver
@@ -766,3 +766,36 @@ def test_long_horizon_solve_backs_up_only_distinct_stage_inputs(monkeypatch, nam
     # input is the repeating solution itself: that input first closes
     # the cycle (quickest_detection's fixed point, detector's period 4).
     assert len(calls) == backups == _distinct_solutions(sol) + 1
+
+
+def _certificate_gaps(st) -> tuple[float, float]:
+    """The value certificate of a stage with 3 or more states, as its two
+    worst gaps, each relative to max(1, |value|) like the backup's check.
+
+    Concavity: each cell's affine piece majorizes V at every vertex, so V
+    is the minimum of its pieces.  Majorant: that minimum is at least psi
+    at every candidate of the stage's arrangement, the vertices of its
+    cells, where psi - V is largest on each cell.  V at the candidates is
+    a product and a row minimum, with no point location.
+    """
+    tri, values = st.triangulation, st.values_principal
+    pieces = np.einsum("cij,ci->cj", tri._cell_inverses, values[tri.simplices])
+    at_vertices = tri.vertices @ pieces.T
+    concavity = ((values[:, None] - at_vertices) / np.maximum(1.0, np.abs(values))[:, None]).max()
+    candidates = geometry.candidate_vertices(st.objective.arrangement)
+    psi = st.objective.tie_broken_values(candidates)[0]
+    envelope = (candidates @ pieces.T).min(axis=1)
+    majorant = ((psi - envelope) / np.maximum(1.0, np.abs(psi))).max()
+    return float(concavity), float(majorant)
+
+
+def test_every_golden_and_bench_stage_of_three_or_more_states_passes_the_value_certificate(monkeypatch):
+    specs = [spec_from_dict(game) for game in (GAME_3, GAME_3_2, NEAR_TIE_167)] + _simplex_dense_specs(monkeypatch)
+    checked = 0
+    for spec in specs:
+        stages = {id(st): st for st in solve(spec).stages if st.triangulation.n_states >= 3}
+        for st in stages.values():
+            concavity, majorant = _certificate_gaps(st)
+            assert concavity <= geometry.EPS_EQUILIBRIUM and majorant <= geometry.EPS_EQUILIBRIUM
+            checked += 1
+    assert checked == 16
